@@ -28,10 +28,11 @@ class NotIntegrableError(HardyMeansError):
 
 
 class NoConvergenceError(HardyMeansError):
-    """A scaling ladder failed to settle within tolerance.
+    """An iteration failed to settle within tolerance: a root finder at
+    its iteration cap, a quadrature at its level cap, or a scaling ladder.
 
-    The evaluated ladder is attached so callers can inspect whether the
-    lower and upper accumulation points actually differ.
+    A ladder's evaluated values are attached so callers can inspect
+    whether the lower and upper accumulation points actually differ.
     """
 
     def __init__(self, message: str, ladder=None):

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, LimitNotDetected, NotIntegrableError,
-                     PGeqOne, TailBoundFailure, ZeroDerivativeError,
-                     DerivativeUnavailableError)
+from .errors import (DomainError, LimitNotDetected, NoConvergenceError,
+                     NotIntegrableError, PGeqOne, TailBoundFailure,
+                     ZeroDerivativeError, DerivativeUnavailableError)
 from .generators import GeneratorFunction, dev_gini, dev_power
 from .means import (Deviation, Gini, HomogeneousDeviation, MeanSpec, Power,
                     QuasiArithmetic)
@@ -68,8 +68,15 @@ def classical_C(p: float) -> float:
 def C_of(r: float, eta: float) -> float:
     """Sharp weighted constant C(r, eta) for the power family, r < 1.
 
-    Evaluated through expm1/log1p so the branch boundaries r -> 0 and
-    eta -> 0 are approached without cancellation.
+    For eta > 0, with L = log(1 - eta), the denominator is
+    1 - (1-eta)**(1-r) = eta * (1 - ((1-eta)/eta) * expm1(-r L)), so
+
+        log C = -log1p(-((1-eta)/eta) * expm1(-r L)) / r,
+
+    in which r -> 0 and eta -> 0 are approached without cancellation:
+    the argument of log1p is O(r), not a difference of two logarithms
+    that both tend to log eta.  For r > 1/2 that argument nears -1, and
+    (log eta - log(1 - (1-eta)**(1-r))) / r is the accurate form instead.
     """
     _check_eta(eta)
     if math.isnan(r) or r >= 1.0 or math.isinf(r):
@@ -80,9 +87,16 @@ def C_of(r: float, eta: float) -> float:
         return math.exp(-math.log1p(-r) / r)
     if r == 0.0:
         return math.exp((1.0 - 1.0 / eta) * math.log1p(-eta))
-    # 1 - (1-eta)**(1-r), kept accurate for small eta
-    denom = -math.expm1((1.0 - r) * math.log1p(-eta))
-    return math.exp((math.log(eta) - math.log(denom)) / r)
+    return math.exp(-_log_d_over_eta(r, eta) / r)
+
+
+def _log_d_over_eta(s: float, eta: float) -> float:
+    """log(d_s / eta) for d_s = 1 - q**(1-s), q = 1 - eta in (0, 1), in
+    the form that is accurate for this s (see C_of)."""
+    log_q = math.log1p(-eta)
+    if s <= 0.5:
+        return math.log1p(-(1.0 - eta) / eta * math.expm1(-s * log_q))
+    return math.log(-math.expm1((1.0 - s) * log_q)) - math.log(eta)
 
 
 def gini_constant(p: float, q: float, eta: float) -> float:
@@ -104,9 +118,9 @@ def gini_constant(p: float, q: float, eta: float) -> float:
         return C_of(0.0, eta)
     if eta == 0.0:
         return math.exp((math.log1p(-q) - math.log1p(-p)) / (p - q))
-    log_dp = math.log(-math.expm1((1.0 - p) * math.log1p(-eta)))
-    log_dq = math.log(-math.expm1((1.0 - q) * math.log1p(-eta)))
-    return math.exp((log_dq - log_dp) / (p - q))
+    # log d_q - log d_p, with the common log eta cancelled exactly
+    return math.exp((_log_d_over_eta(q, eta) - _log_d_over_eta(p, eta))
+                    / (p - q))
 
 
 def _check_eta(eta: float) -> None:
@@ -242,7 +256,12 @@ def solve_cef(f: GeneratorFunction, eta: float,
     F(1/c, 1-eta) = 0.  Requires f concave with the sign property and a
     declared integrable reciprocal profile (NotIntegrableError
     otherwise).  The bracket starts at (1, 2) and slides upward by
-    doubling; no sign change below 1e9 raises NoBracketError.
+    doubling; no sign change below 1e9 raises NoBracketError.  The root
+    is then solved by Brent's method (rootfind.bracketed_root), which
+    reuses the characteristic values the bracket search computed.  A
+    quadrature that stops at its level cap without meeting its tolerance
+    raises NoConvergenceError rather than feeding the root finder an
+    unconverged value.
     """
     _check_eta(eta)
     if not f.recip_integrable:
@@ -258,8 +277,12 @@ def solve_cef(f: GeneratorFunction, eta: float,
     inner_tol = 0.1 * min(tol, 1e-12)
     if eta == 0.0:
         def charfun(c):
-            return tanh_sinh(lambda t: f.fn(1.0 / t), 0.0, c,
-                             tol=inner_tol).value
+            res = tanh_sinh(lambda t: f.fn(1.0 / t), 0.0, c, tol=inner_tol)
+            if not res.converged:
+                raise NoConvergenceError(
+                    f"{f.label}: integral of f(1/x) over (0, {c:g}) did not "
+                    f"converge in {res.levels} levels (error {res.error:.3g})")
+            return res.value
 
         method = "root-integral"
     else:
@@ -272,8 +295,8 @@ def solve_cef(f: GeneratorFunction, eta: float,
 
         method = "root-series"
 
-    lo, hi = expand_bracket_up(charfun, 1.0, 2.0, cap=_BRACKET_CAP)
-    res = bracketed_root(charfun, lo, hi, xtol=tol)
+    lo, hi, flo, fhi = expand_bracket_up(charfun, 1.0, 2.0, cap=_BRACKET_CAP)
+    res = bracketed_root(charfun, lo, hi, xtol=tol, flo=flo, fhi=fhi)
     return HardyConstantResult(value=res.root, method=method,
                                residual=abs(res.residual),
                                bracket=res.bracket, eta=eta)

@@ -7,8 +7,8 @@ between the smallest and largest sample carrying positive weight.
 Power and Gini means are evaluated through weighted log-sum-exp, so
 wide dynamic ranges and large exponents do not overflow.  Deviation
 means are roots of a one-dimensional strictly bracketed equation; the
-prefix evaluator reuses closed forms where they exist and falls back to
-per-prefix root solving otherwise.
+prefix evaluator reuses closed forms where they exist, and solves the
+deviation prefixes one root each, warm-started from the previous one.
 """
 
 from __future__ import annotations
@@ -153,11 +153,11 @@ def quasiarithmetic_mean(x, lam, g: GeneratorFunction) -> float:
             return lo
         if hhi == 0.0:
             return hi
-        if hlo * hhi > 0.0:
+        if (hlo < 0.0) == (hhi < 0.0):
             raise InversionError(
                 f"target {target:g} not bracketed by g on [{lo:g}, {hi:g}]")
         y = bracketed_root(h, lo, hi, xtol=max(1e-13 * lo, 5e-324),
-                           rtol=RTOL_FLOOR).root
+                           rtol=RTOL_FLOOR, flo=hlo, fhi=hhi).root
     return float(min(max(y, lo), hi))
 
 
@@ -181,23 +181,38 @@ def homogeneous_devmean(x, lam, f: GeneratorFunction,
     the result is then positively homogeneous in x.
     """
     x, lam = _check_xlam(x, lam)
+    return _deviation_root(x, lam, _ratio_kernel_fn(f), tol)
+
+
+def _require_sign_like(f: GeneratorFunction) -> None:
     if not f.sign_like:
         raise DomainError("homogeneous deviation mean needs a sign-like "
                           "generator (sign f(u) = sign(u-1))")
 
+
+def _ratio_kernel_fn(f: GeneratorFunction):
+    """E(x, y) = f(x / y) for a sign-like profile f."""
+    _require_sign_like(f)
+
     def efn(xs, y):
         return f.fn(np.asarray(xs, dtype=float) / y)
 
-    return _deviation_root(x, lam, efn, tol)
+    return efn
 
 
 def _deviation_root(x: np.ndarray, lam: np.ndarray, efn, tol) -> float:
-    sup = _support(x, lam)
-    lo, hi = float(sup.min()), float(sup.max())
-    if lo == hi:
-        return lo
     mask = lam > 0.0
     xs, ws = x[mask], lam[mask]
+    return _solve_deviation(xs, ws, float(xs.min()), float(xs.max()), efn,
+                            tol)
+
+
+def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
+                     efn, tol) -> float:
+    """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
+    by Brent's method; ws > 0."""
+    if lo == hi:
+        return lo
 
     def g(y):
         return float(np.dot(ws, np.asarray(efn(xs, y), dtype=float)))
@@ -207,12 +222,17 @@ def _deviation_root(x: np.ndarray, lam: np.ndarray, efn, tol) -> float:
         return lo
     if ghi == 0.0:
         return hi
+    _check_sign_property(glo, ghi, lo, hi)
+    xtol = tol if tol is not None else max(1e-13 * lo, 5e-324)
+    return bracketed_root(g, lo, hi, xtol=xtol, rtol=RTOL_FLOOR,
+                          flo=glo, fhi=ghi).root
+
+
+def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
     if glo < 0.0 or ghi > 0.0:
         raise BracketError(
             f"kernel violates the sign property on [{lo:g}, {hi:g}]: "
             f"g(lo)={glo:g}, g(hi)={ghi:g}")
-    xtol = tol if tol is not None else max(1e-13 * lo, 5e-324)
-    return bracketed_root(g, lo, hi, xtol=xtol, rtol=RTOL_FLOOR).root
 
 
 # -- mean family specifiers ---------------------------------------------
@@ -301,6 +321,7 @@ def prefix_values(spec: MeanSpec, x, lam,
     Closed families (power, Gini, invertible quasiarithmetic) run on
     cumulative accumulators in one vectorized pass; deviation families
     solve one root per requested prefix, which costs O(n) work each.
+    The inputs are validated once, not once per prefix.
     """
     x, lam = _check_xlam(x, lam)
     if lam[0] <= 0.0:
@@ -320,6 +341,12 @@ def prefix_values(spec: MeanSpec, x, lam,
         return _prefix_gini(x, lam, spec.p, spec.q, idx)
     if isinstance(spec, QuasiArithmetic) and spec.g.inverse is not None:
         return _prefix_qa(x, lam, spec.g, idx)
+    if isinstance(spec, HomogeneousDeviation):
+        if spec.f.d1 is not None:
+            return _prefix_devmean_newton(x, lam, spec.f, idx)
+        return _prefix_deviation(x, lam, _ratio_kernel_fn(spec.f), idx)
+    if isinstance(spec, Deviation):
+        return _prefix_deviation(x, lam, spec.kernel.fn, idx)
     # generic slow path: one evaluation per requested prefix
     out = np.empty(idx.size)
     for j, i in enumerate(idx):
@@ -331,6 +358,82 @@ def _running_bounds(x, lam):
     lo = np.minimum.accumulate(np.where(lam > 0.0, x, math.inf))
     hi = np.maximum.accumulate(np.where(lam > 0.0, x, -math.inf))
     return lo, hi
+
+
+def _prefix_deviation(x, lam, efn, idx):
+    """Brent root per prefix.  The support of prefix i is the leading
+    count[i] positive-weight samples, so the mask is taken once."""
+    lo, hi = _running_bounds(x, lam)
+    support = lam > 0.0
+    count = np.cumsum(support)
+    xs, ws = x[support], lam[support]
+    out = np.empty(idx.size)
+    for j, i in enumerate(idx):
+        k = count[i]
+        out[j] = _solve_deviation(xs[:k], ws[:k], float(lo[i]), float(hi[i]),
+                                  efn, None)
+    return out
+
+
+def _prefix_devmean_newton(x, lam, f, idx):
+    """Homogeneous deviation mean per prefix, solved for t = log(y / x[0]).
+
+    With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
+    decreases from g(min r) >= 0 to g(max r) <= 0 and
+    g'(t) = -sum w u f'(u), so each root is a safeguarded Newton solve
+    warm-started from the previous prefix's root, moved by the change in
+    the weighted mean of r between the two prefixes (the whole change
+    when f = log).  x[0] has positive weight, so it is in every prefix's
+    support: |t| <= log(hi / lo), and t and u carry errors set by the
+    spread of the samples, not by their magnitude.  The bracket ends are
+    the running extremes of r, where the extreme sample has
+    u = exp(0) = 1 exactly.  The solve stops once |dt| is within
+    1e-13 lo / hi + RTOL_FLOOR (1 + |t|), so the relative error of y is
+    within that of the one-prefix solve, 1e-13 lo / y + RTOL_FLOOR, plus
+    RTOL_FLOOR log(hi / lo).
+    """
+    _require_sign_like(f)
+    fn, d1 = f.fn, f.d1
+    lo, hi = _running_bounds(x, lam)
+    support = lam > 0.0
+    count = np.cumsum(support)
+    x_ref = float(x[0])
+    rx, ws = np.log(x[support] / x_ref), lam[support]
+    rlo = np.minimum.accumulate(rx)
+    rhi = np.maximum.accumulate(rx)
+    r_mean = np.cumsum(ws * rx) / np.cumsum(ws)
+    out = np.empty(idx.size)
+    t = t0 = None
+    for j, i in enumerate(idx):
+        k = count[i]
+        a, b = float(rlo[k - 1]), float(rhi[k - 1])
+        lo_i, hi_i = float(lo[i]), float(hi[i])
+        if a == b:
+            out[j] = min(max(x_ref, lo_i), hi_i)  # a == b == 0
+            continue
+        r, w = rx[:k], ws[:k]
+
+        def g_slope(s):
+            u = np.exp(r - s)
+            return float(np.dot(w, fn(u))), -float(np.dot(w, u * d1(u)))
+
+        ga, gb = (float(np.dot(w, fn(np.exp(r - s)))) for s in (a, b))
+        if ga == 0.0:
+            out[j] = lo_i
+            continue
+        if gb == 0.0:
+            out[j] = hi_i
+            continue
+        _check_sign_property(ga, gb, lo_i, hi_i)
+        if t is not None:
+            t0 = t + (r_mean[k - 1] - r_mean[k_solved - 1])
+        t = bracketed_root(g_slope, a, b,
+                           xtol=1e-13 * lo_i / hi_i + RTOL_FLOOR,
+                           rtol=RTOL_FLOOR, flo=ga, fhi=gb, fprime=True,
+                           x0=t0).root
+        k_solved = k
+        out[j] = min(max(x_ref * math.exp(t), lo_i), hi_i)
+    return out
 
 
 def _prefix_power(x, lam, p, idx):

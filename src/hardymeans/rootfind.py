@@ -1,22 +1,43 @@
-"""Bracketed scalar root finding.
+"""Bracketed scalar root finding, with no dependency beyond the standard
+library.
 
-Thin layer over SciPy's Brent implementation (bracketed bisection with
-inverse-quadratic refinement) that reports the residual and the bracket
-actually used, plus a slide-and-double bracket search for roots of
-decreasing functions on (1, inf).
+:func:`bracketed_root` solves f(x) = 0 on [lo, hi] when f(lo) and f(hi)
+straddle zero.  It has two paths:
+
+* Brent's method (R. P. Brent, *Algorithms for Minimization without
+  Derivatives*, 1973, ch. 4): inverse quadratic interpolation and secant
+  steps, falling back to bisection whenever they do not shrink the
+  bracket fast enough.  The iteration is the one of SciPy's ``brentq``,
+  step for step, so ``xtol``/``rtol`` mean the same and the iterates
+  and iteration counts are the same.
+* Safeguarded Newton, when f also returns its derivative: Newton steps
+  from a start point, with a bisection step whenever the Newton step
+  would leave the current bracket or fails to halve the step before
+  last.  A wrong-signed, vanishing or NaN derivative therefore costs
+  speed, never the bracket.  The stopping test (a Newton step within
+  tolerance) trusts the derivative's magnitude.
+
+Neither path evaluates f twice at one point: endpoint values the caller
+already holds are passed in, and the reported residual is the value
+already computed at the returned root.  :func:`expand_bracket_up` is a
+slide-and-double bracket search for roots of decreasing functions on
+(1, inf) that hands back the endpoint values it found.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq
+from .errors import (BracketError, DomainError, NoBracketError,
+                     NoConvergenceError)
 
-from .errors import BracketError, NoBracketError
-
-# SciPy's floor on the relative tolerance; gives near machine-relative roots.
-RTOL_FLOOR = 4.0 * float(np.finfo(float).eps)
+# Floor on the relative tolerance (SciPy's brentq floor); gives near
+# machine-relative roots.
+RTOL_FLOOR = 4.0 * sys.float_info.epsilon
+# Iteration cap of both paths (SciPy's brentq default).
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -28,41 +49,173 @@ class RootResult:
 
 
 def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
-                   rtol: float = RTOL_FLOOR) -> RootResult:
+                   rtol: float = RTOL_FLOOR, *, flo: float | None = None,
+                   fhi: float | None = None, fprime: bool = False,
+                   x0: float | None = None) -> RootResult:
     """Root of f on [lo, hi], where f(lo) and f(hi) must straddle zero.
 
-    Raises BracketError when the endpoint values share a sign.  Endpoint
-    zeros are returned directly.
+    flo, fhi -- values of f at lo and hi the caller already holds; each
+                one left out is evaluated here.
+    fprime   -- f returns the pair (f(x), f'(x)); the solver then takes
+                safeguarded Newton steps from x0 (from the secant point
+                of the bracket when x0 is None or not inside it).
+                Supplied endpoint values are plain values.
+    xtol, rtol -- the root is returned once it is known to within
+                xtol + rtol * |root|; rtol is floored at RTOL_FLOOR.
+
+    Raises BracketError when the endpoint values share a sign,
+    NoConvergenceError after _MAXITER iterations and DomainError when f
+    returns NaN.  Endpoint zeros are returned directly with 0 iterations.
     """
-    flo = float(f(lo))
-    fhi = float(f(hi))
+    lo, hi = float(lo), float(hi)
+    if not xtol > 0.0:
+        raise DomainError(f"xtol must be positive, got {xtol!r}")
+    rtol = max(rtol, RTOL_FLOOR)
+    value = _value_of(f, fprime)
+    flo = value(lo) if flo is None else float(flo)
     if flo == 0.0:
-        return RootResult(float(lo), 0.0, (float(lo), float(hi)), 0)
+        return RootResult(lo, 0.0, (lo, hi), 0)
+    fhi = value(hi) if fhi is None else float(fhi)
     if fhi == 0.0:
-        return RootResult(float(hi), 0.0, (float(lo), float(hi)), 0)
-    if flo * fhi > 0.0:
+        return RootResult(hi, 0.0, (lo, hi), 0)
+    if (flo < 0.0) == (fhi < 0.0):
         raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    root, report = brentq(f, lo, hi, xtol=xtol, rtol=max(rtol, RTOL_FLOOR),
-                          full_output=True)
-    return RootResult(float(root), float(f(root)), (float(lo), float(hi)),
-                      int(report.iterations))
+            f"no sign change on [{lo:g}, {hi:g}]: "
+            f"f(lo)={flo:g}, f(hi)={fhi:g}")
+    if fprime:
+        root, residual, iterations = _newton(f, lo, flo, hi, fhi, x0, xtol,
+                                             rtol)
+    else:
+        root, residual, iterations = _brent(value, lo, flo, hi, fhi, xtol,
+                                            rtol)
+    return RootResult(root, residual, (lo, hi), iterations)
 
 
-def expand_bracket_up(f, lo: float = 1.0, hi: float = 2.0,
-                      cap: float = 1e9) -> tuple[float, float]:
+def _value_of(f, fprime: bool):
+    """x -> float f(x), NaN rejected; the value part when f returns pairs."""
+    def value(x):
+        fx = float(f(x)[0] if fprime else f(x))
+        if fx != fx:
+            raise DomainError(f"function value is NaN at x={x!r}")
+        return fx
+    return value
+
+
+def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,
+           xtol: float, rtol: float) -> tuple[float, float, int]:
+    """Brent's iteration from a straddling pair with nonzero values.
+
+    The same steps as SciPy's brentq: xcur is the best estimate, xblk
+    the other end of the bracket, xpre the previous estimate; spre and
+    scur are the step before last and the last step.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur, iterations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise NoConvergenceError(
+        f"Brent iteration did not converge in {_MAXITER} iterations; "
+        f"last estimate {xcur!r}")
+
+
+def _newton(f, a: float, fa: float, b: float, fb: float, x, xtol: float,
+            rtol: float) -> tuple[float, float, int]:
+    """Safeguarded Newton on the bracket [a, b] with f(a), f(b) of
+    opposite signs; f returns (value, derivative).
+
+    Every evaluated point replaces the bracket end of its sign, so the
+    bracket only shrinks.  A Newton step that points away from the root
+    side, would leave the bracket, or is not under half the step before
+    last is replaced by bisection.  The evaluated point is returned once
+    the Newton step from it, or half the bracket, is within tolerance.
+    """
+    if x is None or not a < x < b:
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    step = step_old = b - a
+    for iterations in range(1, _MAXITER + 1):
+        fx, dfx = f(x)
+        fx, dfx = float(fx), float(dfx)
+        if fx != fx:
+            raise DomainError(f"function value is NaN at x={x!r}")
+        if fx == 0.0:
+            return x, fx, iterations
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+        else:
+            b = x
+        tol = xtol + rtol * abs(x)
+        newton = fx / dfx if dfx != 0.0 else math.inf
+        # x is now a bracket end: the root lies toward the other end
+        inward = newton <= 0.0 if x == a else newton >= 0.0
+        if inward and abs(newton) <= tol:
+            return x, fx, iterations
+        if (inward and a < x - newton < b
+                and 2.0 * abs(newton) <= abs(step_old)):
+            step_old, step = step, newton
+        else:
+            step_old, step = step, x - 0.5 * (a + b)
+            if abs(step) <= tol:
+                return x, fx, iterations
+        x -= step
+    raise NoConvergenceError(
+        f"Newton iteration did not converge in {_MAXITER} iterations; "
+        f"last estimate {x!r}")
+
+
+def expand_bracket_up(f, lo: float = 1.0, hi: float = 2.0, cap: float = 1e9
+                      ) -> tuple[float, float, float, float | None]:
     """Slide and double [lo, hi] upward until f changes sign.
 
-    Returns the first interval whose endpoint values straddle (or touch)
-    zero.  Raises NoBracketError once hi exceeds `cap`.
+    Returns (lo, hi, f(lo), f(hi)) for the first interval whose endpoint
+    values straddle (or touch) zero; f(hi) is None when f(lo) is already
+    zero, since hi is then never evaluated.  Raises NoBracketError once
+    hi exceeds `cap`.
     """
     flo = float(f(lo))
     if flo == 0.0:
-        return float(lo), float(hi)
+        return float(lo), float(hi), flo, None
     while hi <= cap:
         fhi = float(f(hi))
-        if flo * fhi <= 0.0:
-            return float(lo), float(hi)
+        if fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
+            return float(lo), float(hi), flo, fhi
         lo, flo = hi, fhi
         hi = hi * 2.0
     raise NoBracketError(f"no sign change found below {cap:g}")

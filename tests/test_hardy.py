@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hardymeans.errors import (DomainError, LimitNotDetected,
-                               NotIntegrableError, PGeqOne, TailBoundFailure,
-                               ZeroDerivativeError)
+                               NoConvergenceError, NotIntegrableError,
+                               PGeqOne, TailBoundFailure, ZeroDerivativeError)
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gen, with_flags)
@@ -120,6 +120,27 @@ def test_weighted_constant_branch_continuity():
         assert abs(C_of(-1e-6, eta) - C_of(0.0, eta)) <= 1e-4
 
 
+@pytest.mark.parametrize("r", [1e-9, -1e-9, 1e-13, -1e-13])
+@pytest.mark.parametrize("eta", [1e-6, 0.1, 0.5, 0.9])
+def test_weighted_constant_near_order_zero_matches_high_precision(r, eta):
+    # (log eta - log denom) / r cancelled to 8.5e-8 relative at r = -1e-9
+    # and 4.3e-4 at r = 1e-13; the log1p form keeps full precision
+    assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta),
+                                         rel=1e-15)
+
+
+def test_weighted_constant_near_order_zero_hand_value():
+    # 50-digit value 2.0000000009609060...
+    assert C_of(1e-9, 0.5) == pytest.approx(2.000000000960906, rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("eta", [1e-9, 0.5, 0.999])
+def test_weighted_constant_near_order_one_matches_high_precision(r, eta):
+    assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta),
+                                         rel=1e-14)
+
+
 # -- Gini closed form --------------------------------------------------------
 
 
@@ -140,6 +161,16 @@ def test_gini_constant_matches_high_precision(p, q, eta):
     got = gini_constant(p, q, eta)
     assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-13)
     assert gini_constant(q, p, eta) == pytest.approx(got, rel=1e-15)
+
+
+@pytest.mark.parametrize("p, q", [(1e-9, -1e-9), (-1e-9, 1e-9),
+                                  (1e-9, -0.5), (0.5, -1e-9), (0.9, -1e-9),
+                                  (1e-9, 0.0)])
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_gini_constant_near_zero_exponents_matches_high_precision(p, q, eta):
+    # differencing log d_p and log d_q lost 6e-8 relative at (1e-9, -1e-9)
+    got = gini_constant(p, q, eta)
+    assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 0.9])
@@ -277,6 +308,14 @@ def test_characteristic_result_invariants(f, eta):
     assert res.bracket[0] <= res.value <= res.bracket[1]
     assert res.residual <= 1e-10
     assert res.eta == eta
+
+
+def test_characteristic_raises_on_unconverged_quadrature():
+    # near p = 1 the integral of x**-0.999 stops at the level cap around
+    # c = 500; its unconverged value once gave a root of 506.7, where the
+    # constant is 1006.9
+    with pytest.raises(NoConvergenceError):
+        constant_root(Power(0.999), 0.0)
 
 
 def test_characteristic_rejects_nonintegrable_profile():

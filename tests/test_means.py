@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardymeans.errors import (BracketError, DomainError, InversionError,
                                UsageError)
-from hardymeans.generators import (dev_gini, dev_power, difference_kernel,
+from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
+                                   dev_gini, dev_power, difference_kernel,
                                    log_gen, power_gap_kernel, power_gen,
                                    ratio_kernel, with_flags)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
@@ -95,6 +96,18 @@ def test_quasiarithmetic_nonmonotone_generator_fails_to_invert():
                           label="(x-2)^2")
     # (x-2)^2 on (1,2,3) averages to 2/3, below the value at both endpoints,
     # so no bracket exists on [min x, max x]
+    with pytest.raises(InversionError):
+        quasiarithmetic_mean([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], g)
+
+
+def test_quasiarithmetic_tiny_unbracketed_values_fail_to_invert():
+    from hardymeans.generators import GeneratorFunction
+
+    # the same shape scaled to 1e-200: the product of the two endpoint
+    # values underflows to zero, their signs still agree
+    g = GeneratorFunction(
+        fn=lambda x: 1e-200 * (np.asarray(x, dtype=float) - 2.0) ** 2,
+        label="1e-200 (x-2)^2")
     with pytest.raises(InversionError):
         quasiarithmetic_mean([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], g)
 
@@ -288,6 +301,86 @@ def test_prefix_values_match_per_prefix_evaluation(spec):
     for n in (1, 2, 7, 25, 40):
         direct = evaluate_mean(spec, x[:n], lam[:n])
         assert got[n - 1] == pytest.approx(direct, rel=1e-11), f"n={n}"
+
+
+# Deviation prefixes: Newton in log y for profiles with a declared f',
+# Brent in y for the rest (a profile without d1, a raw kernel).
+DEVIATION_PREFIX_SPECS = [
+    HomogeneousDeviation(log_gen()),
+    HomogeneousDeviation(dev_power(0.5)),
+    HomogeneousDeviation(dev_power(-1.0)),
+    HomogeneousDeviation(dev_gini(0.5, -0.5)),
+    HomogeneousDeviation(dev_gini(0.25, -0.75)),
+    HomogeneousDeviation(with_flags(dev_power(0.5), d1=None)),
+    Deviation(difference_kernel()),
+]
+
+
+@st.composite
+def prefix_samples(draw, centres, max_n=24):
+    """Samples with repeated values and leading constant runs, weights with
+    zeros after a positive first one, and requested prefix lengths in any
+    order.  The samples spread over up to six decades around 10**c for a
+    c drawn from `centres`."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    centre = draw(st.sampled_from(centres))
+    pool = draw(st.lists(st.floats(centre - 3.0, centre + 3.0), min_size=1,
+                         max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                          max_size=n))
+    run = draw(st.integers(1, n))
+    logx = [pool[picks[0]]] * run + [pool[i] for i in picks[run:]]
+    lam = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                        min_size=n, max_size=n))
+    lam[0] = draw(st.floats(0.5, 1.0))
+    ns = draw(st.one_of(st.none(),
+                        st.lists(st.integers(1, n), min_size=1, max_size=n)))
+    return np.array([10.0 ** v for v in logx]), np.array(lam), ns
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DEVIATION_PREFIX_SPECS), st.data())
+def test_deviation_prefixes_match_per_prefix_evaluation(spec, data):
+    # The difference kernel is not drawn near 1e-290: below about 1e-159
+    # the secant step f * dx of Brent's method (SciPy's brentq alike)
+    # underflows on it, and neither path converges.
+    centres = ([0.0, -290.0, 290.0] if isinstance(spec, HomogeneousDeviation)
+               else [0.0, 290.0])
+    x, lam, ns = data.draw(prefix_samples(centres))
+    got = prefix_values(spec, x, lam, ns=ns)
+    want_ns = range(1, x.size + 1) if ns is None else ns
+    for n, v in zip(want_ns, got):
+        direct = evaluate_mean(spec, x[:n], lam[:n])
+        assert abs(v - direct) <= 1e-13 * direct, f"n={n}"
+
+
+@pytest.mark.parametrize("spec", DEVIATION_PREFIX_SPECS[:2]
+                         + DEVIATION_PREFIX_SPECS[-2:])
+def test_deviation_prefixes_with_one_weighted_sample_are_that_sample(spec):
+    x = np.array([3.0, 0.1, 50.0, 7.0])
+    got = prefix_values(spec, x, np.array([0.4, 0.0, 0.0, 0.0]))
+    assert np.array_equal(got, np.full(4, 3.0))
+    got = prefix_values(spec, np.full(4, 2.5), np.ones(4))
+    assert np.array_equal(got, np.full(4, 2.5))
+
+
+def _reversed_log(**fields):
+    # declared sign-like, but sign f(u) = sign(1 - u)
+    return GeneratorFunction(fn=lambda u: -np.log(u), sign_like=True,
+                             **fields)
+
+
+@pytest.mark.parametrize("spec", [
+    HomogeneousDeviation(_reversed_log(d1=lambda u: -1.0 / u)),
+    HomogeneousDeviation(_reversed_log()),
+    Deviation(QuasideviationKernel(fn=lambda x, y: y - x)),
+], ids=["newton", "brent-profile", "brent-kernel"])
+def test_deviation_prefixes_reject_a_broken_sign_property(spec):
+    x = np.array([1.0, 2.0, 8.0])
+    # the one-sample prefix is its sample; the first mixed one raises
+    assert prefix_values(spec, x, np.ones(3), ns=[1])[0] == 1.0
+    with pytest.raises(BracketError):
+        prefix_values(spec, x, np.ones(3))
 
 
 def test_prefix_values_subset_and_validation():

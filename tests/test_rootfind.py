@@ -1,10 +1,29 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
-from hardymeans.errors import BracketError, NoBracketError
+import hardymeans
+from hardymeans import rootfind
+from hardymeans.errors import (BracketError, DomainError, NoBracketError,
+                               NoConvergenceError)
 from hardymeans.rootfind import RootResult, bracketed_root, expand_bracket_up
+
+
+def _counted(f):
+    """f, and the list of points it is evaluated at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
 
 
 def test_cosine_root():
@@ -18,11 +37,37 @@ def test_cosine_root():
 def test_endpoint_zero_short_circuits():
     res = bracketed_root(lambda x: x, 0.0, 1.0)
     assert res == RootResult(0.0, 0.0, (0.0, 1.0), 0)
+    f, points = _counted(math.sin)
+    assert bracketed_root(f, 0.0, 1.0, flo=0.0).root == 0.0
+    assert points == []
 
 
 def test_no_sign_change_raises():
     with pytest.raises(BracketError):
         bracketed_root(lambda x: x * x + 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("fprime", [False, True])
+def test_tiny_same_sign_endpoint_values_raise(sign, fprime):
+    # the product of the endpoint values underflows to zero
+    if fprime:
+        f = _with_slope(lambda x: sign * 1e-200, lambda x: 0.0)
+    else:
+        def f(x):
+            return sign * 1e-200
+    with pytest.raises(BracketError):
+        bracketed_root(f, 2.0, 3.0, fprime=fprime)
+    with pytest.raises(BracketError):
+        bracketed_root(f, 2.0, 3.0, flo=sign * 1e-200, fhi=sign * 1e-300,
+                       fprime=fprime)
+
+
+def test_expand_bracket_skips_tiny_same_sign_values():
+    # 1e-200 * 1e-200 underflows; the sign change is the one at c = 8
+    lo, hi, flo, fhi = expand_bracket_up(
+        lambda c: 1e-200 if c < 7.0 else -1e-200)
+    assert (lo, hi, flo, fhi) == (4.0, 8.0, 1e-200, -1e-200)
 
 
 def test_xtol_controls_accuracy():
@@ -31,9 +76,10 @@ def test_xtol_controls_accuracy():
 
 
 def test_expand_bracket_finds_decreasing_crossing():
-    lo, hi = expand_bracket_up(lambda c: 10.0 - c)
+    lo, hi, flo, fhi = expand_bracket_up(lambda c: 10.0 - c)
     assert lo < 10.0 <= hi
     assert (10.0 - lo) * (10.0 - hi) <= 0.0
+    assert (flo, fhi) == (10.0 - lo, 10.0 - hi)
 
 
 def test_expand_bracket_gives_up_at_cap():
@@ -42,13 +88,147 @@ def test_expand_bracket_gives_up_at_cap():
 
 
 def test_expand_then_solve_composes():
-    f = lambda c: math.log(1e6) - math.log(c)
-    lo, hi = expand_bracket_up(f)
-    res = bracketed_root(f, lo, hi)
+    f, points = _counted(lambda c: math.log(1e6) - math.log(c))
+    lo, hi, flo, fhi = expand_bracket_up(f)
+    searched = len(points)
+    res = bracketed_root(f, lo, hi, flo=flo, fhi=fhi)
     assert abs(res.root - 1e6) < 1e-4
+    # the solver reuses the values the search found at lo and hi
+    assert len(points) - searched == res.iterations - 1
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0))
 def test_cubic_roots(t):
     res = bracketed_root(lambda x: x ** 3 - t, -4.0, 4.0)
     assert abs(res.root - math.copysign(abs(t) ** (1.0 / 3.0), t)) < 1e-9
+
+
+# -- Brent's iteration against SciPy's brentq (a test-only reference) -------
+
+BRENT_CASES = [
+    (math.cos, 0.0, 3.0, {}),
+    (math.sin, 3.0, 3.3, {"xtol": 1e-14}),
+    (lambda x: x ** 3 - 7.0, -4.0, 4.0, {}),
+    (lambda x: x ** 3 + 0.001, -4.0, 4.0, {}),
+    (lambda c: math.log(1e6) - math.log(c), 524288.0, 1048576.0,
+     {"xtol": 1e-12}),
+    (lambda y: 4.0 * math.log(2.0 / y) + math.log(9.0 / y), 2.0, 9.0,
+     {"xtol": 2e-13}),
+    # stiff: a near step, a flat cubic, a root at a subnormal scale, a
+    # wide bracket, a steep exponential and a high power
+    (lambda x: math.tanh(1e4 * (x - 0.123)), 0.0, 1.0, {}),
+    (lambda x: x ** 3 - 1e-12, -1.0, 1.0, {}),
+    (lambda x: x - 1e-300, -1.0, 1.0, {"xtol": 5e-324}),
+    (lambda x: math.log(x) - 5.0, 1e-10, 1e10, {}),
+    (lambda x: math.exp(50.0 * x) - 2.0, -1.0, 1.0, {"rtol": 1e-10}),
+    (lambda x: x ** 20 - 0.5, 0.0, 2.0, {}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brent_matches_scipy_brentq(case):
+    f, lo, hi, kw = BRENT_CASES[case]
+    kw = {"xtol": 1e-12, **kw}
+    res = bracketed_root(f, lo, hi, **kw)
+    root, report = brentq(f, lo, hi, full_output=True, **kw)
+    assert res.root == root
+    assert res.iterations == report.iterations
+
+
+@given(st.floats(min_value=-50.0, max_value=50.0))
+def test_brent_matches_scipy_brentq_on_cubics(t):
+    f = lambda x: x ** 3 - t
+    root, report = brentq(f, -4.0, 4.0, xtol=1e-12, full_output=True)
+    res = bracketed_root(f, -4.0, 4.0)
+    assert (res.root, res.iterations) == (root, report.iterations)
+
+
+# -- no value is computed twice ----------------------------------------------
+
+
+def test_supplied_endpoint_values_are_not_recomputed():
+    f, points = _counted(math.cos)
+    res = bracketed_root(f, 0.0, 3.0, flo=1.0, fhi=math.cos(3.0))
+    assert 0.0 not in points and 3.0 not in points
+    # one evaluation per iteration but the last, which only checks the
+    # bracket; the residual is the value already computed at the root
+    assert len(points) == res.iterations - 1
+    assert res.root in points and res.residual == math.cos(res.root)
+
+
+def test_endpoint_values_are_computed_once_when_left_out():
+    f, points = _counted(math.cos)
+    res = bracketed_root(f, 0.0, 3.0)
+    assert points[:2] == [0.0, 3.0]
+    assert len(points) == res.iterations + 1
+
+
+# -- safeguarded Newton ------------------------------------------------------
+
+
+def _with_slope(f, df):
+    return lambda x: (f(x), df(x))
+
+
+@pytest.mark.parametrize("x0", [None, 0.1, 2.9, 1.5])
+def test_newton_converges_from_any_start(x0):
+    f, points = _counted(_with_slope(math.cos, lambda x: -math.sin(x)))
+    res = bracketed_root(f, 0.0, 3.0, xtol=1e-14, flo=1.0, fhi=math.cos(3.0),
+                         fprime=True, x0=x0)
+    assert abs(res.root - math.pi / 2.0) < 1e-14
+    assert len(points) == res.iterations <= 8
+    assert res.residual == math.cos(res.root)
+
+
+@pytest.mark.parametrize("slope", [
+    lambda x: math.sin(x),
+    lambda x: 0.0,
+    lambda x: math.nan,
+], ids=["wrong-sign", "zero", "nan"])
+def test_newton_stays_inside_the_bracket_with_a_bad_derivative(slope):
+    f, points = _counted(_with_slope(math.cos, slope))
+    res = bracketed_root(f, 0.5, 3.0, xtol=1e-13, fprime=True, x0=1.0)
+    points = points[2:]  # the endpoint values
+    assert all(0.5 < x < 3.0 for x in points)
+    # every Newton step is refused, so this is bisection
+    assert abs(res.root - math.pi / 2.0) < 1e-12
+    assert len(points) == res.iterations <= 60
+
+
+def test_newton_on_a_linear_function_needs_one_step_and_a_check():
+    f, points = _counted(_with_slope(lambda x: 3.0 - 2.0 * x, lambda x: -2.0))
+    res = bracketed_root(f, -10.0, 10.0, flo=23.0, fhi=-17.0, fprime=True,
+                         x0=7.0)
+    assert res.root == 1.5 and len(points) == 2
+
+
+# -- failure -----------------------------------------------------------------
+
+
+def test_brent_raises_no_convergence_at_maxiter(monkeypatch):
+    monkeypatch.setattr(rootfind, "_MAXITER", 3)
+    with pytest.raises(NoConvergenceError):
+        bracketed_root(math.cos, 0.0, 3.0, xtol=1e-15)
+
+
+def test_newton_raises_no_convergence_at_maxiter(monkeypatch):
+    monkeypatch.setattr(rootfind, "_MAXITER", 10)
+    f = _with_slope(math.cos, lambda x: 0.0)  # bisection only
+    with pytest.raises(NoConvergenceError):
+        bracketed_root(f, 0.0, 3.0, xtol=1e-15, fprime=True)
+
+
+def test_nan_value_is_a_domain_error():
+    with pytest.raises(DomainError):
+        bracketed_root(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0,
+                       fhi=-1.0)
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = pathlib.Path(hardymeans.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, hardymeans; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
