@@ -5,6 +5,8 @@ Results print as a single JSON object (or CSV where a table is the
 natural shape) on stdout; computational failures print a JSON error
 object on stderr and exit 1; usage problems exit 2.  Reals carry 17
 significant digits and infinities print as the literal ``inf``.
+``est`` also prints one line on stderr comparing the tail of its trace
+with the closed-form constant.
 
 A ``--config <file>`` of ``key=value`` lines (keys are the long flag
 names) is merged *under* explicit flags: a flag given on the command
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import empirical, hardy
-from .errors import HardyMeansError, UsageError, ViolationFound
+from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
 from .homogenize import homogenize as _scaling_ladder
 from .formatting import fmt_real, render_json
 from .means import parse_mean
@@ -155,10 +157,9 @@ def _finalize(args: argparse.Namespace,
 def _parse_eta(text, parser) -> float:
     try:
         eta = float(text)
-    except (TypeError, ValueError):
+        hardy._check_eta(eta)
+    except (TypeError, ValueError):  # DomainError is a ValueError
         parser.error(f"--eta must be a real in [0, 1), got {text!r}")
-    if math.isnan(eta) or not 0.0 <= eta < 1.0:
-        parser.error(f"--eta must lie in [0, 1), got {text!r}")
     return eta
 
 
@@ -170,13 +171,15 @@ def _parse_eta_grid(text, parser) -> list[float]:
         start, stop, step = (float(t) for t in parts)
     except ValueError:
         parser.error(f"bad grid numbers in {text!r}")
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):  # also rejects NaN
         parser.error("grid needs step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
     etas = [start + i * step for i in range(count)]
     etas = [e for e in etas if e <= stop + 1e-12 * max(1.0, abs(stop))]
     for e in etas:
-        if not 0.0 <= e < 1.0:
+        try:
+            hardy._check_eta(e)
+        except DomainError:
             parser.error(f"grid value {e:g} outside [0, 1)")
     return etas
 
@@ -220,13 +223,8 @@ def _cmd_constant(args, parser) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
-    spec = parse_mean(args.family)
-    eta = _parse_eta(args.eta, parser)
-    res = hardy.constant_root(spec, eta, tol=args.tol)
-    out = {"value": res.value, "method": res.method,
-           "residual": res.residual, "eta": eta}
-    _emit(render_json(out) + "\n")
-    return 0
+    args.method = "root"
+    return _cmd_constant(args, parser)
 
 
 def _cmd_verify(args, parser) -> int:
@@ -234,7 +232,7 @@ def _cmd_verify(args, parser) -> int:
     w = parse_weights(args.weights)
     eta = w.eta()
     if args.constant == "auto":
-        constant = hardy.auto_constant(spec, eta)
+        constant = hardy.constant_closed(spec, eta)
     else:
         try:
             constant = float(args.constant)
@@ -254,10 +252,17 @@ def _cmd_est(args, parser) -> int:
     spec = parse_mean(args.mean)
     w = parse_weights(args.weights)
     trace = empirical.est_lower_bound(spec, w, args.y, args.N)
-    rows = ["n,value"]
-    rows.extend(f"{int(n)},{fmt_real(v)}"
-                for n, v in zip(trace.ns, trace.values))
-    _emit("\n".join(rows) + "\n", args.out)
+    trace.to_csv(args.out or sys.stdout)
+    tail = trace.tail_inf()
+    summary = f"tail inf over n >= {trace.ns[-1] // 2}: {tail:.9g}"
+    try:
+        target = hardy.constant_closed(spec, w.eta())
+        summary += f"; closed-form constant {target:.9g}"
+        if math.isfinite(target):
+            summary += f"; gap {abs(tail - target) / target:.3%}"
+    except HardyMeansError:
+        summary += "; no closed-form constant for this family"
+    sys.stderr.write(summary + "\n")
     return 0
 
 

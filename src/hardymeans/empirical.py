@@ -25,8 +25,8 @@ import numpy as np
 
 from . import hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
-from .formatting import fmt_real
-from .means import MeanSpec, canonical, is_symmetric_monotone, prefix_values
+from .formatting import fmt_real, parse_kv
+from .means import MeanSpec, prefix_values
 from .weights import WeightSequence
 
 _SLACK = 1e-9
@@ -75,7 +75,7 @@ class EmpiricalTrace:
 
 def _spec_label(spec: MeanSpec) -> str:
     try:
-        return canonical(spec)
+        return spec.canonical()
     except HardyMeansError:
         return repr(spec)
 
@@ -96,9 +96,9 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
         return x
     head, _, rest = rule.partition(":")
     if head == "constant":
-        return np.full(N, _rule_val(rest, "c"))
+        return np.full(N, parse_kv(rest, "c", float))
     if head == "witness":
-        y = _rule_val(rest, "y")
+        y = parse_kv(rest, "y", float)
         if y <= 0:
             raise DomainError("witness level y must be positive")
         prefixes = w.prefix_array(N)
@@ -107,7 +107,7 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
                 "prefix sums leave float range at this N; shrink N")
         return y / prefixes
     if head == "random":
-        seed = int(_rule_val(rest, "seed"))
+        seed = int(parse_kv(rest, "seed", float))
         rng = np.random.default_rng(seed)
         return 10.0 ** rng.uniform(-3.0, 3.0, N)
     if head == "file":
@@ -115,13 +115,6 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
             vals = [float(line) for line in fh if line.strip()]
         return make_sequence(vals, w, N)
     raise UsageError(f"unknown sequence rule {rule!r}")
-
-
-def _rule_val(body: str, key: str) -> float:
-    name, _, val = body.partition("=")
-    if name != key or not val:
-        raise UsageError(f"expected {key}=<value>, got {body!r}")
-    return float(val)
 
 
 def hardy_ratio(spec: MeanSpec, w: WeightSequence, x,
@@ -210,8 +203,7 @@ def genA_limit(p: float, eta: float) -> float:
     p = float(p)
     if math.isnan(p) or p >= 1.0:
         raise DomainError(f"probe order must be < 1, got {p!r}")
-    if math.isnan(eta) or not 0.0 <= eta < 1.0:
-        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+    hardy._check_eta(eta)
     if eta == 0.0:
         return 1.0 / (1.0 - p)
     return eta / -math.expm1((1.0 - p) * math.log1p(-eta))
@@ -264,7 +256,7 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
     constant = float(constant)
     eta = w.eta()
     ones_c: Optional[float] = None
-    if is_symmetric_monotone(spec):
+    if spec.symmetric_monotone:
         try:
             ones_c = hardy.constant_closed(spec, 0.0)
         except HardyMeansError:

@@ -1,15 +1,25 @@
-"""Deterministic text output for the CLI and trace serializers.
+"""Deterministic text for the CLI, the specifiers and trace serializers.
 
 Reals print with 17 significant digits (enough to round-trip a double
 bit for bit) and infinities print as the bare literal ``inf`` / ``-inf``
 in both JSON and CSV output; strict JSON parsers need a pre-pass for
-those two tokens.
+those two tokens.  Specifier arguments read as ``key=value``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import UsageError
+
+
+def parse_kv(body: str, key: str, conv):
+    """The value of a ``key=value`` specifier argument, converted by conv."""
+    name, _, val = body.partition("=")
+    if name != key or not val:
+        raise UsageError(f"expected {key}=<value>, got {body!r}")
+    return conv(val)
 
 
 def fmt_real(v: float) -> str:

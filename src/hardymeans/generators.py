@@ -18,7 +18,7 @@ exist, plus the declared structural properties downstream code relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,9 @@ class GeneratorFunction:
     The boolean fields are declarations, not computed facts: callers are
     trusted to set them correctly for custom generators (named
     constructors set them right).  ``recip_integrable`` declares that
-    x -> fn(1/x) is integrable on (0, 1].
+    x -> fn(1/x) is integrable on (0, 1].  ``family`` names the
+    constructor and its parameters, e.g. ``("power", p)`` or
+    ``("gini", p, q)``, so they are read back without parsing text.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -46,7 +48,7 @@ class GeneratorFunction:
     concave: bool = False
     sign_like: bool = False
     recip_integrable: bool = False
-    family: str = "custom"
+    family: tuple = ("custom",)
     label: str = "custom"
 
     def __call__(self, x):
@@ -81,7 +83,7 @@ def dev_power(p: float) -> GeneratorFunction:
     return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=None,
                              concave=p <= 1.0, sign_like=True,
                              recip_integrable=p < 1.0,
-                             family=f"power:{p:.17g}",
+                             family=("power", p),
                              label=f"(u^{p:g} - 1)/{p:g}")
 
 
@@ -117,7 +119,7 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
         return GeneratorFunction(fn=fn, d1=d1, d2=d2, concave=False,
                                  sign_like=r == 0.0,
                                  recip_integrable=r < 1.0,
-                                 family=f"gini:{r:.17g},{r:.17g}",
+                                 family=("gini", r, r),
                                  label=f"u^{r:g} ln u")
 
     def fn(u):
@@ -141,7 +143,7 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
     return GeneratorFunction(fn=fn, d1=d1, d2=d2,
                              concave=lo <= 0.0 <= hi <= 1.0, sign_like=True,
                              recip_integrable=hi < 1.0,
-                             family=f"gini:{p:.17g},{q:.17g}",
+                             family=("gini", p, q),
                              label=f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
 
 
@@ -160,7 +162,8 @@ def log_gen() -> GeneratorFunction:
 
     return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=np.exp,
                              concave=True, sign_like=True,
-                             recip_integrable=True, family="log", label="ln u")
+                             recip_integrable=True, family=("log",),
+                             label="ln u")
 
 
 def power_gen(p: float) -> GeneratorFunction:
@@ -188,7 +191,7 @@ def power_gen(p: float) -> GeneratorFunction:
     return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=inverse,
                              concave=0.0 < p <= 1.0, sign_like=False,
                              recip_integrable=False,
-                             family=f"pow-map:{p:.17g}", label=f"x^{p:g}")
+                             family=("pow-map", p), label=f"x^{p:g}")
 
 
 def exp_gen() -> GeneratorFunction:
@@ -199,7 +202,7 @@ def exp_gen() -> GeneratorFunction:
 
     return GeneratorFunction(fn=fn, d1=fn, d2=fn, inverse=np.log,
                              concave=False, sign_like=False,
-                             recip_integrable=False, family="exp-map",
+                             recip_integrable=False, family=("exp-map",),
                              label="e^x")
 
 
@@ -214,7 +217,7 @@ class QuasideviationKernel:
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     d2_diag: Optional[Callable] = None
-    family: str = "custom"
+    family: tuple = ("custom",)
     label: str = "custom"
 
     def __call__(self, x, y):
@@ -229,7 +232,7 @@ def difference_kernel() -> QuasideviationKernel:
     return QuasideviationKernel(
         fn=lambda x, y: np.asarray(x, dtype=float) - y,
         d2_diag=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
-        family="difference", label="x - y")
+        family=("difference",), label="x - y")
 
 
 def power_gap_kernel(r: float) -> QuasideviationKernel:
@@ -240,7 +243,7 @@ def power_gap_kernel(r: float) -> QuasideviationKernel:
     return QuasideviationKernel(
         fn=lambda x, y: np.asarray(x, dtype=float) ** r - float(y) ** r,
         d2_diag=lambda y: -r * np.asarray(y, dtype=float) ** (r - 1.0),
-        family=f"power-gap:{r:.17g}", label=f"x^{r:g} - y^{r:g}")
+        family=("power-gap", r), label=f"x^{r:g} - y^{r:g}")
 
 
 def ratio_kernel(f: GeneratorFunction) -> QuasideviationKernel:
@@ -254,7 +257,7 @@ def ratio_kernel(f: GeneratorFunction) -> QuasideviationKernel:
         d2_diag = lambda y: -fp1 / np.asarray(y, dtype=float)
     return QuasideviationKernel(
         fn=lambda x, y: f.fn(np.asarray(x, dtype=float) / y),
-        d2_diag=d2_diag, family=f"ratio[{f.family}]",
+        d2_diag=d2_diag, family=("ratio", f.family),
         label=f"f(x/y), f = {f.label}")
 
 
@@ -269,7 +272,7 @@ def scaled_ratio_kernel(f: GeneratorFunction) -> QuasideviationKernel:
         d2_diag = lambda y: -fp1 * np.ones_like(np.asarray(y, dtype=float))
     return QuasideviationKernel(
         fn=lambda x, y: y * f.fn(np.asarray(x, dtype=float) / y),
-        d2_diag=d2_diag, family=f"scaled-ratio[{f.family}]",
+        d2_diag=d2_diag, family=("scaled-ratio", f.family),
         label=f"y f(x/y), f = {f.label}")
 
 
@@ -355,8 +358,3 @@ def validate_kernel(E: QuasideviationKernel, seed: int = 0) -> dict:
             report["violations"].append(("ratio", float(x1), float(x2)))
             break
     return report
-
-
-def with_flags(f: GeneratorFunction, **flags) -> GeneratorFunction:
-    """Copy of f with declaration fields replaced (for custom callers)."""
-    return replace(f, **flags)

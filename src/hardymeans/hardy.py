@@ -38,9 +38,7 @@ import numpy as np
 from .errors import (DomainError, LimitNotDetected, NoConvergenceError,
                      NotIntegrableError, PGeqOne, TailBoundFailure,
                      ZeroDerivativeError, DerivativeUnavailableError)
-from .generators import GeneratorFunction, dev_gini, dev_power
-from .means import (Deviation, Gini, HomogeneousDeviation, MeanSpec, Power,
-                    QuasiArithmetic)
+from .generators import GeneratorFunction
 from .quadrature import tanh_sinh
 from .rootfind import bracketed_root, expand_bracket_up
 
@@ -398,8 +396,9 @@ def qa_constant(g: GeneratorFunction, eta: float,
 # -- family dispatch -------------------------------------------------------
 
 
-def constant_closed(spec: MeanSpec, eta: float) -> float:
-    """Closed-form sharp constant for a mean family at weight limit eta.
+def constant_closed(spec, eta: float) -> float:
+    """Closed-form sharp constant of the mean `spec` (a means.MeanSpec)
+    at weight limit eta: its closed_constant method.
 
     Power orders >= 1 (and the exp-like quasiarithmetic generators that
     detect to them) give +inf, an explicit marker rather than an
@@ -407,67 +406,17 @@ def constant_closed(spec: MeanSpec, eta: float) -> float:
     normalize and take the kernel trace first.
     """
     _check_eta(eta)
-    if isinstance(spec, Power):
-        p = spec.p
-        if math.isnan(p):
-            raise DomainError("order must not be NaN")
-        if p == -math.inf:
-            return 1.0
-        if p >= 1.0:
-            return math.inf
-        return C_of(p, eta)
-    if isinstance(spec, Gini):
-        return gini_constant(spec.p, spec.q, eta)
-    if isinstance(spec, QuasiArithmetic):
-        try:
-            return qa_constant(spec.g, eta).value
-        except PGeqOne:
-            return math.inf
-    if isinstance(spec, HomogeneousDeviation):
-        f = spec.f
-        if f.family == "log":
-            return C_of(0.0, eta)
-        if f.family.startswith("power:"):
-            p = float(f.family.split(":")[1])
-            return math.inf if p >= 1.0 else C_of(p, eta)
-        if f.family.startswith("gini:"):
-            pq = f.family.split(":")[1].split(",")
-            return gini_constant(float(pq[0]), float(pq[1]), eta)
-        if not f.recip_integrable:
-            return math.inf
-        raise DomainError(
-            f"no closed form for profile {f.label!r}; use the root route")
-    if isinstance(spec, Deviation):
-        raise DomainError(
-            "no direct constant for a raw kernel: normalize_kernel, take "
-            "h_of_kernel, and solve with that profile")
-    raise DomainError(f"unknown mean spec {spec!r}")
+    return spec.closed_constant(eta)
 
 
-def constant_root(spec: MeanSpec, eta: float,
+def constant_root(spec, eta: float,
                   tol: float = 1e-12) -> HardyConstantResult:
-    """Characteristic-equation route to the same constants.
+    """Characteristic-equation route to the same constants: the
+    root_constant method of `spec` (a means.MeanSpec).
 
     Power and Gini families solve with their generator profiles;
     quasiarithmetic generators first detect their power order.  Used to
     cross-check the closed forms.
     """
     _check_eta(eta)
-    if isinstance(spec, Power):
-        return solve_cef(dev_power(spec.p), eta, tol=tol)
-    if isinstance(spec, Gini):
-        return solve_cef(dev_gini(spec.p, spec.q), eta, tol=tol)
-    if isinstance(spec, QuasiArithmetic):
-        p = detect_order(spec.g)
-        if p >= 1.0:
-            raise PGeqOne(
-                f"detected order {p:.9g} >= 1: constant is +inf", p=p)
-        return solve_cef(dev_power(p), eta, tol=tol)
-    if isinstance(spec, HomogeneousDeviation):
-        return solve_cef(spec.f, eta, tol=tol)
-    raise DomainError(f"no root route for {spec!r}")
-
-
-def auto_constant(spec: MeanSpec, eta: float) -> float:
-    """Constant used when the CLI or verifier is asked for `auto`."""
-    return constant_closed(spec, eta)
+    return spec.root_constant(eta, tol)

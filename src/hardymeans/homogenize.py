@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, NotNormalizableError
 from .generators import QuasideviationKernel
-from .means import MeanSpec, evaluate_mean
+from .means import MeanSpec
 
 _LADDER_DEPTH = 20
 _FD_SCALE = 1e-6
@@ -83,7 +83,7 @@ def homogenize(spec: MeanSpec, x, lam,
     for k in range(1, _LADDER_DEPTH + 1):
         t = 4.0 ** -k
         try:
-            u = evaluate_mean(spec, t * x, lam) / t
+            u = spec.evaluate(t * x, lam) / t
         except Exception:
             break
         ts.append(t)
@@ -128,7 +128,7 @@ def normalize_kernel(E: QuasideviationKernel) -> QuasideviationKernel:
 
     star = QuasideviationKernel(
         fn=fn, d2_diag=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
-        family=f"normalized[{E.family}]", label=f"normalized {E.label}")
+        family=("normalized", E.family), label=f"normalized {E.label}")
 
     for y in (_PROBE_YS[0], _PROBE_YS[len(_PROBE_YS) // 2], _PROBE_YS[-1]):
         h = _FD_SCALE * max(1.0, y)

@@ -9,6 +9,10 @@ wide dynamic ranges and large exponents do not overflow.  Deviation
 means are roots of a one-dimensional strictly bracketed equation; the
 prefix evaluator reuses closed forms where they exist, and solves the
 deviation prefixes one root each, warm-started from the previous one.
+
+Each family is a :class:`MeanSpec` subclass that also carries its sharp
+constant, by closed form and by characteristic root (computed in
+:mod:`~hardymeans.hardy`), and its specifier text.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DomainError, InversionError, UsageError
+from .errors import (BracketError, DomainError, InversionError, PGeqOne,
+                     UsageError)
+from .formatting import fmt_real, parse_kv
 from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
                          dev_power, exp_gen, log_gen, power_gen)
+from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
+                    qa_constant, solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
@@ -235,19 +243,77 @@ def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
             f"g(lo)={glo:g}, g(hi)={ghi:g}")
 
 
-# -- mean family specifiers ---------------------------------------------
+# -- mean families ------------------------------------------------------
 
 
 class MeanSpec:
-    """Base of the dispatchable mean family descriptors."""
+    """A weighted mean family with its parameters.
+
+    Everything that depends on the family lives on its subclass:
+    evaluation, prefix evaluation, the closed and root routes to the
+    sharp constant, specifier text, and the structural facts
+    ``homogeneous`` (M(t x) = t M(x)) and ``symmetric_monotone``
+    (symmetric, nondecreasing in each sample).  A new family overrides
+    what it has; the base supplies the generic prefix path, False for
+    both facts, and raises for the rest.
+    """
+
+    homogeneous = False
+    symmetric_monotone = False
 
     def evaluate(self, x, lam, tol: Optional[float] = None) -> float:
-        return evaluate_mean(self, x, lam, tol=tol)
+        """The weighted mean of x; tol bounds the root of deviation means."""
+        raise DomainError(f"unknown mean spec {self!r}")
+
+    def prefix(self, x: np.ndarray, lam: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+        """Means of x[:i+1] for each i in idx, inputs already validated;
+        this generic path evaluates each prefix on its own."""
+        return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
+                        dtype=float)
+
+    def closed_constant(self, eta: float) -> float:
+        """Closed-form sharp constant at weight limit eta (already checked
+        to lie in [0, 1))."""
+        raise DomainError(f"unknown mean spec {self!r}")
+
+    def root_constant(self, eta: float, tol: float) -> HardyConstantResult:
+        """The sharp constant as a root of the characteristic equation."""
+        raise DomainError(f"no root route for {self!r}")
+
+    def canonical(self) -> str:
+        """Canonical specifier text; parse_mean(s.canonical()) equals s."""
+        raise UsageError(f"no canonical text for {self!r}")
 
 
 @dataclass(frozen=True)
 class Power(MeanSpec):
     p: float
+
+    homogeneous = True
+    symmetric_monotone = True
+
+    def evaluate(self, x, lam, tol=None):
+        return power_mean(x, lam, self.p)
+
+    def prefix(self, x, lam, idx):
+        return _prefix_power(x, lam, self.p, idx)
+
+    def closed_constant(self, eta):
+        p = self.p
+        if math.isnan(p):
+            raise DomainError("order must not be NaN")
+        if p == -math.inf:
+            return 1.0
+        if p >= 1.0:
+            return math.inf
+        return C_of(p, eta)
+
+    def root_constant(self, eta, tol):
+        return solve_cef(dev_power(self.p), eta, tol=tol)
+
+    def canonical(self):
+        return f"power:p={fmt_real(self.p)}"
 
 
 @dataclass(frozen=True)
@@ -255,60 +321,128 @@ class Gini(MeanSpec):
     p: float
     q: float
 
+    homogeneous = True
+
+    @property
+    def symmetric_monotone(self):
+        return min(self.p, self.q) <= 0.0 <= max(self.p, self.q)
+
+    def evaluate(self, x, lam, tol=None):
+        return gini_mean(x, lam, self.p, self.q)
+
+    def prefix(self, x, lam, idx):
+        return _prefix_gini(x, lam, self.p, self.q, idx)
+
+    def closed_constant(self, eta):
+        return gini_constant(self.p, self.q, eta)
+
+    def root_constant(self, eta, tol):
+        return solve_cef(dev_gini(self.p, self.q), eta, tol=tol)
+
+    def canonical(self):
+        return f"gini:p={fmt_real(self.p)},q={fmt_real(self.q)}"
+
 
 @dataclass(frozen=True)
 class QuasiArithmetic(MeanSpec):
     g: GeneratorFunction
+
+    symmetric_monotone = True
+
+    @property
+    def homogeneous(self):
+        return self.g.family[0] in ("pow-map", "log")
+
+    def evaluate(self, x, lam, tol=None):
+        return quasiarithmetic_mean(x, lam, self.g)
+
+    def prefix(self, x, lam, idx):
+        if self.g.inverse is None:
+            return super().prefix(x, lam, idx)
+        return _prefix_qa(x, lam, self.g, idx)
+
+    def closed_constant(self, eta):
+        try:
+            return qa_constant(self.g, eta).value
+        except PGeqOne:
+            return math.inf
+
+    def root_constant(self, eta, tol):
+        p = detect_order(self.g)
+        if p >= 1.0:
+            raise PGeqOne(
+                f"detected order {p:.9g} >= 1: constant is +inf", p=p)
+        return solve_cef(dev_power(p), eta, tol=tol)
+
+    def canonical(self):
+        return "qa:g=" + _generator_text(_QA_GENERATORS, self.g)
 
 
 @dataclass(frozen=True)
 class Deviation(MeanSpec):
     kernel: QuasideviationKernel
 
+    @property
+    def homogeneous(self):
+        return self.kernel.family[0] in ("difference", "power-gap", "ratio",
+                                         "scaled-ratio")
+
+    def evaluate(self, x, lam, tol=None):
+        return quasideviation_mean(x, lam, self.kernel, tol=tol)
+
+    def prefix(self, x, lam, idx):
+        return _prefix_deviation(x, lam, self.kernel.fn, idx)
+
+    def closed_constant(self, eta):
+        raise DomainError(
+            "no direct constant for a raw kernel: normalize_kernel, take "
+            "h_of_kernel, and solve with that profile")
+
 
 @dataclass(frozen=True)
 class HomogeneousDeviation(MeanSpec):
     f: GeneratorFunction
 
+    homogeneous = True
 
-def evaluate_mean(spec: MeanSpec, x, lam, tol: Optional[float] = None) -> float:
-    if isinstance(spec, Power):
-        return power_mean(x, lam, spec.p)
-    if isinstance(spec, Gini):
-        return gini_mean(x, lam, spec.p, spec.q)
-    if isinstance(spec, QuasiArithmetic):
-        return quasiarithmetic_mean(x, lam, spec.g)
-    if isinstance(spec, HomogeneousDeviation):
-        return homogeneous_devmean(x, lam, spec.f, tol=tol)
-    if isinstance(spec, Deviation):
-        return quasideviation_mean(x, lam, spec.kernel, tol=tol)
-    raise DomainError(f"unknown mean spec {spec!r}")
+    @property
+    def symmetric_monotone(self):
+        return self.f.concave and self.f.sign_like
 
+    def evaluate(self, x, lam, tol=None):
+        return homogeneous_devmean(x, lam, self.f, tol=tol)
 
-def is_homogeneous(spec: MeanSpec) -> bool:
-    """Whether M(t x) = t M(x) holds structurally for this family."""
-    if isinstance(spec, (Power, Gini, HomogeneousDeviation)):
-        return True
-    if isinstance(spec, QuasiArithmetic):
-        return spec.g.family.startswith("pow-map") or spec.g.family == "log"
-    if isinstance(spec, Deviation):
-        fam = spec.kernel.family
-        return (fam in ("difference",) or fam.startswith("power-gap")
-                or fam.startswith("ratio[") or fam.startswith("scaled-ratio["))
-    return False
+    def prefix(self, x, lam, idx):
+        if self.f.d1 is not None:
+            return _prefix_devmean_newton(x, lam, self.f, idx)
+        return _prefix_deviation(x, lam, _ratio_kernel_fn(self.f), idx)
 
+    def _classical(self) -> Optional[MeanSpec]:
+        """The power or Gini mean this is, for the log, power and Gini
+        profiles (which generate exactly those means), or None."""
+        fam = self.f.family
+        if fam == ("log",):
+            return Power(0.0)
+        if fam[0] == "power":
+            return Power(fam[1])
+        if fam[0] == "gini":
+            return Gini(fam[1], fam[2])
+        return None
 
-def is_symmetric_monotone(spec: MeanSpec) -> bool:
-    """Whether the mean is symmetric and nondecreasing in each sample."""
-    if isinstance(spec, Power):
-        return True
-    if isinstance(spec, Gini):
-        return min(spec.p, spec.q) <= 0.0 <= max(spec.p, spec.q)
-    if isinstance(spec, QuasiArithmetic):
-        return True
-    if isinstance(spec, HomogeneousDeviation):
-        return spec.f.concave and spec.f.sign_like
-    return False
+    def closed_constant(self, eta):
+        same = self._classical()
+        if same is not None:
+            return same.closed_constant(eta)
+        if not self.f.recip_integrable:
+            return math.inf
+        raise DomainError(
+            f"no closed form for profile {self.f.label!r}; use the root route")
+
+    def root_constant(self, eta, tol):
+        return solve_cef(self.f, eta, tol=tol)
+
+    def canonical(self):
+        return "devmean:f=" + _generator_text(_DEV_GENERATORS, self.f)
 
 
 # -- prefix evaluation ----------------------------------------------------
@@ -333,25 +467,7 @@ def prefix_values(spec: MeanSpec, x, lam,
         ns_arr = np.asarray(list(ns), dtype=int)
         if ns_arr.size == 0 or ns_arr.min() < 1 or ns_arr.max() > n_total:
             raise DomainError("prefix indices must lie in 1..len(x)")
-    idx = ns_arr - 1
-
-    if isinstance(spec, Power):
-        return _prefix_power(x, lam, spec.p, idx)
-    if isinstance(spec, Gini):
-        return _prefix_gini(x, lam, spec.p, spec.q, idx)
-    if isinstance(spec, QuasiArithmetic) and spec.g.inverse is not None:
-        return _prefix_qa(x, lam, spec.g, idx)
-    if isinstance(spec, HomogeneousDeviation):
-        if spec.f.d1 is not None:
-            return _prefix_devmean_newton(x, lam, spec.f, idx)
-        return _prefix_deviation(x, lam, _ratio_kernel_fn(spec.f), idx)
-    if isinstance(spec, Deviation):
-        return _prefix_deviation(x, lam, spec.kernel.fn, idx)
-    # generic slow path: one evaluation per requested prefix
-    out = np.empty(idx.size)
-    for j, i in enumerate(idx):
-        out[j] = evaluate_mean(spec, x[:i + 1], lam[:i + 1])
-    return out
+    return spec.prefix(x, lam, ns_arr - 1)
 
 
 def _running_bounds(x, lam):
@@ -521,16 +637,16 @@ def parse_mean(text: str) -> MeanSpec:
     head, _, rest = body.partition(":")
     try:
         if head == "power":
-            return Power(p=_kv(rest, "p", _real))
+            return Power(p=parse_kv(rest, "p", _real))
         if head == "gini":
             pp, _, qq = rest.partition(",")
-            return Gini(p=_kv(pp, "p", _real), q=_kv(qq, "q", _real))
+            return Gini(p=parse_kv(pp, "p", _real), q=parse_kv(qq, "q", _real))
         if head == "qa":
-            name = _kv(rest, "g", str)
-            return QuasiArithmetic(g=_qa_generator(name))
+            name = parse_kv(rest, "g", str)
+            return QuasiArithmetic(g=_generator(_QA_GENERATORS, name))
         if head == "devmean":
-            name = _kv(rest, "f", str)
-            return HomogeneousDeviation(f=_dev_generator(name))
+            name = parse_kv(rest, "f", str)
+            return HomogeneousDeviation(f=_generator(_DEV_GENERATORS, name))
     except (UsageError, DomainError):
         raise
     except Exception as exc:
@@ -545,66 +661,26 @@ def _real(s: str) -> float:
     return v
 
 
-def _kv(body: str, key: str, conv):
-    name, _, val = body.partition("=")
-    if name != key or not val:
-        raise UsageError(f"expected {key}=<value>, got {body!r}")
-    return conv(val)
+# The named generators of each role: specifier name -> (constructor, kind),
+# where kind is the first entry of the generator's family; the parameters
+# follow the name as ``name:p`` or ``name:p,q``.
+_QA_GENERATORS = {"log": (log_gen, "log"), "exp": (exp_gen, "exp-map"),
+                  "pow": (power_gen, "pow-map")}
+_DEV_GENERATORS = {"log": (log_gen, "log"), "pow": (dev_power, "power"),
+                   "gini": (dev_gini, "gini")}
 
 
-def _qa_generator(name: str) -> GeneratorFunction:
-    if name == "log":
-        return log_gen()
-    if name == "exp":
-        return exp_gen()
-    if name.startswith("pow:"):
-        return power_gen(_real(name[4:]))
-    raise UsageError(f"unknown quasiarithmetic generator {name!r}")
+def _generator(table: dict, text: str) -> GeneratorFunction:
+    name, sep, args = text.partition(":")
+    if name not in table:
+        raise UsageError(f"unknown generator {text!r}")
+    return table[name][0](*(_real(a) for a in args.split(",") if sep))
 
 
-def _dev_generator(name: str) -> GeneratorFunction:
-    if name == "log":
-        return log_gen()
-    if name.startswith("pow:"):
-        return dev_power(_real(name[4:]))
-    if name.startswith("gini:"):
-        pp, _, qq = name[5:].partition(",")
-        return dev_gini(_real(pp), _real(qq))
-    raise UsageError(f"unknown deviation generator {name!r}")
-
-
-def canonical(spec: MeanSpec) -> str:
-    """Canonical specifier text; parse_mean(canonical(s)) equals s."""
-    if isinstance(spec, Power):
-        return f"power:p={_fmt_param(spec.p)}"
-    if isinstance(spec, Gini):
-        return f"gini:p={_fmt_param(spec.p)},q={_fmt_param(spec.q)}"
-    if isinstance(spec, QuasiArithmetic):
-        fam = spec.g.family
-        if fam == "log":
-            return "qa:g=log"
-        if fam == "exp-map":
-            return "qa:g=exp"
-        if fam.startswith("pow-map:"):
-            return f"qa:g=pow:{_fmt_param(float(fam.split(':')[1]))}"
-        raise UsageError(f"no canonical text for generator {fam!r}")
-    if isinstance(spec, HomogeneousDeviation):
-        fam = spec.f.family
-        if fam == "log":
-            return "devmean:f=log"
-        if fam.startswith("power:"):
-            return f"devmean:f=pow:{_fmt_param(float(fam.split(':')[1]))}"
-        if fam.startswith("gini:"):
-            pq = fam.split(":")[1].split(",")
-            return (f"devmean:f=gini:{_fmt_param(float(pq[0]))},"
-                    f"{_fmt_param(float(pq[1]))}")
-        raise UsageError(f"no canonical text for generator {fam!r}")
-    raise UsageError(f"no canonical text for {spec!r}")
-
-
-def _fmt_param(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return f"{v:.17g}"
+def _generator_text(table: dict, g: GeneratorFunction) -> str:
+    kind, *params = g.family
+    for name, (_, named_kind) in table.items():
+        if named_kind == kind:
+            args = ",".join(map(fmt_real, params))
+            return f"{name}:{args}" if args else name
+    raise UsageError(f"no canonical text for generator {g.label!r}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconclusiveProfile, UsageError
+from .formatting import parse_kv
 
 _KINDS = ("ones", "geometric", "powerlaw", "explicit")
 
@@ -207,14 +208,6 @@ def _check_index(n) -> int:
     return m
 
 
-def lam(w: WeightSequence, n: int) -> float:
-    return w.lam(n)
-
-
-def Lam(w: WeightSequence, n: int) -> float:
-    return w.Lam(n)
-
-
 def ratio_diag_array(w: WeightSequence, n: int) -> np.ndarray:
     """Ratios lambda_k / Lambda_k for k = 1..n, computed in log space.
 
@@ -315,21 +308,14 @@ def parse_weights(text: str) -> WeightSequence:
     head, _, rest = body.partition(":")
     try:
         if head == "geometric":
-            return WeightSequence.geometric(_kv(rest, "a", float))
+            return WeightSequence.geometric(parse_kv(rest, "a", float))
         if head == "powerlaw":
-            return WeightSequence.power_law(_kv(rest, "alpha", float))
+            return WeightSequence.power_law(parse_kv(rest, "alpha", float))
         if head == "explicit":
-            path = _kv(rest, "file", str)
+            path = parse_kv(rest, "file", str)
             with open(path) as fh:
                 vals = [float(line) for line in fh if line.strip()]
             return WeightSequence.explicit(vals)
-    except (DomainError, OSError, ValueError) as exc:
+    except (UsageError, DomainError, OSError, ValueError) as exc:
         raise UsageError(f"bad weight specifier {text!r}: {exc}") from exc
     raise UsageError(f"unknown weight specifier {text!r}")
-
-
-def _kv(body: str, key: str, conv):
-    name, _, val = body.partition("=")
-    if name != key or not val:
-        raise ValueError(f"expected {key}=<value>")
-    return conv(val)

@@ -151,6 +151,26 @@ def test_est_prints_csv(capsys):
     assert 1.0 < float(v) < 4.0
 
 
+def test_est_reports_gap_to_closed_form_on_stderr(capsys):
+    code, out, err = run(capsys, "est", "--mean", "power:p=0.5",
+                         "--weights", "ones", "--N", "100")
+    assert code == 0 and out.startswith("n,value\n")
+    tail = min(float(row.split(",")[1]) for row in out.strip().splitlines()[1:]
+               if int(row.split(",")[0]) >= 50)
+    assert err == (f"tail inf over n >= 50: {tail:.9g}; closed-form "
+                   f"constant 4; gap {(4.0 - tail) / 4.0:.3%}\n")
+    # off the Gini band there is no closed form
+    code, _, err = run(capsys, "est", "--mean", "gini:p=0.5,q=0.25",
+                       "--weights", "ones", "--N", "100")
+    assert code == 0
+    assert err.startswith("tail inf over n >= 50: ")
+    assert err.endswith("; no closed-form constant for this family\n")
+    # an infinite constant has no gap
+    code, _, err = run(capsys, "est", "--mean", "power:p=2",
+                       "--weights", "ones", "--N", "100")
+    assert code == 0 and err.endswith("; closed-form constant inf\n")
+
+
 def test_est_writes_file(capsys, tmp_path):
     target = tmp_path / "trace.csv"
     code, out, _ = run(capsys, "est", "--mean", "power:p=0.5",
@@ -198,6 +218,8 @@ def test_sweep_grid_validation(capsys):
                "--eta", "0:0.9")[0] == 2
     assert run(capsys, "sweep", "--family", "power:p=0.5",
                "--eta", "0.5:1.0:0.1")[0] == 2
+    assert run(capsys, "sweep", "--family", "power:p=0.5",
+               "--eta", "nan:0.5:0.1")[0] == 2
 
 
 # -- homogenize --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Closed-form constants, the series F, and the characteristic equation."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,11 +12,10 @@ from hardymeans.errors import (DomainError, LimitNotDetected,
                                PGeqOne, TailBoundFailure, ZeroDerivativeError)
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
-                                   power_gen, with_flags)
-from hardymeans.hardy import (C_of, F_eval, LimitProbe, auto_constant,
-                              chi_f, classical_C, constant_closed,
-                              constant_root, detect_order, gini_constant,
-                              qa_constant, solve_cef)
+                                   power_gen)
+from hardymeans.hardy import (C_of, F_eval, LimitProbe, chi_f, classical_C,
+                              constant_closed, constant_root, detect_order,
+                              gini_constant, qa_constant, solve_cef)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic)
 from hardymeans.quadrature import tanh_sinh
@@ -255,7 +255,7 @@ def test_series_equiconvergent_with_integral(c):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_series_tail_never_closes_for_linear_profile():
     # f(u) = u - 1 makes the terms approach 1, so no tail bound can close
-    linear = with_flags(dev_power(1.0), recip_integrable=True)
+    linear = replace(dev_power(1.0), recip_integrable=True)
     with pytest.raises(TailBoundFailure):
         F_eval(linear, 1.0, 0.5, tol=1e-10)
 
@@ -324,7 +324,7 @@ def test_characteristic_rejects_nonintegrable_profile():
 
 
 def test_characteristic_rejects_nonconcave_profile():
-    bent = with_flags(dev_power(0.5), concave=False)
+    bent = replace(dev_power(0.5), concave=False)
     with pytest.raises(DomainError):
         solve_cef(bent, 0.0)
 
@@ -458,5 +458,52 @@ def test_dispatch_root_route_rejects_order_one():
         constant_root(Power(1.0), 0.0)
 
 
-def test_auto_constant_is_closed_route():
-    assert auto_constant(Power(0.5), 0.0) == constant_closed(Power(0.5), 0.0)
+@pytest.mark.parametrize("p", [-math.inf, -2.0, -0.5, 0.0, 1e-9, 0.3, 0.5,
+                               0.9, 1.0, 2.0])
+def test_power_profile_shares_the_power_constant(p):
+    # the homogeneous deviation mean of dev_power(p) is the power mean
+    for eta in (0.0, 0.1, 0.5, 0.9):
+        want = constant_closed(Power(p), eta)
+        got = constant_closed(HomogeneousDeviation(dev_power(p)), eta)
+        assert got == want
+
+
+@pytest.mark.parametrize("p,q", [(0.5, -0.5), (0.0, -1.0), (0.3, 0.0),
+                                 (-0.5, 0.9), (0.999, -0.5), (1e-9, -1e-9),
+                                 (0.0, 0.0), (0.25, 0.25), (1.5, -1.0)])
+def test_gini_profile_shares_the_gini_constant(p, q):
+    # the homogeneous deviation mean of dev_gini(p, q) is the Gini mean;
+    # off the band both routes raise
+    for eta in (0.0, 0.1, 0.5, 0.9):
+        try:
+            want = constant_closed(Gini(p, q), eta)
+        except DomainError:
+            with pytest.raises(DomainError):
+                constant_closed(HomogeneousDeviation(dev_gini(p, q)), eta)
+            continue
+        assert constant_closed(HomogeneousDeviation(dev_gini(p, q)),
+                               eta) == want
+
+
+def test_importing_hardy_loads_no_means():
+    # a bare package module stands in for hardymeans/__init__.py (which
+    # imports every module), so only hardy's own imports are loaded
+    import os
+    import subprocess
+    import sys
+
+    import hardymeans
+
+    pkg = os.path.dirname(os.path.abspath(hardymeans.__file__))
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('hardymeans')\n"
+            f"pkg.__path__ = [{pkg!r}]\n"
+            "sys.modules['hardymeans'] = pkg\n"
+            "import hardymeans.hardy\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('hardymeans.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    loaded = eval(out)
+    assert "hardymeans.hardy" in loaded
+    assert "hardymeans.means" not in loaded

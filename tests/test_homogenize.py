@@ -13,7 +13,7 @@ from hardymeans.generators import (QuasideviationKernel, dev_power,
                                    power_gap_kernel, ratio_kernel)
 from hardymeans.homogenize import h_of_kernel, homogenize, normalize_kernel
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
-                              QuasiArithmetic, evaluate_mean)
+                              QuasiArithmetic)
 
 
 def quadratic_drift_kernel():
@@ -23,7 +23,7 @@ def quadratic_drift_kernel():
         x = np.asarray(x, dtype=float)
         return (x - y) + (x - y) ** 2 * np.minimum(np.minimum(x, y), 1.0)
 
-    return QuasideviationKernel(fn=fn, family="custom", label="quadratic drift")
+    return QuasideviationKernel(fn=fn, family=("custom",), label="quadratic drift")
 
 
 def wiggle_kernel():
@@ -32,7 +32,7 @@ def wiggle_kernel():
     def fn(x, y):
         return np.asarray(x, dtype=float) - y * (1.0 + 0.25 * math.sin(math.log(y)))
 
-    return QuasideviationKernel(fn=fn, family="custom", label="log-periodic")
+    return QuasideviationKernel(fn=fn, family=("custom",), label="log-periodic")
 
 
 # -- homogenize ------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_concave_mean_below_its_homogenization(xs, p):
     lam = np.ones_like(x)
     # tol sits above the eps/p noise floor of near-zero orders
     est = homogenize(Power(p), x, lam, tol=1e-6)
-    m = evaluate_mean(Power(p), x, lam)
+    m = Power(p).evaluate(x, lam)
     assert est.converged
     scale = max(1.0, abs(m))
     assert m <= est.value + 1e-5 * scale

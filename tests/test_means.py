@@ -1,6 +1,7 @@
 """Mean families: hand oracles, cross-family identities, structural laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,9 @@ from hardymeans.errors import (BracketError, DomainError, InversionError,
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    dev_gini, dev_power, difference_kernel,
                                    log_gen, power_gap_kernel, power_gen,
-                                   ratio_kernel, with_flags)
+                                   ratio_kernel)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
-                              QuasiArithmetic, canonical, evaluate_mean,
-                              gini_mean, homogeneous_devmean,
-                              is_homogeneous, is_symmetric_monotone,
+                              QuasiArithmetic, gini_mean, homogeneous_devmean,
                               parse_mean, power_mean, prefix_values,
                               quasiarithmetic_mean, quasideviation_mean)
 
@@ -84,7 +83,7 @@ def test_quasiarithmetic_small_cases():
 
 
 def test_quasiarithmetic_without_inverse_roots():
-    g = with_flags(power_gen(0.5), inverse=None)
+    g = replace(power_gen(0.5), inverse=None)
     got = quasiarithmetic_mean(X14, ONES2, g)
     assert got == pytest.approx(2.25, rel=1e-10)
 
@@ -186,7 +185,7 @@ SPECS = [
     Deviation(power_gap_kernel(0.5)),
 ]
 
-MONOTONE_SPECS = [s for s in SPECS if is_symmetric_monotone(s)]
+MONOTONE_SPECS = [s for s in SPECS if s.symmetric_monotone]
 
 
 @st.composite
@@ -202,7 +201,7 @@ def samples_and_weights(draw, max_n=8):
 @given(samples_and_weights(), st.sampled_from(SPECS))
 def test_internality(xlam, spec):
     x, lam = xlam
-    v = evaluate_mean(spec, x, lam)
+    v = spec.evaluate(x, lam)
     sup = x[lam > 0]
     assert sup.min() <= v <= sup.max()
 
@@ -213,8 +212,8 @@ def test_internality(xlam, spec):
 def test_weight_scaling_invariance(xlam, spec, logt):
     x, lam = xlam
     t = 10.0 ** logt
-    a = evaluate_mean(spec, x, lam)
-    b = evaluate_mean(spec, x, t * lam)
+    a = spec.evaluate(x, lam)
+    b = spec.evaluate(x, t * lam)
     # deviation families re-solve a root and are limited by its xtol;
     # closed families hold 1e-14
     tol = 1e-14 if isinstance(spec, (Power, Gini, QuasiArithmetic)) else 5e-13
@@ -227,12 +226,12 @@ def test_symmetry_under_joint_permutation(xlam, spec, rnd):
     x, lam = xlam
     order = list(range(x.size))
     rnd.shuffle(order)
-    a = evaluate_mean(spec, x, lam)
-    b = evaluate_mean(spec, x[order], lam[order])
+    a = spec.evaluate(x, lam)
+    b = spec.evaluate(x[order], lam[order])
     assert abs(a - b) <= 1e-13 * abs(a)
 
 
-HOMOGENEOUS_SPECS = [s for s in SPECS if is_homogeneous(s)]
+HOMOGENEOUS_SPECS = [s for s in SPECS if s.homogeneous]
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,8 +239,8 @@ HOMOGENEOUS_SPECS = [s for s in SPECS if is_homogeneous(s)]
        st.sampled_from([1e-3, 1.0, 1e3]))
 def test_degree_one_homogeneity(xlam, spec, t):
     x, lam = xlam
-    a = evaluate_mean(spec, t * x, lam)
-    b = t * evaluate_mean(spec, x, lam)
+    a = spec.evaluate(t * x, lam)
+    b = t * spec.evaluate(x, lam)
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
@@ -251,10 +250,10 @@ def test_degree_one_homogeneity(xlam, spec, t):
 def test_monotone_in_each_sample(xlam, spec, idx, factor):
     x, lam = xlam
     i = idx % x.size
-    before = evaluate_mean(spec, x, lam)
+    before = spec.evaluate(x, lam)
     bumped = x.copy()
     bumped[i] *= factor
-    after = evaluate_mean(spec, bumped, lam)
+    after = spec.evaluate(bumped, lam)
     assert after >= before - 1e-11 * abs(before)
 
 
@@ -299,7 +298,7 @@ def test_prefix_values_match_per_prefix_evaluation(spec):
     lam[0] = 0.7
     got = prefix_values(spec, x, lam)
     for n in (1, 2, 7, 25, 40):
-        direct = evaluate_mean(spec, x[:n], lam[:n])
+        direct = spec.evaluate(x[:n], lam[:n])
         assert got[n - 1] == pytest.approx(direct, rel=1e-11), f"n={n}"
 
 
@@ -311,7 +310,7 @@ DEVIATION_PREFIX_SPECS = [
     HomogeneousDeviation(dev_power(-1.0)),
     HomogeneousDeviation(dev_gini(0.5, -0.5)),
     HomogeneousDeviation(dev_gini(0.25, -0.75)),
-    HomogeneousDeviation(with_flags(dev_power(0.5), d1=None)),
+    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
     Deviation(difference_kernel()),
 ]
 
@@ -350,7 +349,7 @@ def test_deviation_prefixes_match_per_prefix_evaluation(spec, data):
     got = prefix_values(spec, x, lam, ns=ns)
     want_ns = range(1, x.size + 1) if ns is None else ns
     for n, v in zip(want_ns, got):
-        direct = evaluate_mean(spec, x[:n], lam[:n])
+        direct = spec.evaluate(x[:n], lam[:n])
         assert abs(v - direct) <= 1e-13 * direct, f"n={n}"
 
 
@@ -411,7 +410,7 @@ def test_prefix_gini_diagonal_long_run_stays_stable():
     x = 10.0 ** rng.uniform(-3, 3, 200)
     lam = np.ones(200)
     got = prefix_values(Gini(2.0, 2.0), x, lam)
-    direct = evaluate_mean(Gini(2.0, 2.0), x, lam)
+    direct = Gini(2.0, 2.0).evaluate(x, lam)
     assert got[-1] == pytest.approx(direct, rel=1e-11)
     assert np.all(np.isfinite(got))
 
@@ -420,21 +419,21 @@ def test_prefix_gini_diagonal_long_run_stays_stable():
 
 
 def test_is_homogeneous_classification():
-    assert is_homogeneous(Power(0.5))
-    assert is_homogeneous(Gini(2.0, 1.0))
-    assert is_homogeneous(QuasiArithmetic(power_gen(2.0)))
-    assert not is_homogeneous(QuasiArithmetic(__import__(
-        "hardymeans.generators", fromlist=["exp_gen"]).exp_gen()))
-    assert is_homogeneous(Deviation(difference_kernel()))
-    assert is_homogeneous(HomogeneousDeviation(dev_power(0.5)))
+    assert Power(0.5).homogeneous
+    assert Gini(2.0, 1.0).homogeneous
+    assert QuasiArithmetic(power_gen(2.0)).homogeneous
+    assert not QuasiArithmetic(__import__(
+        "hardymeans.generators", fromlist=["exp_gen"]).exp_gen()).homogeneous
+    assert Deviation(difference_kernel()).homogeneous
+    assert HomogeneousDeviation(dev_power(0.5)).homogeneous
 
 
 def test_is_symmetric_monotone_classification():
-    assert is_symmetric_monotone(Power(2.0))
-    assert is_symmetric_monotone(Gini(0.5, -0.5))
-    assert not is_symmetric_monotone(Gini(2.0, 1.0))  # off the band
-    assert is_symmetric_monotone(HomogeneousDeviation(dev_power(0.5)))
-    assert not is_symmetric_monotone(Deviation(difference_kernel()))
+    assert Power(2.0).symmetric_monotone
+    assert Gini(0.5, -0.5).symmetric_monotone
+    assert not Gini(2.0, 1.0).symmetric_monotone  # off the band
+    assert HomogeneousDeviation(dev_power(0.5)).symmetric_monotone
+    assert not Deviation(difference_kernel()).symmetric_monotone
 
 
 @pytest.mark.parametrize("text,want", [
@@ -449,14 +448,14 @@ def test_parse_mean_value_families(text, want):
 
 def test_parse_mean_generator_families():
     spec = parse_mean("qa:g=log")
-    assert isinstance(spec, QuasiArithmetic) and spec.g.family == "log"
+    assert isinstance(spec, QuasiArithmetic) and spec.g.family == ("log",)
     spec = parse_mean("qa:g=pow:2")
-    assert spec.g.family == "pow-map:2"
+    assert spec.g.family == ("pow-map", 2.0)
     spec = parse_mean("devmean:f=pow:0.5")
     assert isinstance(spec, HomogeneousDeviation)
-    assert spec.f.family == "power:0.5"
+    assert spec.f.family == ("power", 0.5)
     spec = parse_mean("devmean:f=gini:0.5,-0.5")
-    assert spec.f.family == "gini:0.5,-0.5"
+    assert spec.f.family == ("gini", 0.5, -0.5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -475,5 +474,84 @@ def test_parse_mean_rejects(bad):
 ])
 def test_canonical_round_trip(text):
     spec = parse_mean(text)
-    assert parse_mean(canonical(spec)).__class__ is spec.__class__
-    assert canonical(parse_mean(canonical(spec))) == canonical(spec)
+    assert parse_mean(spec.canonical()).__class__ is spec.__class__
+    assert parse_mean(spec.canonical()).canonical() == spec.canonical()
+
+
+# -- the family table ------------------------------------------------------
+
+# (spec, canonical text or None, homogeneous, symmetric monotone,
+#  closed constant at eta = 0 or None when the closed route raises)
+FAMILY_TABLE = [
+    (Power(0.5), "power:p=0.5", True, True, 4.0),
+    (Gini(0.5, -0.5), "gini:p=0.5,q=-0.5", True, True, 3.0),
+    (Gini(0.25, 0.25), "gini:p=0.25,q=0.25", True, False, None),
+    (QuasiArithmetic(power_gen(2.0)), "qa:g=pow:2", True, True, math.inf),
+    (QuasiArithmetic(replace(power_gen(0.5), inverse=None)), "qa:g=pow:0.5",
+     True, True, 4.0),
+    (HomogeneousDeviation(log_gen()), "devmean:f=log", True, True, math.e),
+    (HomogeneousDeviation(dev_power(0.5)), "devmean:f=pow:0.5", True, True,
+     4.0),
+    (HomogeneousDeviation(dev_gini(0.5, -0.5)), "devmean:f=gini:0.5,-0.5",
+     True, True, 3.0),
+    (HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+     "devmean:f=pow:0.5", True, True, 4.0),
+    (Deviation(difference_kernel()), None, True, False, None),
+]
+
+
+@pytest.mark.parametrize("spec,text,homogeneous,monotone,closed",
+                         FAMILY_TABLE, ids=[
+                             "power", "gini", "gini-diagonal", "qa",
+                             "qa-no-inverse", "devmean-log", "devmean-pow",
+                             "devmean-gini", "devmean-no-d1", "difference"])
+def test_family_table(spec, text, homogeneous, monotone, closed):
+    from hardymeans.hardy import constant_closed
+
+    if text is None:
+        with pytest.raises(UsageError):
+            spec.canonical()
+    else:
+        assert spec.canonical() == text
+        assert parse_mean(spec.canonical()).canonical() == spec.canonical()
+    assert spec.homogeneous is homogeneous
+    assert spec.symmetric_monotone is monotone
+    if closed is None:
+        with pytest.raises(DomainError):
+            constant_closed(spec, 0.0)
+    else:
+        assert constant_closed(spec, 0.0) == pytest.approx(closed, rel=1e-9)
+    x = np.array([1.0, 4.0, 2.0, 9.0])
+    lam = np.array([1.0, 0.5, 0.0, 2.0])
+    got = prefix_values(spec, x, lam)
+    for n in range(1, 5):
+        assert got[n - 1] == pytest.approx(spec.evaluate(x[:n], lam[:n]),
+                                           rel=1e-11)
+
+
+def test_minimal_family_needs_only_evaluate():
+    from dataclasses import dataclass
+
+    from hardymeans.hardy import constant_closed, constant_root
+    from hardymeans.means import MeanSpec
+
+    @dataclass(frozen=True)
+    class Midrange(MeanSpec):
+        def evaluate(self, x, lam, tol=None):
+            sup = np.asarray(x)[np.asarray(lam) > 0.0]
+            return 0.5 * float(sup.min() + sup.max())
+
+    spec = Midrange()
+    x = np.array([3.0, 1.0, 7.0, 2.0])
+    lam = np.array([1.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(prefix_values(spec, x, lam),
+                                  [3.0, 2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(prefix_values(spec, x, lam, ns=[4, 1]),
+                                  [2.0, 3.0])
+    assert not spec.homogeneous and not spec.symmetric_monotone
+    with pytest.raises(DomainError):
+        constant_closed(spec, 0.5)
+    with pytest.raises(DomainError):
+        constant_root(spec, 0.5)
+    with pytest.raises(UsageError):
+        spec.canonical()
