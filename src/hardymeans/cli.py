@@ -28,6 +28,9 @@ from .formatting import fmt_real, render_json
 from .means import parse_mean
 from .weights import parse_weights
 
+# Largest `sweep --eta` grid; a finer step is a usage error.
+_MAX_GRID_POINTS = 10 ** 6
+
 _DEFAULTS = {
     "constant": {"eta": 0.0, "method": "closed", "tol": 1e-12},
     "solve": {"eta": 0.0, "tol": 1e-12},
@@ -173,7 +176,10 @@ def _parse_eta_grid(text, parser) -> list[float]:
         parser.error(f"bad grid numbers in {text!r}")
     if not (step > 0 and stop >= start):  # also rejects NaN
         parser.error("grid needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not span <= _MAX_GRID_POINTS - 1:  # also rejects an infinite span
+        parser.error(f"grid has more than {_MAX_GRID_POINTS} points")
+    count = int(round(span)) + 1
     etas = [start + i * step for i in range(count)]
     etas = [e for e in etas if e <= stop + 1e-12 * max(1.0, abs(stop))]
     for e in etas:

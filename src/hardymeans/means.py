@@ -31,12 +31,17 @@ from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
 from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
                     qa_constant, solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root
+from .weights import compensated_cumsum
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
 _P_EXTREME = 1e15
 # below this order the direct formula's eps/p rounding noise exceeds the
 # geometric branch's p * Var(ln x) / 2 truncation error
 _P_GEOMETRIC = 1e-7
+# Largest exponent of a term of the Gini p = q prefix sums: a million
+# terms of e**600 stay far below overflow.
+_GINI_HEADROOM = 600.0
+_LN2 = math.log(2.0)
 
 
 def _check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +183,8 @@ def quasideviation_mean(x, lam, kernel: QuasideviationKernel,
     quasideviation on this sample).
     """
     x, lam = _check_xlam(x, lam)
-    return _deviation_root(x, lam, kernel.fn, tol)
+    return _deviation_root(x, lam, kernel.fn, tol,
+                           Deviation(kernel).homogeneous)
 
 
 def homogeneous_devmean(x, lam, f: GeneratorFunction,
@@ -189,7 +195,7 @@ def homogeneous_devmean(x, lam, f: GeneratorFunction,
     the result is then positively homogeneous in x.
     """
     x, lam = _check_xlam(x, lam)
-    return _deviation_root(x, lam, _ratio_kernel_fn(f), tol)
+    return _deviation_root(x, lam, _ratio_kernel_fn(f), tol, True)
 
 
 def _require_sign_like(f: GeneratorFunction) -> None:
@@ -208,19 +214,33 @@ def _ratio_kernel_fn(f: GeneratorFunction):
     return efn
 
 
-def _deviation_root(x: np.ndarray, lam: np.ndarray, efn, tol) -> float:
+def _deviation_root(x: np.ndarray, lam: np.ndarray, efn, tol,
+                    homogeneous: bool) -> float:
     mask = lam > 0.0
     xs, ws = x[mask], lam[mask]
     return _solve_deviation(xs, ws, float(xs.min()), float(xs.max()), efn,
-                            tol)
+                            tol, homogeneous)
 
 
 def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
-                     efn, tol) -> float:
+                     efn, tol, homogeneous: bool) -> float:
     """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
-    by Brent's method; ws > 0."""
+    by Brent's method; ws > 0.
+
+    A homogeneous kernel (one whose mean is homogeneous) is solved for
+    y / 2**e on the samples scaled alike, exactly, with 2**e between lo
+    and hi: at sample scales near 1e-160 Brent's secant step f * dy
+    underflows, and the scaled problem has values of order one.
+    """
     if lo == hi:
         return lo
+    if homogeneous:
+        e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
+        y = _solve_deviation(np.ldexp(xs, -e), ws, math.ldexp(lo, -e),
+                             math.ldexp(hi, -e), efn,
+                             None if tol is None else math.ldexp(tol, -e),
+                             False)
+        return math.ldexp(y, e)
 
     def g(y):
         return float(np.dot(ws, np.asarray(efn(xs, y), dtype=float)))
@@ -391,7 +411,8 @@ class Deviation(MeanSpec):
         return quasideviation_mean(x, lam, self.kernel, tol=tol)
 
     def prefix(self, x, lam, idx):
-        return _prefix_deviation(x, lam, self.kernel.fn, idx)
+        return _prefix_deviation(x, lam, self.kernel.fn, idx,
+                                 self.homogeneous)
 
     def closed_constant(self, eta):
         raise DomainError(
@@ -415,7 +436,8 @@ class HomogeneousDeviation(MeanSpec):
     def prefix(self, x, lam, idx):
         if self.f.d1 is not None:
             return _prefix_devmean_newton(x, lam, self.f, idx)
-        return _prefix_deviation(x, lam, _ratio_kernel_fn(self.f), idx)
+        return _prefix_deviation(x, lam, _ratio_kernel_fn(self.f), idx,
+                                 True)
 
     def _classical(self) -> Optional[MeanSpec]:
         """The power or Gini mean this is, for the log, power and Gini
@@ -476,7 +498,7 @@ def _running_bounds(x, lam):
     return lo, hi
 
 
-def _prefix_deviation(x, lam, efn, idx):
+def _prefix_deviation(x, lam, efn, idx, homogeneous):
     """Brent root per prefix.  The support of prefix i is the leading
     count[i] positive-weight samples, so the mask is taken once."""
     lo, hi = _running_bounds(x, lam)
@@ -487,7 +509,7 @@ def _prefix_deviation(x, lam, efn, idx):
     for j, i in enumerate(idx):
         k = count[i]
         out[j] = _solve_deviation(xs[:k], ws[:k], float(lo[i]), float(hi[i]),
-                                  efn, None)
+                                  efn, None, homogeneous)
     return out
 
 
@@ -584,32 +606,54 @@ def _prefix_gini(x, lam, p, q, idx):
     if p == 0.0:
         return _prefix_power(x, lam, q, idx)
     lo, hi = _running_bounds(x, lam)
-    logx = np.log(x)
     if p == q:
-        # running rescaled accumulators: shift tracks the prefix max of
-        # p*log(x) so the exponentials never overflow
-        vals = np.empty(x.size)
-        m = -math.inf
-        sw = swl = 0.0
-        for i in range(x.size):
-            t = p * logx[i]
-            li = lam[i]
-            if li > 0.0 and t > m:
-                scale = math.exp(m - t) if m > -math.inf else 0.0
-                sw *= scale
-                swl *= scale
-                m = t
-            e = li * math.exp(t - m) if li > 0.0 else 0.0
-            sw += e
-            swl += e * logx[i]
-            vals[i] = math.exp(swl / sw)
+        vals = _prefix_gini_diagonal(x, lam, p)
     else:
         with np.errstate(divide="ignore"):
             ll = np.log(lam)
+        logx = np.log(x)
         lsep = np.logaddexp.accumulate(ll + p * logx)
         lseq = np.logaddexp.accumulate(ll + q * logx)
         vals = np.exp((lsep - lseq) / (p - q))
     return np.minimum(np.maximum(vals, lo), hi)[idx]
+
+
+def _prefix_gini_diagonal(x, lam, p):
+    """Gini(p, p) of every prefix: exp of the lam x**p-weighted mean of
+    log x.
+
+    With r = log(x / x[0]) and t = log lam + p r, the prefix sums
+    S0 = sum e**(t - c) and S1 = sum e**(t - c) r are compensated cumsums
+    and each mean is exp(log x[0] + S1 / S0).  r is formed from the
+    mantissas and exponents of x, so it is finite for any spread and, for
+    samples scaled alike by a power of two, does not depend on the scale.
+    The shift c is the running max of t where a segment starts; it moves,
+    and the carried sums are rescaled, only when the running max passes
+    c + _GINI_HEADROOM, so no term exceeds e**_GINI_HEADROOM and the
+    only Python loop is over those segments.
+    """
+    mx, ex = np.frexp(x)
+    r = np.log(mx / mx[0]) + (ex - ex[0]) * _LN2
+    with np.errstate(divide="ignore"):
+        t = np.log(lam) + p * r
+    tmax = np.maximum.accumulate(t)  # finite: lam[0] > 0
+    mean_r = np.empty(x.size)
+    carry0 = carry1 = (0.0, 0.0)
+    i, c = 0, float(tmax[0])
+    while i < x.size:
+        j = int(np.searchsorted(tmax, c + _GINI_HEADROOM, side="right"))
+        e = np.exp(t[i:j] - c)
+        s0, carry0 = compensated_cumsum(e, carry0)
+        s1, carry1 = compensated_cumsum(e * r[i:j], carry1)
+        mean_r[i:j] = s1 / s0
+        if j < x.size:
+            shift = float(tmax[j])
+            scale = math.exp(c - shift)
+            carry0 = (carry0[0] * scale, carry0[1] * scale)
+            carry1 = (carry1[0] * scale, carry1[1] * scale)
+            c = shift
+        i = j
+    return np.exp(math.log(x[0]) + mean_r)
 
 
 def _prefix_qa(x, lam, g, idx):

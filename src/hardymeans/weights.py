@@ -33,9 +33,12 @@ class WeightSequence:
     or :meth:`explicit`.  Indexing is 1-based throughout.  Explicit lists
     extend past their end by repeating the final value.
 
-    Prefix sums are accumulated with compensated (Kahan) summation and
-    cached, so Lam(n) - Lam(n-1) reproduces lam(n) to ulp scale even for
-    very long sequences.  Instances are safe to share across threads.
+    Prefix sums are accumulated with a compensated cumsum
+    (:func:`compensated_cumsum`) and cached, so Lam(n) - Lam(n-1)
+    reproduces lam(n) to ulp scale even for very long sequences.  The
+    cache grows from its end with the carried running sum and error, so
+    Lam(n) does not depend on which prefixes were asked for before.
+    Instances are safe to share across threads.
     """
 
     def __init__(self, kind: str, *, a: float | None = None,
@@ -64,9 +67,9 @@ class WeightSequence:
                 raise DomainError("explicit weights must be positive and finite")
             self.values = vals
         self._lock = threading.Lock()
-        self._prefix: list[float] = []
-        self._sum = 0.0
-        self._carry = 0.0
+        # read-only, replaced (never written) when it grows
+        self._prefix = np.empty(0)
+        self._carry = (0.0, 0.0)
 
     @classmethod
     def ones(cls) -> "WeightSequence":
@@ -146,34 +149,31 @@ class WeightSequence:
         n = _check_index(n)
         if self.kind == "ones":
             return float(n)
-        self._ensure(n)
-        return self._prefix[n - 1]
+        return float(self._ensure(n)[n - 1])
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """Prefix sums Lambda_1..Lambda_n."""
+        """Prefix sums Lambda_1..Lambda_n (a read-only view of the cache
+        for all kinds but ones)."""
         n = _check_index(n)
         if self.kind == "ones":
             return np.arange(1, n + 1, dtype=float)
-        self._ensure(n)
-        return np.asarray(self._prefix[:n], dtype=float)
+        return self._ensure(n)[:n]
 
-    def _ensure(self, n: int) -> None:
-        if len(self._prefix) >= n:
-            return
+    def _ensure(self, n: int) -> np.ndarray:
+        """The cached prefix sums, extended to at least n terms."""
+        prefix = self._prefix
+        if prefix.size >= n:
+            return prefix
         with self._lock:
-            k = len(self._prefix)
-            if k >= n:
-                return
-            lams = self.lam_array(n)
-            s, c = self._sum, self._carry
             prefix = self._prefix
-            for v in lams[k:]:
-                y = float(v) - c
-                t = s + y
-                c = (t - s) - y
-                s = t
-                prefix.append(s)
-            self._sum, self._carry = s, c
+            if prefix.size >= n:
+                return prefix
+            sums, self._carry = compensated_cumsum(
+                self.lam_array(n)[prefix.size:], self._carry)
+            prefix = np.concatenate((prefix, sums))
+            prefix.flags.writeable = False
+            self._prefix = prefix
+            return prefix
 
     # -- tail facts -----------------------------------------------------
 
@@ -199,6 +199,43 @@ class WeightSequence:
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.spec_text()})"
+
+
+def compensated_cumsum(v: np.ndarray, carry: tuple[float, float] = (0.0, 0.0)
+                       ) -> tuple[np.ndarray, tuple[float, float]]:
+    """Prefix sums of v, each as accurate as if accumulated in twice the
+    working precision and then rounded.
+
+    ``np.cumsum`` gives the floating-point running sums s_i; the TwoSum
+    error of each step (s_{i-1} + v_i = s_i + err_i exactly) is
+    accumulated by a second cumsum and added back (Ogita, Rump & Oishi,
+    "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005).
+
+    carry -- (running sum, accumulated error) after the terms before v,
+             as returned by an earlier call; the sums then continue that
+             one, bit for bit as if v had been appended to its input.
+
+    Returns the prefix sums and the carry after the last term.  Once the
+    running sum overflows, the prefix sums are that running sum (inf or
+    NaN), with no floating-point warning.
+    """
+    run = np.concatenate(([carry[0]], v))
+    err = np.empty_like(run)
+    err[0] = carry[1]
+    prev, s, e = run[:-1], run[1:], err[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(run, out=run)
+        b = s - prev
+        # e = (prev - (s - b)) + (v - b), without further temporaries
+        np.subtract(s, b, out=e)
+        np.subtract(prev, e, out=e)
+        np.subtract(v, b, out=b)
+        e += b
+        np.cumsum(err, out=err)
+        carry = (float(run[-1]), float(err[-1]))
+        e += s
+    np.copyto(e, s, where=~np.isfinite(s))
+    return e, carry
 
 
 def _check_index(n) -> int:

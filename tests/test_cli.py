@@ -220,6 +220,11 @@ def test_sweep_grid_validation(capsys):
                "--eta", "0.5:1.0:0.1")[0] == 2
     assert run(capsys, "sweep", "--family", "power:p=0.5",
                "--eta", "nan:0.5:0.1")[0] == 2
+    # a grid past the size cap is refused before it is built
+    for grid in ("0:0.5:1e-300", "0:inf:0.1", "0:0.5:4e-7"):
+        code, _, err = run(capsys, "sweep", "--family", "power:p=0.5",
+                           "--eta", grid)
+        assert code == 2 and "points" in err
 
 
 # -- homogenize --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,9 +104,14 @@ def test_witness_trace_input_validation():
         est_lower_bound(Power(0.5), ONES, 0.0, 100)
     with pytest.raises(DomainError):
         est_lower_bound(Power(0.5), ONES, 1.0, 0)
-    with pytest.raises(DomainError):
-        # 2**1100 overflows the prefix sums
-        est_lower_bound(Power(0.0), GEO2, 1.0, 1100)
+    # 2**1100 overflows the prefix sums; that is an error, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="prefix sums leave float range"):
+            est_lower_bound(Power(0.0), WeightSequence.geometric(2.0), 1.0,
+                            1100)
+        with pytest.raises(DomainError, match="prefix sums leave float range"):
+            make_sequence("witness:y=1", WeightSequence.geometric(2.0), 1100)
 
 
 def test_tail_inf_reads_second_half():

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,15 @@ def test_quasideviation_small_cases():
                                difference_kernel()) == pytest.approx(4.0 / 3.0)
     assert quasideviation_mean(X14, ONES2,
                                ratio_kernel(log_gen())) == pytest.approx(2.0)
+    # homogeneous kernels at scales where Brent's secant step, or the
+    # kernel values themselves, under- or overflow in y
+    for scale in (1e-160, 1e-300, 1e290):
+        x = [scale, scale / 10.0]
+        assert quasideviation_mean(x, [1.0, 0.5], difference_kernel()) \
+            == pytest.approx(0.7 * scale, rel=1e-13)
+        # (x**2 - y**2 = 0): y**2 = (1 + 0.005) / 1.5 scale**2
+        assert quasideviation_mean(x, [1.0, 0.5], power_gap_kernel(2.0)) \
+            == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13)
 
 
 def test_quasideviation_rejects_sign_violating_kernel():
@@ -340,12 +350,7 @@ def prefix_samples(draw, centres, max_n=24):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DEVIATION_PREFIX_SPECS), st.data())
 def test_deviation_prefixes_match_per_prefix_evaluation(spec, data):
-    # The difference kernel is not drawn near 1e-290: below about 1e-159
-    # the secant step f * dx of Brent's method (SciPy's brentq alike)
-    # underflows on it, and neither path converges.
-    centres = ([0.0, -290.0, 290.0] if isinstance(spec, HomogeneousDeviation)
-               else [0.0, 290.0])
-    x, lam, ns = data.draw(prefix_samples(centres))
+    x, lam, ns = data.draw(prefix_samples([0.0, -290.0, 290.0]))
     got = prefix_values(spec, x, lam, ns=ns)
     want_ns = range(1, x.size + 1) if ns is None else ns
     for n, v in zip(want_ns, got):
@@ -404,15 +409,35 @@ def test_prefix_extreme_orders_track_running_extrema():
 
 
 def test_prefix_gini_diagonal_long_run_stays_stable():
-    # the running p = q accumulator rescales by the prefix max; a wide
-    # dynamic range must not overflow or drift
+    # the p = q accumulators shift with the running max of log lam + p log x
+    # and rescale what they carry; samples drifting across 600 decades
+    # (at p = 50 the shift moves dozens of times on the rising run),
+    # a fifth of them with zero weight, must neither overflow nor drift
+    # from the 40-digit value
     rng = np.random.default_rng(3)
-    x = 10.0 ** rng.uniform(-3, 3, 200)
-    lam = np.ones(200)
-    got = prefix_values(Gini(2.0, 2.0), x, lam)
-    direct = Gini(2.0, 2.0).evaluate(x, lam)
-    assert got[-1] == pytest.approx(direct, rel=1e-11)
-    assert np.all(np.isfinite(got))
+    n = 400
+    for p in (2.0, -3.0, -0.5, -1e-3, 0.7, 50.0):
+        for trend in (1.0, -1.0):
+            logx = np.clip(trend * np.linspace(-295.0, 295.0, n)
+                           + rng.uniform(-5.0, 5.0, n), -300.0, 300.0)
+            x = 10.0 ** logx
+            lam = np.where(rng.random(n) < 0.2, 0.0,
+                           rng.uniform(0.0, 1.0, n))
+            lam[0] = 1.0
+            got = prefix_values(Gini(p, p), x, lam)
+            assert np.all(np.isfinite(got))
+            assert got[-1] == pytest.approx(Gini(p, p).evaluate(x, lam),
+                                            rel=1e-11)
+            with mpmath.workdps(40):
+                xm = [mpmath.mpf(float(v)) for v in x]
+                wm = [mpmath.mpf(float(l)) * v ** p for l, v in zip(lam, xm)]
+                for k in (1, 2, 3, 17, 100, 201, 399, 400):
+                    want = mpmath.exp(
+                        mpmath.fsum(w * mpmath.log(v)
+                                    for w, v in zip(wm[:k], xm))
+                        / mpmath.fsum(wm[:k]))
+                    assert abs(got[k - 1] - want) <= 1e-12 * want, \
+                        f"p={p}, trend={trend}, n={k}"
 
 
 # -- family predicates and specifier text ------------------------------------

@@ -1,6 +1,8 @@
 """Weight families, prefix sums, and the eta profiler."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,10 +55,65 @@ def test_kahan_prefix_consistency():
 
 
 def test_prefix_cache_is_incremental():
-    w = WeightSequence.geometric(1.5)
-    first = w.Lam(50)
-    w.Lam(200)  # extend
-    assert w.Lam(50) == first
+    # every prefix sum is the same bits whatever was asked for before
+    for make in (lambda: WeightSequence.geometric(1.5),
+                 lambda: WeightSequence.power_law(0.5),
+                 lambda: WeightSequence.explicit([1e-8, 3.0, 1e5, 0.1])):
+        w = make()
+        first = w.Lam(50)
+        w.Lam(200)  # extend
+        assert w.Lam(50) == first
+        late = make()
+        late.Lam(10 ** 5)
+        assert late.Lam(50) == first
+        stepped = make()
+        for n in (7, 8, 90, 200):
+            stepped.prefix_array(n)
+        assert np.array_equal(stepped.prefix_array(200), w.prefix_array(200))
+        assert np.array_equal(late.prefix_array(200), w.prefix_array(200))
+
+
+def test_prefix_cache_is_thread_safe():
+    # threads extending one shared cache in interleaved steps must all read
+    # the bits a single-threaded sequence gives
+    shared = WeightSequence.power_law(0.5)
+    want = WeightSequence.power_law(0.5).prefix_array(20_000)
+    seen = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for n in rng.integers(1, 20_001, 40):
+            seen.append((int(n), shared.Lam(int(n)),
+                         shared.prefix_array(int(n))[-1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 40
+    for n, lam_n, last in seen:
+        assert lam_n == last == want[n - 1]
+
+
+@pytest.mark.parametrize("w", [
+    WeightSequence.power_law(1.0), WeightSequence.power_law(0.5),
+    WeightSequence.geometric(1.0001),
+    WeightSequence.explicit([1e-8, 3.0, 1e5, 0.1, 7e12, 2.5]),
+], ids=["powerlaw1", "powerlaw0.5", "geometric", "explicit"])
+def test_prefix_sums_within_one_ulp_of_fsum(w):
+    N = 10 ** 6
+    got = w.prefix_array(N)
+    lams = w.lam_array(N)
+    for n in (1, 2, 3, 6, 7, 1000, 65_537, 500_000, N):
+        want = math.fsum(lams[:n])
+        assert abs(got[n - 1] - want) <= math.ulp(want), f"n={n}"
 
 
 def test_family_validation():
