@@ -13,6 +13,15 @@ Two complementary probes:
 Both work on the ratio
 
     R(x) = sum_n lambda_n M(x_1..x_n) / sum_n lambda_n x_n.
+
+Ratios are computed for a batch of sequences at once: each sequence is a
+row of a (rows, N) array, padded past its length with 1.0, and one call
+of the family's prefix evaluation gives every prefix mean of every row.
+Prefix means are causal, so the padding changes none of a row's own
+prefixes; masked row sums then form each ratio.  :func:`hardy_ratio` is
+a batch of one, and :func:`verify_inequality` runs its trials in blocks
+of at most _BLOCK rows, so its working set does not grow with the number
+of trials.
 """
 
 from __future__ import annotations
@@ -26,10 +35,19 @@ import numpy as np
 from . import hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
 from .formatting import fmt_real, parse_kv
-from .means import MeanSpec, prefix_values
+from .means import (MeanSpec, check_samples, check_weights, check_xlam,
+                    prefix_values)
 from .weights import WeightSequence
 
 _SLACK = 1e-9
+# Trials per block of verify_inequality, at most _BLOCK and at most
+# _BLOCK_CELLS / N (but one at least): the working set is a few arrays of
+# that many rows of N floats, whatever the number of trials.  At N = 50,
+# blocks of 256 rows raised the peak RSS of the fuzz workload by about
+# 0.7 MiB and blocks of 128 by 0.3 MiB, and 128 ran the closed families
+# no slower.
+_BLOCK = 128
+_BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -122,21 +140,36 @@ def hardy_ratio(spec: MeanSpec, w: WeightSequence, x,
     """Ratio of the weighted mean sum to the weighted sum for sequence x.
 
     x may be an array or a sequence rule (see :func:`make_sequence`).
-    Closed mean families evaluate all prefixes in one vectorized pass;
-    deviation families solve one root per prefix, which is quadratic in
-    N overall.
+    The sequence is validated, then evaluated as a batch of one row, by
+    the same code that evaluates the fuzzing trials: closed mean families
+    take all prefixes in one vectorized pass, deviation families one
+    Newton root per prefix, which is quadratic in N overall.
     """
     if N is None:
         if isinstance(x, str):
             raise DomainError("N is required when x is given as a rule")
         N = int(np.asarray(x).size)
     xs = make_sequence(x, w, N)
+    xs, lam = check_xlam(xs, _weights(w, N))
+    return float(_ratios(spec, xs[np.newaxis], np.array([N]), lam)[0])
+
+
+def _weights(w: WeightSequence, N: int) -> np.ndarray:
     lam = w.lam_array(N)
     if not np.all(np.isfinite(lam)):
         raise DomainError("weights leave float range at this N; shrink N")
-    means = prefix_values(spec, xs, lam)
-    num = float(np.dot(lam, means))
-    den = float(np.dot(lam, xs))
+    return lam
+
+
+def _ratios(spec: MeanSpec, x: np.ndarray, lengths: np.ndarray,
+            lam: np.ndarray) -> np.ndarray:
+    """R of each row of x (rows, N), whose sequence fills its first
+    lengths[j] entries and is padded with 1.0 after; lam (N,) is
+    validated and lam[0] > 0 (true of every WeightSequence)."""
+    means = spec.prefix(x, lam, np.arange(lam.size))
+    inside = np.arange(lam.size) < lengths[:, np.newaxis]
+    num = np.where(inside, lam * means, 0.0).sum(axis=-1)
+    den = np.where(inside, lam * x, 0.0).sum(axis=-1)
     return num / den
 
 
@@ -154,11 +187,11 @@ def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,
     N = int(N)
     if N < 1:
         raise DomainError("N must be at least 1")
-    prefixes = w.prefix_array(N)
+    lam = w.lam_array(N)
+    prefixes = w.prefix_array(N, lam=lam)
     if not np.all(np.isfinite(prefixes)):
         raise DomainError("prefix sums leave float range at this N; shrink N")
     xs = y / prefixes
-    lam = w.lam_array(N)
     ns = np.unique(np.round(np.geomspace(1, N, num=min(grid, N))).astype(int))
     means = prefix_values(spec, xs, lam, ns=ns)
     values = prefixes[ns - 1] / y * means
@@ -225,6 +258,14 @@ class VerifyReport:
     max_ratio_trial: int
     passed: bool = True
 
+    @property
+    def margin(self) -> float:
+        """Detection margin max_ratio / constant: how close the fuzzer
+        came to the constant; NaN when the constant is infinite."""
+        if not math.isfinite(self.constant):
+            return math.nan
+        return self.max_ratio / self.constant
+
     def to_dict(self) -> dict:
         out = {
             "mean": self.mean, "weights": self.weights,
@@ -233,7 +274,8 @@ class VerifyReport:
                               else self.ones_constant),
             "eta": self.eta, "trials": self.trials, "N": self.N,
             "seed": self.seed, "max_ratio": self.max_ratio,
-            "max_ratio_trial": self.max_ratio_trial, "passed": self.passed,
+            "max_ratio_trial": self.max_ratio_trial, "margin": self.margin,
+            "passed": self.passed,
         }
         return out
 
@@ -247,12 +289,20 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
     length in 1..N and log-uniform samples in [1e-3, 1e3], and checks
     ratio <= constant * (1 + 1e-9).  For symmetric monotone means the
     unweighted constant is an envelope for every weight sequence, so a
-    second check compares against it.  The first crossing raises
-    ViolationFound carrying the witness sequence; identical inputs give
-    bit-identical reports.
+    second check compares against it.
+
+    The weights are built and validated once per call.  Trials run in
+    blocks of at most _BLOCK (fewer when N is large), each drawn into a
+    padded array, validated once and evaluated in one batch (see the
+    module docstring).  The first crossing in trial order raises
+    ViolationFound carrying the witness sequence, its ratio and its
+    trial; a trial that crosses both limits reports the "constant"
+    check.  Identical inputs give bit-identical reports, and a trial's
+    ratio does not depend on how many trials are run.
     """
     if trials < 1 or N < 1:
         raise DomainError("trials and N must be positive")
+    trials, seed, N = int(trials), int(seed), int(N)
     constant = float(constant)
     eta = w.eta()
     ones_c: Optional[float] = None
@@ -264,27 +314,51 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
                 ones_c = hardy.constant_root(spec, 0.0).value
             except HardyMeansError:
                 ones_c = None
+    # a ratio crosses a limit exactly when it exceeds the smaller one
+    limit = min((c for c in (constant, ones_c)
+                 if c is not None and math.isfinite(c)),
+                default=math.inf) * (1.0 + _SLACK)
+    lam = _weights(w, N)
+    check_weights(lam)
+    block = min(_BLOCK, max(1, _BLOCK_CELLS // N))
     max_ratio = -math.inf
     max_trial = -1
-    for i in range(int(trials)):
-        rng = np.random.default_rng([int(seed), i])
-        length = int(rng.integers(1, int(N) + 1))
-        x = 10.0 ** rng.uniform(-3.0, 3.0, length)
-        ratio = hardy_ratio(spec, w, x)
-        if ratio > max_ratio:
-            max_ratio, max_trial = ratio, i
-        if math.isfinite(constant) and ratio > constant * (1.0 + _SLACK):
-            raise ViolationFound(
-                f"trial {i}: ratio {ratio:.12g} exceeds constant "
-                f"{constant:.12g}", sequence=x, ratio=ratio, trial=i,
-                check="constant")
-        if (ones_c is not None and math.isfinite(ones_c)
-                and ratio > ones_c * (1.0 + _SLACK)):
+    for first in range(0, trials, block):
+        x, lengths = _draw_trials(seed, first, min(first + block, trials), N)
+        check_samples(x)
+        ratios = _ratios(spec, x, lengths, lam)
+        above = np.flatnonzero(ratios > max_ratio)
+        if above.size:
+            j = above[np.argmax(ratios[above])]
+            max_ratio, max_trial = float(ratios[j]), first + int(j)
+        crossed = np.flatnonzero(ratios > limit)
+        if crossed.size:
+            j = int(crossed[0])
+            ratio, i = float(ratios[j]), first + j
+            sequence = x[j, :lengths[j]]
+            if math.isfinite(constant) and ratio > constant * (1.0 + _SLACK):
+                raise ViolationFound(
+                    f"trial {i}: ratio {ratio:.12g} exceeds constant "
+                    f"{constant:.12g}", sequence=sequence, ratio=ratio,
+                    trial=i, check="constant")
             raise ViolationFound(
                 f"trial {i}: ratio {ratio:.12g} exceeds the unweighted "
-                f"envelope {ones_c:.12g}", sequence=x, ratio=ratio, trial=i,
-                check="unweighted-envelope")
+                f"envelope {ones_c:.12g}", sequence=sequence, ratio=ratio,
+                trial=i, check="unweighted-envelope")
     return VerifyReport(mean=_spec_label(spec), weights=w.spec_text(),
                         constant=constant, ones_constant=ones_c, eta=eta,
-                        trials=int(trials), N=int(N), seed=int(seed),
+                        trials=trials, N=N, seed=seed,
                         max_ratio=max_ratio, max_ratio_trial=max_trial)
+
+
+def _draw_trials(seed: int, first: int, stop: int, N: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Trials first..stop-1 of the (seed, trial) stream: rows of a
+    (stop - first, N) array padded with 1.0, and their lengths."""
+    x = np.ones((stop - first, N))
+    lengths = np.empty(stop - first, dtype=int)
+    for row, i in enumerate(range(first, stop)):
+        rng = np.random.default_rng([seed, i])
+        n = lengths[row] = rng.integers(1, N + 1)
+        x[row, :n] = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return x, lengths

@@ -9,6 +9,8 @@ wide dynamic ranges and large exponents do not overflow.  Deviation
 means are roots of a one-dimensional strictly bracketed equation; the
 prefix evaluator reuses closed forms where they exist, and solves the
 deviation prefixes one root each, warm-started from the previous one.
+Prefix evaluation works along the last axis, so a batch of sample rows
+that share one weight vector is evaluated in one pass.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -30,7 +32,7 @@ from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
                          dev_power, exp_gen, log_gen, power_gen)
 from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
                     qa_constant, solve_cef)
-from .rootfind import RTOL_FLOOR, bracketed_root
+from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
 from .weights import compensated_cumsum
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
@@ -44,20 +46,34 @@ _GINI_HEADROOM = 600.0
 _LN2 = math.log(2.0)
 
 
-def _check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
+def check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
+    """x and lam as float arrays, after checking that they are nonempty,
+    1-d, of one length, with positive finite samples and nonnegative
+    finite weights of positive total; DomainError otherwise."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if x.ndim != 1 or lam.ndim != 1 or x.size == 0:
         raise DomainError("x and lam must be nonempty 1-d arrays")
     if x.shape != lam.shape:
         raise DomainError(f"length mismatch: {x.size} samples, {lam.size} weights")
+    check_samples(x)
+    check_weights(lam)
+    return x, lam
+
+
+def check_samples(x: np.ndarray) -> None:
+    """Raise DomainError unless every entry of x is positive and finite."""
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise DomainError("samples must be positive finite reals")
+
+
+def check_weights(lam: np.ndarray) -> None:
+    """Raise DomainError unless lam is nonnegative, finite and has a
+    positive total."""
     if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
         raise DomainError("weights must be nonnegative finite reals")
     if not np.sum(lam) > 0.0:
         raise DomainError("weights must have positive total")
-    return x, lam
 
 
 def _support(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -76,7 +92,7 @@ def _weighted_lse(log_lam: np.ndarray, shift: np.ndarray) -> float:
 def power_mean(x, lam, p: float) -> float:
     """Weighted power mean of order p; p = 0 is the geometric mean and
     p = +/-inf the weighted max/min."""
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     if math.isnan(p):
         raise DomainError("power mean order must not be NaN")
     return _power_mean_checked(x, lam, float(p))
@@ -109,7 +125,7 @@ def gini_mean(x, lam, p: float, q: float) -> float:
     diagonal p = q is the continuous limit.  Gini(p, 0) evaluates through
     the same arithmetic as power_mean(p).
     """
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     p, q = float(p), float(q)
     if math.isnan(p) or math.isnan(q) or math.isinf(p) or math.isinf(q):
         raise DomainError("Gini exponents must be finite")
@@ -144,7 +160,7 @@ def quasiarithmetic_mean(x, lam, g: GeneratorFunction) -> float:
     Uses g's analytic inverse when present, otherwise inverts by
     bracketed root finding between min x and max x.
     """
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     sup = _support(x, lam)
     lo, hi = float(sup.min()), float(sup.max())
     if lo == hi:
@@ -182,7 +198,7 @@ def quasideviation_mean(x, lam, kernel: QuasideviationKernel,
     violated straddle raises BracketError (the kernel is then not a
     quasideviation on this sample).
     """
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     return _deviation_root(x, lam, kernel.fn, tol,
                            Deviation(kernel).homogeneous)
 
@@ -194,7 +210,7 @@ def homogeneous_devmean(x, lam, f: GeneratorFunction,
     Requires f to declare the sign property sign f(u) = sign (u - 1);
     the result is then positively homogeneous in x.
     """
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     return _deviation_root(x, lam, _ratio_kernel_fn(f), tol, True)
 
 
@@ -287,8 +303,16 @@ class MeanSpec:
 
     def prefix(self, x: np.ndarray, lam: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
-        """Means of x[:i+1] for each i in idx, inputs already validated;
-        this generic path evaluates each prefix on its own."""
+        """Means of x[..., :i+1] for each i in idx, along the last axis.
+
+        x is one sample row of shape (N,) or a batch of rows (rows, N);
+        lam has shape (N,), lam[0] > 0, and the inputs are already
+        validated.  Prefix means are causal: entries past column i do not
+        change the mean of prefix i.  This generic path loops over the
+        rows and evaluates each prefix on its own.
+        """
+        if x.ndim > 1:
+            return np.array([self.prefix(row, lam, idx) for row in x])
         return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
                         dtype=float)
 
@@ -351,6 +375,8 @@ class Gini(MeanSpec):
         return gini_mean(x, lam, self.p, self.q)
 
     def prefix(self, x, lam, idx):
+        if x.ndim > 1 and self.p == self.q != 0.0:
+            return super().prefix(x, lam, idx)
         return _prefix_gini(x, lam, self.p, self.q, idx)
 
     def closed_constant(self, eta):
@@ -411,6 +437,8 @@ class Deviation(MeanSpec):
         return quasideviation_mean(x, lam, self.kernel, tol=tol)
 
     def prefix(self, x, lam, idx):
+        if x.ndim > 1:
+            return super().prefix(x, lam, idx)
         return _prefix_deviation(x, lam, self.kernel.fn, idx,
                                  self.homogeneous)
 
@@ -436,6 +464,8 @@ class HomogeneousDeviation(MeanSpec):
     def prefix(self, x, lam, idx):
         if self.f.d1 is not None:
             return _prefix_devmean_newton(x, lam, self.f, idx)
+        if x.ndim > 1:
+            return super().prefix(x, lam, idx)
         return _prefix_deviation(x, lam, _ratio_kernel_fn(self.f), idx,
                                  True)
 
@@ -474,12 +504,16 @@ def prefix_values(spec: MeanSpec, x, lam,
                   ns: Optional[Sequence[int]] = None) -> np.ndarray:
     """Mean of the first n samples for each n in `ns` (default: all n).
 
-    Closed families (power, Gini, invertible quasiarithmetic) run on
-    cumulative accumulators in one vectorized pass; deviation families
-    solve one root per requested prefix, which costs O(n) work each.
-    The inputs are validated once, not once per prefix.
+    x and lam are one 1-d sample vector and its weights, validated here
+    once, not once per prefix.  The work is ``spec.prefix``, which also
+    takes a batch of sample rows sharing lam: closed families (power,
+    Gini with p != q, invertible quasiarithmetic) run on cumulative
+    accumulators along the last axis in one vectorized pass; homogeneous
+    deviation means with a derivative solve each requested prefix of
+    every row in one lane-wise Newton solve, warm-started from the row's
+    previous root; the rest evaluate each prefix of each row on its own.
     """
-    x, lam = _check_xlam(x, lam)
+    x, lam = check_xlam(x, lam)
     if lam[0] <= 0.0:
         raise DomainError("prefix evaluation needs lam[0] > 0")
     n_total = x.size
@@ -493,8 +527,8 @@ def prefix_values(spec: MeanSpec, x, lam,
 
 
 def _running_bounds(x, lam):
-    lo = np.minimum.accumulate(np.where(lam > 0.0, x, math.inf))
-    hi = np.maximum.accumulate(np.where(lam > 0.0, x, -math.inf))
+    lo = np.minimum.accumulate(np.where(lam > 0.0, x, math.inf), axis=-1)
+    hi = np.maximum.accumulate(np.where(lam > 0.0, x, -math.inf), axis=-1)
     return lo, hi
 
 
@@ -529,49 +563,78 @@ def _prefix_devmean_newton(x, lam, f, idx):
     1e-13 lo / hi + RTOL_FLOOR (1 + |t|), so the relative error of y is
     within that of the one-prefix solve, 1e-13 lo / y + RTOL_FLOOR, plus
     RTOL_FLOOR log(hi / lo).
+
+    The rows of a batch are independent lanes of one Newton solve per
+    requested prefix (:func:`~hardymeans.rootfind.newton_lanes`); a row
+    whose prefix has equal extremes, or a zero of g at an extreme, takes
+    that value without a solve, and each row warm-starts from its own
+    last solved root.
     """
     _require_sign_like(f)
     fn, d1 = f.fn, f.d1
-    lo, hi = _running_bounds(x, lam)
+    rows = np.atleast_2d(x)
+    lo, hi = _running_bounds(rows, lam)
     support = lam > 0.0
     count = np.cumsum(support)
-    x_ref = float(x[0])
-    rx, ws = np.log(x[support] / x_ref), lam[support]
-    rlo = np.minimum.accumulate(rx)
-    rhi = np.maximum.accumulate(rx)
-    r_mean = np.cumsum(ws * rx) / np.cumsum(ws)
-    out = np.empty(idx.size)
-    t = t0 = None
+    x_ref = rows[:, 0]
+    rx = np.log(np.compress(support, rows, axis=-1) / x_ref[:, None])
+    ws = lam[support]
+    rlo = np.minimum.accumulate(rx, axis=-1)
+    rhi = np.maximum.accumulate(rx, axis=-1)
+    r_mean = np.cumsum(ws * rx, axis=-1) / np.cumsum(ws)
+    out = np.empty((rows.shape[0], idx.size))
+    t = np.full(rows.shape[0], np.nan)  # last solved root of each row
+    k_solved = np.zeros(rows.shape[0], dtype=int)
     for j, i in enumerate(idx):
         k = count[i]
-        a, b = float(rlo[k - 1]), float(rhi[k - 1])
-        lo_i, hi_i = float(lo[i]), float(hi[i])
-        if a == b:
-            out[j] = min(max(x_ref, lo_i), hi_i)  # a == b == 0
+        a, b = rlo[:, k - 1], rhi[:, k - 1]
+        lo_i, hi_i = lo[:, i], hi[:, i]
+        out[:, j] = np.minimum(np.maximum(x_ref, lo_i), hi_i)  # a == b == 0
+        live = np.flatnonzero(a != b)
+        if live.size == 0:
             continue
-        r, w = rx[:k], ws[:k]
+        r, w = _take_rows(rx[:, :k], live), ws[:k]
+        ga = _row_dot(fn(np.exp(r - a[live, None])), w)
+        gb = _row_dot(fn(np.exp(r - b[live, None])), w)
+        at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
+        out[live[at_lo], j] = lo_i[live[at_lo]]
+        out[live[at_hi], j] = hi_i[live[at_hi]]
+        solve = ~(at_lo | at_hi)
+        bad = solve & ((ga < 0.0) | (gb > 0.0))
+        if bad.any():
+            m = bad.argmax()
+            _check_sign_property(float(ga[m]), float(gb[m]),
+                                 float(lo_i[live[m]]), float(hi_i[live[m]]))
+        r, lanes = _take_rows(r, np.flatnonzero(solve)), live[solve]
 
-        def g_slope(s):
-            u = np.exp(r - s)
-            return float(np.dot(w, fn(u))), -float(np.dot(w, u * d1(u)))
+        def g_slope(s, sub):
+            u = np.exp(_take_rows(r, sub) - s[:, None])
+            return _row_dot(fn(u), w), -_row_dot(u * d1(u), w)
 
-        ga, gb = (float(np.dot(w, fn(np.exp(r - s)))) for s in (a, b))
-        if ga == 0.0:
-            out[j] = lo_i
-            continue
-        if gb == 0.0:
-            out[j] = hi_i
-            continue
-        _check_sign_property(ga, gb, lo_i, hi_i)
-        if t is not None:
-            t0 = t + (r_mean[k - 1] - r_mean[k_solved - 1])
-        t = bracketed_root(g_slope, a, b,
-                           xtol=1e-13 * lo_i / hi_i + RTOL_FLOOR,
-                           rtol=RTOL_FLOOR, flo=ga, fhi=gb, fprime=True,
-                           x0=t0).root
-        k_solved = k
-        out[j] = min(max(x_ref * math.exp(t), lo_i), hi_i)
-    return out
+        x0 = t[lanes] + (r_mean[lanes, k - 1]
+                         - r_mean[lanes, k_solved[lanes] - 1])
+        t[lanes], _, _ = newton_lanes(
+            g_slope, a[lanes], ga[solve], b[lanes], gb[solve], x0,
+            xtol=1e-13 * lo_i[lanes] / hi_i[lanes] + RTOL_FLOOR,
+            rtol=RTOL_FLOOR)
+        k_solved[lanes] = k
+        out[lanes, j] = np.minimum(
+            np.maximum(x_ref[lanes] * np.exp(t[lanes]), lo_i[lanes]),
+            hi_i[lanes])
+    return out if x.ndim > 1 else out[0]
+
+
+def _take_rows(a, rows):
+    """a[rows] for ascending distinct row indices; a itself, not a copy,
+    when they are all the rows."""
+    return a if rows.size == a.shape[0] else a[rows]
+
+
+def _row_dot(a, w):
+    """sum(a * w) along the last axis.  Not matmul: BLAS rounds a row
+    differently by its position in the batch, and each row's value must
+    depend on that row alone."""
+    return np.einsum("ij,j->i", a, w)
 
 
 def _prefix_power(x, lam, p, idx):
@@ -580,21 +643,21 @@ def _prefix_power(x, lam, p, idx):
         raise DomainError("power mean order must not be NaN")
     lo, hi = _running_bounds(x, lam)
     if p == math.inf or p >= _P_EXTREME:
-        return hi[idx].copy()
+        return hi[..., idx]
     if p == -math.inf or p <= -_P_EXTREME:
-        return lo[idx].copy()
+        return lo[..., idx]
     with np.errstate(divide="ignore"):
         ll = np.log(lam)
     logx = np.log(x)
     lse0 = np.logaddexp.accumulate(ll)
     if abs(p) < _P_GEOMETRIC:
-        num = np.cumsum(lam * logx)
+        num = np.cumsum(lam * logx, axis=-1)
         den = np.cumsum(lam)
         vals = np.exp(num / den)
     else:
-        lsep = np.logaddexp.accumulate(ll + p * logx)
+        lsep = np.logaddexp.accumulate(ll + p * logx, axis=-1)
         vals = np.exp((lsep - lse0) / p)
-    return np.minimum(np.maximum(vals, lo), hi)[idx]
+    return np.minimum(np.maximum(vals, lo), hi)[..., idx]
 
 
 def _prefix_gini(x, lam, p, q, idx):
@@ -612,10 +675,10 @@ def _prefix_gini(x, lam, p, q, idx):
         with np.errstate(divide="ignore"):
             ll = np.log(lam)
         logx = np.log(x)
-        lsep = np.logaddexp.accumulate(ll + p * logx)
-        lseq = np.logaddexp.accumulate(ll + q * logx)
+        lsep = np.logaddexp.accumulate(ll + p * logx, axis=-1)
+        lseq = np.logaddexp.accumulate(ll + q * logx, axis=-1)
         vals = np.exp((lsep - lseq) / (p - q))
-    return np.minimum(np.maximum(vals, lo), hi)[idx]
+    return np.minimum(np.maximum(vals, lo), hi)[..., idx]
 
 
 def _prefix_gini_diagonal(x, lam, p):
@@ -659,12 +722,11 @@ def _prefix_gini_diagonal(x, lam, p):
 def _prefix_qa(x, lam, g, idx):
     lo, hi = _running_bounds(x, lam)
     vals = np.asarray(g.fn(x), dtype=float)
-    vlo = np.minimum.accumulate(np.where(lam > 0.0, vals, math.inf))
-    vhi = np.maximum.accumulate(np.where(lam > 0.0, vals, -math.inf))
-    target = np.cumsum(lam * vals) / np.cumsum(lam)
+    vlo, vhi = _running_bounds(vals, lam)
+    target = np.cumsum(lam * vals, axis=-1) / np.cumsum(lam)
     target = np.minimum(np.maximum(target, vlo), vhi)
     ys = np.asarray(g.inverse(target), dtype=float)
-    return np.minimum(np.maximum(ys, lo), hi)[idx]
+    return np.minimum(np.maximum(ys, lo), hi)[..., idx]
 
 
 # -- CLI specifier parsing ------------------------------------------------

@@ -1,5 +1,4 @@
-"""Bracketed scalar root finding, with no dependency beyond the standard
-library.
+"""Bracketed root finding, in pure Python and NumPy.
 
 :func:`bracketed_root` solves f(x) = 0 on [lo, hi] when f(lo) and f(hi)
 straddle zero.  It has two paths:
@@ -17,7 +16,13 @@ straddle zero.  It has two paths:
   speed, never the bracket.  The stopping test (a Newton step within
   tolerance) trusts the derivative's magnitude.
 
-Neither path evaluates f twice at one point: endpoint values the caller
+The Newton iteration is :func:`newton_lanes`, which runs it on many
+independent brackets ("lanes") at once, each with its own bracket
+updates, bisection fallback and stop, in the manner of the lane-wise
+safeguarded solvers (T. R. Chandrupatla, *Adv. Eng. Software* 28,
+1997).  One scalar solve is a batch of one lane.
+
+No path evaluates f twice at one point: endpoint values the caller
 already holds are passed in, and the reported residual is the value
 already computed at the returned root.  :func:`expand_bracket_up` is a
 slide-and-double bracket search for roots of decreasing functions on
@@ -30,13 +35,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (BracketError, DomainError, NoBracketError,
                      NoConvergenceError)
 
 # Floor on the relative tolerance (SciPy's brentq floor); gives near
 # machine-relative roots.
 RTOL_FLOOR = 4.0 * sys.float_info.epsilon
-# Iteration cap of both paths (SciPy's brentq default).
+# Iteration cap of Brent and of each Newton lane (SciPy's brentq default).
 _MAXITER = 100
 
 
@@ -83,8 +90,15 @@ def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
             f"no sign change on [{lo:g}, {hi:g}]: "
             f"f(lo)={flo:g}, f(hi)={fhi:g}")
     if fprime:
-        root, residual, iterations = _newton(f, lo, flo, hi, fhi, x0, xtol,
-                                             rtol)
+        def lane(x, lanes):
+            fx, dfx = f(float(x[0]))
+            return np.array([float(fx)]), np.array([float(dfx)])
+
+        roots, values, counts = newton_lanes(
+            lane, [lo], [flo], [hi], [fhi], None if x0 is None else [x0],
+            xtol, rtol)
+        root, residual, iterations = (float(roots[0]), float(values[0]),
+                                      int(counts[0]))
     else:
         root, residual, iterations = _brent(value, lo, flo, hi, fhi, xtol,
                                             rtol)
@@ -154,50 +168,81 @@ def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,
         f"last estimate {xcur!r}")
 
 
-def _newton(f, a: float, fa: float, b: float, fb: float, x, xtol: float,
-            rtol: float) -> tuple[float, float, int]:
-    """Safeguarded Newton on the bracket [a, b] with f(a), f(b) of
-    opposite signs; f returns (value, derivative).
+def newton_lanes(f, a, fa, b, fb, x0, xtol, rtol
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton on many independent brackets ("lanes") at once.
 
-    Every evaluated point replaces the bracket end of its sign, so the
-    bracket only shrinks.  A Newton step that points away from the root
-    side, would leave the bracket, or is not under half the step before
-    last is replaced by bisection.  The evaluated point is returned once
-    the Newton step from it, or half the bracket, is within tolerance.
+    Lane i solves on [a[i], b[i]], where fa[i] and fb[i] are nonzero and
+    of opposite signs.  f(x, lanes) takes the current points of the
+    lanes still running (indices into the inputs, ascending) and returns
+    arrays of the values and derivatives there.  x0 holds the start
+    points (None, or NaN for a lane, means the secant point of the
+    bracket, then its midpoint when that is not inside); xtol may be an
+    array of per-lane tolerances.
+
+    Per lane, as for one bracket: every evaluated point replaces the
+    bracket end of its sign, so the bracket only shrinks.  A Newton step
+    that points away from the root side, would leave the bracket, or is
+    not under half the step before last is replaced by bisection.  The
+    point is returned once the Newton step from it, or half the bracket,
+    is within xtol + rtol * |x|; a lane stops there and is not evaluated
+    again.  Returns (roots, values at the roots, iterations per lane).
+
+    Raises DomainError when f returns NaN and NoConvergenceError when a
+    lane runs _MAXITER iterations.
     """
-    if x is None or not a < x < b:
-        x = a - fa * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-    step = step_old = b - a
-    for iterations in range(1, _MAXITER + 1):
-        fx, dfx = f(x)
-        fx, dfx = float(fx), float(dfx)
-        if fx != fx:
-            raise DomainError(f"function value is NaN at x={x!r}")
-        if fx == 0.0:
-            return x, fx, iterations
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa = x, fx
-        else:
-            b = x
-        tol = xtol + rtol * abs(x)
-        newton = fx / dfx if dfx != 0.0 else math.inf
-        # x is now a bracket end: the root lies toward the other end
-        inward = newton <= 0.0 if x == a else newton >= 0.0
-        if inward and abs(newton) <= tol:
-            return x, fx, iterations
-        if (inward and a < x - newton < b
-                and 2.0 * abs(newton) <= abs(step_old)):
-            step_old, step = step, newton
-        else:
-            step_old, step = step, x - 0.5 * (a + b)
-            if abs(step) <= tol:
-                return x, fx, iterations
-        x -= step
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa = np.asarray(fa, dtype=float)
+    # every point that replaces a takes f's sign at a, so that sign is fixed
+    negative = fa < 0.0
+    n = a.size
+    xtol = np.asarray(xtol, dtype=float) + np.zeros(n)
+    lanes = np.arange(n)
+    roots, values = np.empty(n), np.empty(n)
+    iterations = np.zeros(n, dtype=int)
+    # a zero derivative makes the Newton step infinite, which is never
+    # taken and never within tolerance, so its sign does not matter
+    with np.errstate(all="ignore"):
+        x = np.full(n, np.nan) if x0 is None else np.array(x0, dtype=float)
+        secant = a - fa * (b - a) / (np.asarray(fb, dtype=float) - fa)
+        secant = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
+        x = np.where((a < x) & (x < b), x, secant)
+        step = step_old = b - a
+        for it in range(1, _MAXITER + 1):
+            fx, dfx = f(x, lanes)
+            fx = np.asarray(fx, dtype=float)
+            nan = np.isnan(fx)
+            if nan.any():
+                raise DomainError(
+                    f"function value is NaN at x={float(x[nan.argmax()])!r}")
+            below = (fx < 0.0) == negative
+            a = np.where(below, x, a)
+            b = np.where(below, b, x)
+            tol = xtol + rtol * np.abs(x)
+            newton = fx / np.asarray(dfx, dtype=float)
+            # x is now a bracket end: the root lies toward the other end
+            inward = np.where(x == a, newton <= 0.0, newton >= 0.0)
+            landing = x - newton
+            take = (inward & (a < landing) & (landing < b)
+                    & (2.0 * np.abs(newton) <= np.abs(step_old)))
+            step_old, step = step, np.where(take, newton, x - 0.5 * (a + b))
+            done = ((fx == 0.0) | (inward & (np.abs(newton) <= tol))
+                    | (~take & (np.abs(step) <= tol)))
+            if done.any():
+                finished = lanes[done]
+                roots[finished], values[finished] = x[done], fx[done]
+                iterations[finished] = it
+                keep = ~done
+                if not keep.any():
+                    return roots, values, iterations
+                lanes, x, a, b, negative, xtol, step, step_old = (
+                    v[keep] for v in (lanes, x, a, b, negative, xtol, step,
+                                      step_old))
+            x = x - step
     raise NoConvergenceError(
         f"Newton iteration did not converge in {_MAXITER} iterations; "
-        f"last estimate {x!r}")
+        f"last estimate {float(x[0])!r}")
 
 
 def expand_bracket_up(f, lo: float = 1.0, hi: float = 2.0, cap: float = 1e9

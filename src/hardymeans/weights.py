@@ -151,16 +151,23 @@ class WeightSequence:
             return float(n)
         return float(self._ensure(n)[n - 1])
 
-    def prefix_array(self, n: int) -> np.ndarray:
+    def prefix_array(self, n: int, *, lam: np.ndarray | None = None
+                     ) -> np.ndarray:
         """Prefix sums Lambda_1..Lambda_n (a read-only view of the cache
-        for all kinds but ones)."""
+        for all kinds but ones).
+
+        lam -- lam_array(n), when the caller already holds it; a cache
+               that must grow then grows from it instead of building the
+               weights again.  The sums are the same bits either way.
+        """
         n = _check_index(n)
         if self.kind == "ones":
             return np.arange(1, n + 1, dtype=float)
-        return self._ensure(n)[:n]
+        return self._ensure(n, lam)[:n]
 
-    def _ensure(self, n: int) -> np.ndarray:
-        """The cached prefix sums, extended to at least n terms."""
+    def _ensure(self, n: int, lam: np.ndarray | None = None) -> np.ndarray:
+        """The cached prefix sums, extended to at least n terms (from lam,
+        which is lam_array(n), when given)."""
         prefix = self._prefix
         if prefix.size >= n:
             return prefix
@@ -168,8 +175,10 @@ class WeightSequence:
             prefix = self._prefix
             if prefix.size >= n:
                 return prefix
-            sums, self._carry = compensated_cumsum(
-                self.lam_array(n)[prefix.size:], self._carry)
+            if lam is None:
+                lam = self.lam_array(n)
+            sums, self._carry = compensated_cumsum(lam[prefix.size:n],
+                                                   self._carry)
             prefix = np.concatenate((prefix, sums))
             prefix.flags.writeable = False
             self._prefix = prefix

@@ -105,6 +105,16 @@ def test_verify_auto_constant_passes(capsys):
     assert doc["passed"] is True
     assert doc["constant"] == pytest.approx(4.0)
     assert doc["max_ratio"] <= 4.0 * (1 + 1e-9)
+    assert doc["margin"] == doc["max_ratio"] / doc["constant"]
+
+
+def test_verify_margin_is_nan_for_an_infinite_constant(capsys):
+    code, out, _ = run(capsys, "verify", "--mean", "power:p=1",
+                       "--weights", "ones", "--constant", "auto",
+                       "--trials", "5", "--N", "10")
+    assert code == 0
+    doc = parse_json(out)
+    assert doc["constant"] == math.inf and math.isnan(doc["margin"])
 
 
 def test_verify_reports_violation_as_json(capsys):

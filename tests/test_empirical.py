@@ -2,22 +2,27 @@
 
 import io
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardymeans import empirical, hardy
 from hardymeans.empirical import (EmpiricalTrace, PowerProbe, VerifyReport,
                                   est_lower_bound, genA_limit, genA_partial,
                                   hardy_ratio, make_sequence,
                                   verify_inequality)
 from hardymeans.errors import DomainError, UsageError, ViolationFound
-from hardymeans.generators import difference_kernel
+from hardymeans.generators import difference_kernel, log_gen
 from hardymeans.hardy import C_of, gini_constant
-from hardymeans.means import Deviation, Gini, Power
-from hardymeans.weights import WeightSequence
+from hardymeans.means import (Deviation, Gini, Power, QuasiArithmetic,
+                              parse_mean, prefix_values)
+from hardymeans.rootfind import RTOL_FLOOR
+from hardymeans.weights import WeightSequence, parse_weights
 
 ONES = WeightSequence.ones()
 GEO2 = WeightSequence.geometric(2.0)
@@ -297,3 +302,117 @@ def test_fuzzing_input_validation():
         verify_inequality(Power(0.5), ONES, 4.0, trials=0)
     with pytest.raises(DomainError):
         verify_inequality(Power(0.5), ONES, 4.0, N=0)
+
+
+# -- batched trials ----------------------------------------------------------
+
+# The fuzz families, and one of each family that evaluates its rows one by
+# one: the Gini diagonal, a quasiarithmetic mean without an inverse and a
+# raw deviation kernel.
+BATCH_FAMILIES = [
+    (parse_mean("power:p=0.5"), True), (parse_mean("gini:p=0.5,q=-0.5"), True),
+    (parse_mean("qa:g=log"), True), (parse_mean("devmean:f=log"), False),
+    (parse_mean("devmean:f=pow:0.5"), False), (Gini(-0.5, -0.5), True),
+    (QuasiArithmetic(replace(log_gen(), inverse=None)), False),
+    (Deviation(difference_kernel()), False),
+]
+# Two prefix solves within 1e-13 lo/hi + RTOL_FLOOR (1 + |log(y/x_1)|)
+# of the root each, samples within six decades: a ratio of such means
+# moves by at most twice that.
+DEVIATION_RTOL = 2.0 * (1e-13 + RTOL_FLOOR * (1.0 + math.log(1e6)))
+
+
+def _loop_ratio(spec, w, x):
+    """R(x) as one prefix_values call and two dot products."""
+    lam = w.lam_array(x.size)
+    return float(np.dot(lam, prefix_values(spec, x, lam))
+                 / np.dot(lam, x))
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), first=st.integers(0, 10 ** 6))
+@pytest.mark.parametrize("weights", ["ones", "geometric:a=2",
+                                     "powerlaw:alpha=1"])
+@pytest.mark.parametrize("spec,closed", BATCH_FAMILIES,
+                         ids=[repr(s) for s, _ in BATCH_FAMILIES])
+def test_batched_ratios_match_one_trial_at_a_time(spec, closed, weights,
+                                                  seed, first):
+    w = parse_weights(weights)
+    x, lengths = empirical._draw_trials(seed, first, first + 12, 30)
+    ratios = empirical._ratios(spec, x, lengths, w.lam_array(30))
+    rtol = 1e-15 if closed else DEVIATION_RTOL
+    for j, n in enumerate(lengths):
+        row = x[j, :n]
+        for want in (hardy_ratio(spec, w, row), _loop_ratio(spec, w, row)):
+            assert abs(ratios[j] - want) <= rtol * want, f"trial {first + j}"
+
+
+def test_violation_is_the_first_crossing_in_trial_order():
+    # a constant between the best ratio before trial j and the ratio of
+    # trial j, for a j in a later block: that trial must be reported
+    # (at seed 5, trial 681 beats every trial before it)
+    x, lengths = empirical._draw_trials(5, 0, 700, 40)
+    ratios = [hardy_ratio(Power(0.5), ONES, x[j, :n])
+              for j, n in enumerate(lengths)]
+    j = 681
+    before = max(ratios[:j])
+    assert ratios[j] > before
+    constant = math.sqrt(before * ratios[j]) / (1.0 + 1e-9)
+    assert before <= constant * (1.0 + 1e-9) < ratios[j]
+    with pytest.raises(ViolationFound) as excinfo:
+        verify_inequality(Power(0.5), ONES, constant, trials=700, seed=5,
+                          N=40)
+    exc = excinfo.value
+    assert (exc.trial, exc.check) == (j, "constant")
+    assert exc.ratio == pytest.approx(ratios[j], rel=1e-15)
+    assert exc.sequence == list(x[j, :lengths[j]])
+
+
+def test_a_trial_crossing_both_limits_reports_the_constant(monkeypatch):
+    # an envelope of 1 is crossed by every trial with a ratio above 1
+    monkeypatch.setattr(hardy, "constant_closed", lambda spec, eta: 1.0)
+    with pytest.raises(ViolationFound) as both:
+        verify_inequality(Power(0.5), ONES, 1.0, trials=50, seed=0, N=30)
+    with pytest.raises(ViolationFound) as envelope:
+        verify_inequality(Power(0.5), ONES, 4.0, trials=50, seed=0, N=30)
+    assert both.value.check == "constant"
+    assert envelope.value.check == "unweighted-envelope"
+    assert "unweighted envelope 1" in str(envelope.value)
+    assert both.value.trial == envelope.value.trial
+
+
+@pytest.mark.parametrize("spec", [Power(0.5), parse_mean("devmean:f=log")],
+                         ids=repr)
+def test_block_boundaries_change_nothing(spec):
+    # one trial either side of a block's end, and past two and four blocks
+    block = empirical._BLOCK
+    x, lengths = empirical._draw_trials(5, 0, 4 * block + 1, 20)
+    ratios = empirical._ratios(spec, x, lengths, ONES.lam_array(20))
+    for trials in (block - 1, block, block + 1, 2 * block + 1, 4 * block,
+                   4 * block + 1):
+        rep = verify_inequality(spec, ONES, math.inf, trials=trials, seed=5,
+                                N=20)
+        best = int(np.argmax(ratios[:trials]))
+        assert (rep.max_ratio, rep.max_ratio_trial) == (ratios[best], best)
+
+
+@pytest.mark.parametrize("trials,N", [(20000, 50), (100, 20000)])
+def test_verify_memory_is_bounded_by_the_block(trials, N):
+    # many trials, or long ones: either way a block is a few arrays of at
+    # most 8192 floats, or of one row
+    tracemalloc.start()
+    try:
+        verify_inequality(Power(0.5), ONES, 4.0, trials=trials, N=N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_margin_is_max_ratio_over_the_constant():
+    rep = verify_inequality(Power(0.5), ONES, 4.0, trials=50, seed=2, N=30)
+    assert rep.margin == rep.max_ratio / 4.0
+    assert 0.0 < rep.margin < 1.0
+    assert rep.to_dict()["margin"] == rep.margin
+    rep = verify_inequality(Power(0.5), ONES, math.inf, trials=5)
+    assert math.isnan(rep.margin)

@@ -387,6 +387,32 @@ def test_deviation_prefixes_reject_a_broken_sign_property(spec):
         prefix_values(spec, x, np.ones(3))
 
 
+BATCH_SPECS = SPECS + [
+    Power(1e-9), Power(math.inf), Gini(-0.5, -0.5),
+    QuasiArithmetic(replace(log_gen(), inverse=None)),
+    HomogeneousDeviation(log_gen()),
+    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+]
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=repr)
+def test_batch_rows_match_one_row_prefixes(spec):
+    # each row of a batch is evaluated as if it were alone, bit for bit,
+    # whatever rows are beside it; rows mix constant runs and wide spreads
+    rng = np.random.default_rng(11)
+    x = 10.0 ** rng.uniform(-3, 3, (9, 30))
+    x[1] = 2.5
+    x[2, :12] = x[2, 0]
+    lam = rng.uniform(0.0, 1.0, 30)
+    lam[[0, 5, 6]] = (0.6, 0.0, 0.0)
+    idx = np.array([0, 1, 4, 5, 6, 17, 29])
+    got = spec.prefix(x, lam, idx)
+    assert got.shape == (9, idx.size)
+    for row in range(9):
+        assert np.array_equal(got[row], spec.prefix(x[row], lam, idx))
+    assert np.array_equal(spec.prefix(x[3:5], lam, idx), got[3:5])
+
+
 def test_prefix_values_subset_and_validation():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     got = prefix_values(Power(1.0), x, np.ones(4), ns=[2, 4])

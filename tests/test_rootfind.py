@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
@@ -200,6 +201,32 @@ def test_newton_on_a_linear_function_needs_one_step_and_a_check():
     res = bracketed_root(f, -10.0, 10.0, flo=23.0, fhi=-17.0, fprime=True,
                          x0=7.0)
     assert res.root == 1.5 and len(points) == 2
+
+
+def test_newton_lanes_run_as_their_one_lane_solves():
+    # x**3 - c on [0, 4] per lane, from assorted starts: every lane takes
+    # the iterates, stop and count of its solve alone
+    c = np.array([0.5, 2.0, 8.0, 27.0, 1e-9, 3.0])
+    x0 = np.array([np.nan, 1.0, 3.9, 0.1, 2.0, 1.44224957030740838])
+    calls = []
+
+    def f(x, lanes):
+        calls.append(lanes)
+        return x ** 3 - c[lanes], 3.0 * x ** 2
+
+    roots, values, iterations = rootfind.newton_lanes(
+        f, np.zeros(6), -c, np.full(6, 4.0), 64.0 - c, x0, 1e-15,
+        rootfind.RTOL_FLOOR)
+    for i in range(6):
+        alone = bracketed_root(
+            lambda x: (x ** 3 - c[i], 3.0 * x ** 2), 0.0, 4.0, xtol=1e-15,
+            flo=-c[i], fhi=64.0 - c[i], fprime=True,
+            x0=None if np.isnan(x0[i]) else x0[i])
+        assert (roots[i], values[i], iterations[i]) == (
+            alone.root, alone.residual, alone.iterations)
+        # a lane is evaluated until it stops, then never again
+        assert sum(i in lanes for lanes in calls) == iterations[i]
+    assert max(iterations) == len(calls)
 
 
 # -- failure -----------------------------------------------------------------

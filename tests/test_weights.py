@@ -71,6 +71,11 @@ def test_prefix_cache_is_incremental():
             stepped.prefix_array(n)
         assert np.array_equal(stepped.prefix_array(200), w.prefix_array(200))
         assert np.array_equal(late.prefix_array(200), w.prefix_array(200))
+        # weights handed in by the caller give the same bits
+        handed = make()
+        handed.prefix_array(7, lam=handed.lam_array(7))
+        got = handed.prefix_array(200, lam=handed.lam_array(200))
+        assert np.array_equal(got, w.prefix_array(200))
 
 
 def test_prefix_cache_is_thread_safe():
