@@ -37,7 +37,7 @@ from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
 from .formatting import fmt_real, parse_kv
 from .means import (MeanSpec, check_samples, check_weights, check_xlam,
                     prefix_values)
-from .weights import WeightSequence
+from .weights import WeightSequence, unit_scaled
 
 _SLACK = 1e-9
 # Trials per block of verify_inequality, at most _BLOCK and at most
@@ -165,12 +165,20 @@ def _ratios(spec: MeanSpec, x: np.ndarray, lengths: np.ndarray,
             lam: np.ndarray) -> np.ndarray:
     """R of each row of x (rows, N), whose sequence fills its first
     lengths[j] entries and is padded with 1.0 after; lam (N,) is
-    validated and lam[0] > 0 (true of every WeightSequence)."""
+    validated and lam[0] > 0 (true of every WeightSequence).  The sums
+    take lam scaled by a power of two (:func:`unit_scaled`), which keeps
+    each ratio; one that is still not finite raises DomainError."""
     means = spec.prefix(x, lam, np.arange(lam.size))
+    lam = unit_scaled(lam)
     inside = np.arange(lam.size) < lengths[:, np.newaxis]
-    num = np.where(inside, lam * means, 0.0).sum(axis=-1)
-    den = np.where(inside, lam * x, 0.0).sum(axis=-1)
-    return num / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.where(inside, lam * means, 0.0).sum(axis=-1)
+        den = np.where(inside, lam * x, 0.0).sum(axis=-1)
+        ratios = num / den
+    if not np.all(np.isfinite(ratios)):
+        raise DomainError("weighted sums leave float range at this N; "
+                          "shrink N")
+    return ratios
 
 
 def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,

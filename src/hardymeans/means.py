@@ -4,13 +4,16 @@ All means take a positive sample vector x and a nonnegative weight
 vector lam (first entry positive, positive total) and return a value
 between the smallest and largest sample carrying positive weight.
 
-Power and Gini means are evaluated through weighted log-sum-exp, so
-wide dynamic ranges and large exponents do not overflow.  Deviation
-means are roots of a one-dimensional strictly bracketed equation; the
-prefix evaluator reuses closed forms where they exist, and solves the
-deviation prefixes one root each, warm-started from the previous one.
-Prefix evaluation works along the last axis, so a batch of sample rows
-that share one weight vector is evaluated in one pass.
+A family computes its values in one place, its prefix evaluation
+``MeanSpec.prefix``; ``evaluate`` is the last prefix.  Power and Gini
+means, and the weighted means of quasiarithmetic generators, are shifted
+compensated prefix sums, so wide dynamic ranges, large exponents and
+weights past float range neither overflow nor lose digits.  Deviation
+means are roots of a one-dimensional strictly bracketed equation, by
+lane-wise Newton when the profile has a derivative, warm-started from
+the previous prefix, and by Brent's method otherwise.  Prefix evaluation
+works along the last axis, so a batch of sample rows that share one
+weight vector is evaluated in one pass.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -33,16 +36,13 @@ from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
 from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
                     qa_constant, solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
-from .weights import compensated_cumsum
+from .weights import compensated_cumsum, unit_scaled
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
 _P_EXTREME = 1e15
-# below this order the direct formula's eps/p rounding noise exceeds the
-# geometric branch's p * Var(ln x) / 2 truncation error
-_P_GEOMETRIC = 1e-7
-# Largest exponent of a term of the Gini p = q prefix sums: a million
-# terms of e**600 stay far below overflow.
-_GINI_HEADROOM = 600.0
+# Largest exponent of a term of the shifted prefix sums: a million terms
+# of e**600 stay far below overflow.
+_HEADROOM = 600.0
 _LN2 = math.log(2.0)
 
 
@@ -63,95 +63,33 @@ def check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
 
 def check_samples(x: np.ndarray) -> None:
     """Raise DomainError unless every entry of x is positive and finite."""
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    if not np.isfinite(x).all() or (x <= 0.0).any():
         raise DomainError("samples must be positive finite reals")
 
 
 def check_weights(lam: np.ndarray) -> None:
     """Raise DomainError unless lam is nonnegative, finite and has a
     positive total."""
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
+    if not np.isfinite(lam).all() or (lam < 0.0).any():
         raise DomainError("weights must be nonnegative finite reals")
-    if not np.sum(lam) > 0.0:
+    if not (lam > 0.0).any():
         raise DomainError("weights must have positive total")
-
-
-def _support(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return x[lam > 0.0]
-
-
-def _weighted_lse(log_lam: np.ndarray, shift: np.ndarray) -> float:
-    """log sum of lam * exp(shift), stable under any magnitudes."""
-    t = log_lam + shift
-    m = np.max(t)
-    if m == -math.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(t - m))))
 
 
 def power_mean(x, lam, p: float) -> float:
     """Weighted power mean of order p; p = 0 is the geometric mean and
     p = +/-inf the weighted max/min."""
-    x, lam = check_xlam(x, lam)
-    if math.isnan(p):
-        raise DomainError("power mean order must not be NaN")
-    return _power_mean_checked(x, lam, float(p))
-
-
-def _power_mean_checked(x: np.ndarray, lam: np.ndarray, p: float) -> float:
-    sup = _support(x, lam)
-    lo, hi = float(sup.min()), float(sup.max())
-    if lo == hi:
-        return lo
-    if p == math.inf or p >= _P_EXTREME:
-        return hi
-    if p == -math.inf or p <= -_P_EXTREME:
-        return lo
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    logx = np.log(x)
-    if abs(p) < _P_GEOMETRIC:
-        w = np.exp(log_lam - _weighted_lse(log_lam, np.zeros_like(logx)))
-        return float(min(max(math.exp(float(np.dot(w, logx))), lo), hi))
-    val = math.exp((_weighted_lse(log_lam, p * logx)
-                    - _weighted_lse(log_lam, np.zeros_like(logx))) / p)
-    return float(min(max(val, lo), hi))
+    return Power(float(p)).evaluate(x, lam)
 
 
 def gini_mean(x, lam, p: float, q: float) -> float:
     """Weighted Gini mean with exponent pair (p, q).
 
     For p != q this is (sum lam x**p / sum lam x**q) ** (1/(p-q)); the
-    diagonal p = q is the continuous limit.  Gini(p, 0) evaluates through
-    the same arithmetic as power_mean(p).
+    diagonal p = q is the continuous limit.  Gini(p, 0) is power_mean(p),
+    bit for bit.
     """
-    x, lam = check_xlam(x, lam)
-    p, q = float(p), float(q)
-    if math.isnan(p) or math.isnan(q) or math.isinf(p) or math.isinf(q):
-        raise DomainError("Gini exponents must be finite")
-    # a zero exponent reduces to a power mean; delegating keeps the two
-    # families bit-identical there, not merely close
-    if q == 0.0:
-        return _power_mean_checked(x, lam, p)
-    if p == 0.0:
-        return _power_mean_checked(x, lam, q)
-    sup = _support(x, lam)
-    lo, hi = float(sup.min()), float(sup.max())
-    if lo == hi:
-        return lo
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    logx = np.log(x)
-    if p == q:
-        # limit: exp of the x**p-weighted average of log x
-        t = log_lam + p * logx
-        m = np.max(t)
-        w = np.exp(t - m)
-        val = math.exp(float(np.dot(w, logx) / np.sum(w)))
-    else:
-        val = math.exp((_weighted_lse(log_lam, p * logx)
-                        - _weighted_lse(log_lam, q * logx)) / (p - q))
-    return float(min(max(val, lo), hi))
+    return Gini(float(p), float(q)).evaluate(x, lam)
 
 
 def quasiarithmetic_mean(x, lam, g: GeneratorFunction) -> float:
@@ -160,58 +98,26 @@ def quasiarithmetic_mean(x, lam, g: GeneratorFunction) -> float:
     Uses g's analytic inverse when present, otherwise inverts by
     bracketed root finding between min x and max x.
     """
-    x, lam = check_xlam(x, lam)
-    sup = _support(x, lam)
-    lo, hi = float(sup.min()), float(sup.max())
-    if lo == hi:
-        return lo
-    vals = np.asarray(g.fn(x), dtype=float)
-    if not np.all(np.isfinite(vals[lam > 0.0])):
-        raise DomainError("generator produced non-finite values on the sample")
-    total = float(np.sum(lam))
-    target = float(np.dot(lam, vals) / total)
-    vsup = vals[lam > 0.0]
-    target = min(max(target, float(vsup.min())), float(vsup.max()))
-    if g.inverse is not None:
-        y = float(np.asarray(g.inverse(target), dtype=float))
-    else:
-        def h(t):
-            return float(np.asarray(g.fn(np.array([t])), dtype=float)[0]) - target
-        hlo, hhi = h(lo), h(hi)
-        if hlo == 0.0:
-            return lo
-        if hhi == 0.0:
-            return hi
-        if (hlo < 0.0) == (hhi < 0.0):
-            raise InversionError(
-                f"target {target:g} not bracketed by g on [{lo:g}, {hi:g}]")
-        y = bracketed_root(h, lo, hi, xtol=max(1e-13 * lo, 5e-324),
-                           rtol=RTOL_FLOOR, flo=hlo, fhi=hhi).root
-    return float(min(max(y, lo), hi))
+    return QuasiArithmetic(g).evaluate(x, lam)
 
 
-def quasideviation_mean(x, lam, kernel: QuasideviationKernel,
-                        tol: Optional[float] = None) -> float:
+def quasideviation_mean(x, lam, kernel: QuasideviationKernel) -> float:
     """Root y of sum(lam_i * E(x_i, y)) = 0 on [min x, max x].
 
     The sign property of E makes the endpoint values straddle zero; a
     violated straddle raises BracketError (the kernel is then not a
     quasideviation on this sample).
     """
-    x, lam = check_xlam(x, lam)
-    return _deviation_root(x, lam, kernel.fn, tol,
-                           Deviation(kernel).homogeneous)
+    return Deviation(kernel).evaluate(x, lam)
 
 
-def homogeneous_devmean(x, lam, f: GeneratorFunction,
-                        tol: Optional[float] = None) -> float:
+def homogeneous_devmean(x, lam, f: GeneratorFunction) -> float:
     """Deviation mean with ratio kernel E(x, y) = f(x/y).
 
     Requires f to declare the sign property sign f(u) = sign (u - 1);
     the result is then positively homogeneous in x.
     """
-    x, lam = check_xlam(x, lam)
-    return _deviation_root(x, lam, _ratio_kernel_fn(f), tol, True)
+    return HomogeneousDeviation(f).evaluate(x, lam)
 
 
 def _require_sign_like(f: GeneratorFunction) -> None:
@@ -230,16 +136,8 @@ def _ratio_kernel_fn(f: GeneratorFunction):
     return efn
 
 
-def _deviation_root(x: np.ndarray, lam: np.ndarray, efn, tol,
-                    homogeneous: bool) -> float:
-    mask = lam > 0.0
-    xs, ws = x[mask], lam[mask]
-    return _solve_deviation(xs, ws, float(xs.min()), float(xs.max()), efn,
-                            tol, homogeneous)
-
-
 def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
-                     efn, tol, homogeneous: bool) -> float:
+                     efn, homogeneous: bool) -> float:
     """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
     by Brent's method; ws > 0.
 
@@ -253,9 +151,7 @@ def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
     if homogeneous:
         e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
         y = _solve_deviation(np.ldexp(xs, -e), ws, math.ldexp(lo, -e),
-                             math.ldexp(hi, -e), efn,
-                             None if tol is None else math.ldexp(tol, -e),
-                             False)
+                             math.ldexp(hi, -e), efn, False)
         return math.ldexp(y, e)
 
     def g(y):
@@ -267,9 +163,8 @@ def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
     if ghi == 0.0:
         return hi
     _check_sign_property(glo, ghi, lo, hi)
-    xtol = tol if tol is not None else max(1e-13 * lo, 5e-324)
-    return bracketed_root(g, lo, hi, xtol=xtol, rtol=RTOL_FLOOR,
-                          flo=glo, fhi=ghi).root
+    return bracketed_root(g, lo, hi, xtol=max(1e-13 * lo, 5e-324),
+                          rtol=RTOL_FLOOR, flo=glo, fhi=ghi).root
 
 
 def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
@@ -285,21 +180,28 @@ def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
 class MeanSpec:
     """A weighted mean family with its parameters.
 
-    Everything that depends on the family lives on its subclass:
-    evaluation, prefix evaluation, the closed and root routes to the
-    sharp constant, specifier text, and the structural facts
-    ``homogeneous`` (M(t x) = t M(x)) and ``symmetric_monotone``
-    (symmetric, nondecreasing in each sample).  A new family overrides
-    what it has; the base supplies the generic prefix path, False for
-    both facts, and raises for the rest.
+    Everything that depends on the family lives on its subclass: prefix
+    evaluation, the closed and root routes to the sharp constant,
+    specifier text, and the structural facts ``homogeneous``
+    (M(t x) = t M(x)) and ``symmetric_monotone`` (symmetric,
+    nondecreasing in each sample).  A family computes its values in
+    ``prefix`` alone, and ``evaluate`` is the last prefix.  A new family
+    overrides what it has: ``prefix``, or only ``evaluate``, which the
+    base prefix path then calls once per prefix.  The base supplies
+    False for both facts and raises for the rest.
     """
 
     homogeneous = False
     symmetric_monotone = False
 
-    def evaluate(self, x, lam, tol: Optional[float] = None) -> float:
-        """The weighted mean of x; tol bounds the root of deviation means."""
-        raise DomainError(f"unknown mean spec {self!r}")
+    def evaluate(self, x, lam) -> float:
+        """The weighted mean of x: the last of the prefix means of the
+        samples with positive weight, bit for bit
+        ``prefix_values(self, x, lam)[-1]`` when lam[0] > 0."""
+        x, lam = check_xlam(x, lam)
+        keep = lam > 0.0
+        xs, ws = x[keep], lam[keep]
+        return float(self.prefix(xs, ws, np.arange(xs.size))[-1])
 
     def prefix(self, x: np.ndarray, lam: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
@@ -308,11 +210,14 @@ class MeanSpec:
         x is one sample row of shape (N,) or a batch of rows (rows, N);
         lam has shape (N,), lam[0] > 0, and the inputs are already
         validated.  Prefix means are causal: entries past column i do not
-        change the mean of prefix i.  This generic path loops over the
-        rows and evaluates each prefix on its own.
+        change the mean of prefix i.  This generic path, for a family
+        that defines only ``evaluate``, loops over the rows and evaluates
+        each prefix on its own.
         """
         if x.ndim > 1:
             return np.array([self.prefix(row, lam, idx) for row in x])
+        if type(self).evaluate is MeanSpec.evaluate:
+            raise DomainError(f"unknown mean spec {self!r}")
         return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
                         dtype=float)
 
@@ -337,11 +242,14 @@ class Power(MeanSpec):
     homogeneous = True
     symmetric_monotone = True
 
-    def evaluate(self, x, lam, tol=None):
-        return power_mean(x, lam, self.p)
-
     def prefix(self, x, lam, idx):
-        return _prefix_power(x, lam, self.p, idx)
+        p = self.p
+        if math.isnan(p):
+            raise DomainError("power mean order must not be NaN")
+        if abs(p) >= _P_EXTREME:
+            lo, hi = _running_bounds(x, lam)
+            return (hi if p > 0.0 else lo)[..., idx]
+        return _prefix_gini(x, lam, p, 0.0, idx)
 
     def closed_constant(self, eta):
         p = self.p
@@ -371,12 +279,9 @@ class Gini(MeanSpec):
     def symmetric_monotone(self):
         return min(self.p, self.q) <= 0.0 <= max(self.p, self.q)
 
-    def evaluate(self, x, lam, tol=None):
-        return gini_mean(x, lam, self.p, self.q)
-
     def prefix(self, x, lam, idx):
-        if x.ndim > 1 and self.p == self.q != 0.0:
-            return super().prefix(x, lam, idx)
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise DomainError("Gini exponents must be finite")
         return _prefix_gini(x, lam, self.p, self.q, idx)
 
     def closed_constant(self, eta):
@@ -399,12 +304,7 @@ class QuasiArithmetic(MeanSpec):
     def homogeneous(self):
         return self.g.family[0] in ("pow-map", "log")
 
-    def evaluate(self, x, lam, tol=None):
-        return quasiarithmetic_mean(x, lam, self.g)
-
     def prefix(self, x, lam, idx):
-        if self.g.inverse is None:
-            return super().prefix(x, lam, idx)
         return _prefix_qa(x, lam, self.g, idx)
 
     def closed_constant(self, eta):
@@ -433,9 +333,6 @@ class Deviation(MeanSpec):
         return self.kernel.family[0] in ("difference", "power-gap", "ratio",
                                          "scaled-ratio")
 
-    def evaluate(self, x, lam, tol=None):
-        return quasideviation_mean(x, lam, self.kernel, tol=tol)
-
     def prefix(self, x, lam, idx):
         if x.ndim > 1:
             return super().prefix(x, lam, idx)
@@ -457,9 +354,6 @@ class HomogeneousDeviation(MeanSpec):
     @property
     def symmetric_monotone(self):
         return self.f.concave and self.f.sign_like
-
-    def evaluate(self, x, lam, tol=None):
-        return homogeneous_devmean(x, lam, self.f, tol=tol)
 
     def prefix(self, x, lam, idx):
         if self.f.d1 is not None:
@@ -505,13 +399,9 @@ def prefix_values(spec: MeanSpec, x, lam,
     """Mean of the first n samples for each n in `ns` (default: all n).
 
     x and lam are one 1-d sample vector and its weights, validated here
-    once, not once per prefix.  The work is ``spec.prefix``, which also
-    takes a batch of sample rows sharing lam: closed families (power,
-    Gini with p != q, invertible quasiarithmetic) run on cumulative
-    accumulators along the last axis in one vectorized pass; homogeneous
-    deviation means with a derivative solve each requested prefix of
-    every row in one lane-wise Newton solve, warm-started from the row's
-    previous root; the rest evaluate each prefix of each row on its own.
+    once, not once per prefix.  The work is ``spec.prefix`` (see the
+    module docstring), which also takes a batch of sample rows sharing
+    lam.
     """
     x, lam = check_xlam(x, lam)
     if lam[0] <= 0.0:
@@ -532,18 +422,203 @@ def _running_bounds(x, lam):
     return lo, hi
 
 
+def _log_ratios(x):
+    """r = log(x / x[..., 0]) along the last axis.
+
+    r is formed from the mantissas and exponents of x, so it is finite
+    for any spread and, for samples scaled alike by a power of two, does
+    not depend on the scale; r[..., 0] = 0 exactly."""
+    mx, ex = np.frexp(x)
+    mx /= mx[..., :1]
+    r = np.log(mx, out=mx)
+    ex -= ex[..., :1]
+    r += ex * _LN2
+    return r
+
+
+def _times_exp(a, e):
+    """a * exp(e); once |e| nears the float range of exp, as
+    2**k a exp(e - k log 2), so that exp(e) may leave that range while
+    the product does not."""
+    if (np.abs(e) < 700.0).all():
+        return a * np.exp(e)
+    k = np.rint(e / _LN2)
+    return np.ldexp(a * np.exp(e - k * _LN2), k.astype(int))
+
+
+def _shifted_sums(t, values, idx):
+    """Prefix sums of e**t, and the e**t-weighted prefix means of each v
+    in `values`, along the last axis at the columns idx.
+
+    t is (N,) or (rows, N) with t[..., 0] finite; a v has t's shape, or
+    rows of its own when t is one shared row.  Each sum comes as a shift
+    c and the compensated sum (:func:`compensated_cumsum`) s of
+    e**(t - c), with s at least e**-_HEADROOM and at most N e**_HEADROOM:
+    two sums compare as the difference of their shifts plus the log of
+    s / s'.  If every t_0 and every entry of t is within _HEADROOM of 0,
+    c = 0, e**t is exact to rounding and all rows go in one pass; else
+    each row goes alone (:func:`_segmented_sums`).  An overflowing term
+    e**t_i v_i makes that mean inf or NaN from i on.
+    """
+    rows = np.atleast_2d(t)
+    vals = [np.atleast_2d(v) for v in values]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ((np.abs(rows[:, 0]) <= _HEADROOM)
+                & (rows.max(axis=-1) <= _HEADROOM)).all():
+            e = np.exp(rows)
+            sums = compensated_cumsum(e)[0][..., idx]
+            shift = np.zeros((len(rows), 1))
+            means = [compensated_cumsum(e * v)[0][..., idx] / sums
+                     for v in vals]
+        else:
+            parts = [_segmented_sums(
+                row, [v if len(rows) == 1 else v[k:k + 1] for v in vals], idx)
+                for k, row in enumerate(rows)]
+            shift, sums = (np.array([part[i] for part in parts])
+                           for i in (0, 1))
+            means = [np.concatenate([part[2][m] for part in parts])
+                     for m in range(len(vals))]
+    if np.ndim(t) == 1:
+        shift, sums = shift[0], sums[0]
+        means = [m[0] if np.ndim(v) == 1 else m
+                 for v, m in zip(values, means)]
+    return shift, sums, means
+
+
+def _exp_diff(a, b):
+    """e**(a - b) for a finite b, with the rounding of a - b restored
+    (TwoSum), so that the error is that of exp alone however large
+    a - b is; 0 where a = -inf."""
+    d = a - b
+    z = d - a
+    lo = (a - (d - z)) - (b + z)
+    e = np.exp(d)
+    return np.fmax(e + e * lo, 0.0)
+
+
+def _segmented_sums(row, vals, idx):
+    """_shifted_sums of one row of t.  The shift c starts at 0, or at t_0
+    when that is farther than _HEADROOM from 0; it moves to the running
+    maximum of t, and the carried sums are rescaled, when that passes
+    c + _HEADROOM, so no term exceeds e**_HEADROOM and the Python loop is
+    over segments.  A row that needs no move gives the bits of the
+    one-pass path."""
+    n = row.size
+    tmax = np.maximum.accumulate(row)
+    s0, shift = np.empty(n), np.empty(n)
+    sums = [np.empty(v.shape) for v in vals]
+    carries = [(0.0, 0.0)] * (1 + len(vals))
+    i, c = 0, (0.0 if abs(row[0]) <= _HEADROOM else row[0])
+    while i < n:
+        j = int(np.searchsorted(tmax, c + _HEADROOM, side="right"))
+        e = _exp_diff(row[i:j], c)
+        s0[i:j], carries[0] = compensated_cumsum(e, carries[0])
+        for k, (v, s) in enumerate(zip(vals, sums), 1):
+            s[..., i:j], carries[k] = compensated_cumsum(e * v[..., i:j],
+                                                         carries[k])
+        shift[i:j] = c
+        if j < n:
+            scale = _exp_diff(c, tmax[j])
+            carries = [(a * scale, b * scale) for a, b in carries]
+            c = tmax[j]
+        i = j
+    s0 = s0[idx]
+    return shift[idx], s0, [s[..., idx] / s0 for s in sums]
+
+
+def _prefix_gini(x, lam, p, q, idx):
+    """Gini(p, q) of every prefix; the mean is symmetric in (p, q), which
+    are ordered so that p >= q, and Power(p) is Gini(p, 0).
+
+    With r = log(x / x[0]) (:func:`_log_ratios`) and weights lam e**(q r),
+    the exponent e = log(M / x[0]) is the weighted mean of r when p = q.
+    Otherwise it is log1p(m) / (p - q) for the weighted mean m of
+    expm1((p - q) r) when p - q < 1/2: the form of
+    :func:`~hardymeans.hardy.C_of`, which has no cancellation as
+    p - q -> 0.  For p - q >= 1/2, and wherever m < -1/2 (1 + m is then
+    a cancelled difference) or m overflows, e is the log of the ratio of
+    the sums of lam e**(p r) and lam e**(q r), over p - q: that divides
+    its rounding by p - q > log 2 / max |r|.
+    """
+    q, p = sorted((float(p), float(q)))
+    lo, hi = _running_bounds(x, lam)
+    r = _log_ratios(x)
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    d = p - q
+    # log(lam x**s / x[0]**s); the weights' own row when s = 0
+    t_p, t_q = (log_lam + s * r if s else log_lam for s in (p, q))
+    if d == 0.0:
+        _, _, (e,) = _shifted_sums(t_p, [r], idx)
+    else:
+        with np.errstate(over="ignore"):
+            grown = [np.expm1(d * r)] if d < 0.5 else []
+        c_q, s_q, means = _shifted_sums(t_q, grown, idx)
+        if means:
+            (m,) = means
+            e = np.log1p(np.maximum(m, -0.5)) / d
+            far = ~np.isfinite(m) | (m < -0.5)
+        if not means or far.any():
+            c_p, s_p, _ = _shifted_sums(t_p, [], idx)
+            ratio = ((c_p - c_q) + np.log(s_p / s_q)) / d
+            e = np.where(far, ratio, e) if means else ratio
+    vals = _times_exp(x[..., :1], e)
+    return np.minimum(np.maximum(vals, lo[..., idx]), hi[..., idx])
+
+
+def _prefix_qa(x, lam, g, idx):
+    """g^-1 of the weighted prefix means of g(x), by g's inverse or, for
+    a generator without one, by one Brent root per requested prefix."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(g.fn(x), dtype=float)
+    vals = np.where(lam > 0.0, vals, 0.0)
+    if not np.isfinite(vals).all():
+        raise DomainError("generator produced non-finite values on the sample")
+    with np.errstate(divide="ignore"):
+        _, _, (target,) = _shifted_sums(np.log(lam), [vals], idx)
+    if not np.isfinite(target).all():
+        raise DomainError("weighted mean of the generator values overflows")
+    vlo, vhi = _running_bounds(vals, lam)
+    target = np.minimum(np.maximum(target, vlo[..., idx]), vhi[..., idx])
+    lo, hi = (b[..., idx] for b in _running_bounds(x, lam))
+    if g.inverse is not None:
+        ys = np.asarray(g.inverse(target), dtype=float)
+    else:
+        ys = np.empty(target.shape)
+        for k in np.ndindex(target.shape):
+            ys[k] = _invert(g, float(target[k]), float(lo[k]), float(hi[k]))
+    return np.minimum(np.maximum(ys, lo), hi)
+
+
+def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
+            ) -> float:
+    """y in [lo, hi] with g(y) = target, by Brent's method."""
+    if lo == hi:
+        return lo
+
+    def h(y):
+        return float(np.asarray(g.fn(np.array([y])), dtype=float)[0]) - target
+
+    hlo, hhi = h(lo), h(hi)
+    if hlo != 0.0 and hhi != 0.0 and (hlo < 0.0) == (hhi < 0.0):
+        raise InversionError(
+            f"target {target:g} not bracketed by g on [{lo:g}, {hi:g}]")
+    return bracketed_root(h, lo, hi, xtol=max(1e-13 * lo, 5e-324),
+                          rtol=RTOL_FLOOR, flo=hlo, fhi=hhi).root
+
+
 def _prefix_deviation(x, lam, efn, idx, homogeneous):
     """Brent root per prefix.  The support of prefix i is the leading
     count[i] positive-weight samples, so the mask is taken once."""
     lo, hi = _running_bounds(x, lam)
     support = lam > 0.0
     count = np.cumsum(support)
-    xs, ws = x[support], lam[support]
+    xs, ws = x[support], unit_scaled(lam[support])
     out = np.empty(idx.size)
     for j, i in enumerate(idx):
         k = count[i]
         out[j] = _solve_deviation(xs[:k], ws[:k], float(lo[i]), float(hi[i]),
-                                  efn, None, homogeneous)
+                                  efn, homogeneous)
     return out
 
 
@@ -551,24 +626,20 @@ def _prefix_devmean_newton(x, lam, f, idx):
     """Homogeneous deviation mean per prefix, solved for t = log(y / x[0]).
 
     With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
-    decreases from g(min r) >= 0 to g(max r) <= 0 and
-    g'(t) = -sum w u f'(u), so each root is a safeguarded Newton solve
-    warm-started from the previous prefix's root, moved by the change in
-    the weighted mean of r between the two prefixes (the whole change
-    when f = log).  x[0] has positive weight, so it is in every prefix's
-    support: |t| <= log(hi / lo), and t and u carry errors set by the
-    spread of the samples, not by their magnitude.  The bracket ends are
-    the running extremes of r, where the extreme sample has
-    u = exp(0) = 1 exactly.  The solve stops once |dt| is within
-    1e-13 lo / hi + RTOL_FLOOR (1 + |t|), so the relative error of y is
-    within that of the one-prefix solve, 1e-13 lo / y + RTOL_FLOOR, plus
-    RTOL_FLOOR log(hi / lo).
-
-    The rows of a batch are independent lanes of one Newton solve per
-    requested prefix (:func:`~hardymeans.rootfind.newton_lanes`); a row
-    whose prefix has equal extremes, or a zero of g at an extreme, takes
-    that value without a solve, and each row warm-starts from its own
-    last solved root.
+    decreases from g(min r) >= 0 to g(max r) <= 0, with
+    g'(t) = -sum w u f'(u).  Each requested prefix is one safeguarded
+    Newton solve with the rows as lanes (:func:`rootfind.newton_lanes`),
+    each row warm-started from its last solved root, moved by the change
+    in the weighted mean of r since (the whole change when f = log).
+    x[0] is in every prefix's support, so t and u carry errors set by the
+    spread of the samples, not by their magnitude; the weights are scaled
+    by a power of two (:func:`~hardymeans.weights.unit_scaled`) so that g
+    stays in range.  The bracket ends are the running extremes of r, and
+    the solve stops once |dt| is within 1e-13 lo / hi + RTOL_FLOOR
+    (1 + |t|).  A row whose prefix has equal extremes, or a zero of g at
+    an extreme, takes that value without a solve; a prefix with the
+    weighted samples of the one before it takes that one's means, so
+    zero weights neither add a solve nor change the chain of warm starts.
     """
     _require_sign_like(f)
     fn, d1 = f.fn, f.d1
@@ -577,16 +648,22 @@ def _prefix_devmean_newton(x, lam, f, idx):
     support = lam > 0.0
     count = np.cumsum(support)
     x_ref = rows[:, 0]
-    rx = np.log(np.compress(support, rows, axis=-1) / x_ref[:, None])
-    ws = lam[support]
+    rx = np.compress(support, _log_ratios(rows), axis=-1)
+    _, _, (r_mean,) = _shifted_sums(np.log(lam[support]), [rx],
+                                    np.arange(rx.shape[-1]))
+    ws = unit_scaled(lam[support])
     rlo = np.minimum.accumulate(rx, axis=-1)
     rhi = np.maximum.accumulate(rx, axis=-1)
-    r_mean = np.cumsum(ws * rx, axis=-1) / np.cumsum(ws)
     out = np.empty((rows.shape[0], idx.size))
     t = np.full(rows.shape[0], np.nan)  # last solved root of each row
     k_solved = np.zeros(rows.shape[0], dtype=int)
+    k_prev = 0
     for j, i in enumerate(idx):
         k = count[i]
+        if k == k_prev:
+            out[:, j] = out[:, j - 1]
+            continue
+        k_prev = k
         a, b = rlo[:, k - 1], rhi[:, k - 1]
         lo_i, hi_i = lo[:, i], hi[:, i]
         out[:, j] = np.minimum(np.maximum(x_ref, lo_i), hi_i)  # a == b == 0
@@ -606,6 +683,8 @@ def _prefix_devmean_newton(x, lam, f, idx):
             _check_sign_property(float(ga[m]), float(gb[m]),
                                  float(lo_i[live[m]]), float(hi_i[live[m]]))
         r, lanes = _take_rows(r, np.flatnonzero(solve)), live[solve]
+        if lanes.size == 0:
+            continue
 
         def g_slope(s, sub):
             u = np.exp(_take_rows(r, sub) - s[:, None])
@@ -619,7 +698,7 @@ def _prefix_devmean_newton(x, lam, f, idx):
             rtol=RTOL_FLOOR)
         k_solved[lanes] = k
         out[lanes, j] = np.minimum(
-            np.maximum(x_ref[lanes] * np.exp(t[lanes]), lo_i[lanes]),
+            np.maximum(_times_exp(x_ref[lanes], t[lanes]), lo_i[lanes]),
             hi_i[lanes])
     return out if x.ndim > 1 else out[0]
 
@@ -635,98 +714,6 @@ def _row_dot(a, w):
     differently by its position in the batch, and each row's value must
     depend on that row alone."""
     return np.einsum("ij,j->i", a, w)
-
-
-def _prefix_power(x, lam, p, idx):
-    p = float(p)
-    if math.isnan(p):
-        raise DomainError("power mean order must not be NaN")
-    lo, hi = _running_bounds(x, lam)
-    if p == math.inf or p >= _P_EXTREME:
-        return hi[..., idx]
-    if p == -math.inf or p <= -_P_EXTREME:
-        return lo[..., idx]
-    with np.errstate(divide="ignore"):
-        ll = np.log(lam)
-    logx = np.log(x)
-    lse0 = np.logaddexp.accumulate(ll)
-    if abs(p) < _P_GEOMETRIC:
-        num = np.cumsum(lam * logx, axis=-1)
-        den = np.cumsum(lam)
-        vals = np.exp(num / den)
-    else:
-        lsep = np.logaddexp.accumulate(ll + p * logx, axis=-1)
-        vals = np.exp((lsep - lse0) / p)
-    return np.minimum(np.maximum(vals, lo), hi)[..., idx]
-
-
-def _prefix_gini(x, lam, p, q, idx):
-    p, q = float(p), float(q)
-    if any(map(math.isnan, (p, q))) or any(map(math.isinf, (p, q))):
-        raise DomainError("Gini exponents must be finite")
-    if q == 0.0:
-        return _prefix_power(x, lam, p, idx)
-    if p == 0.0:
-        return _prefix_power(x, lam, q, idx)
-    lo, hi = _running_bounds(x, lam)
-    if p == q:
-        vals = _prefix_gini_diagonal(x, lam, p)
-    else:
-        with np.errstate(divide="ignore"):
-            ll = np.log(lam)
-        logx = np.log(x)
-        lsep = np.logaddexp.accumulate(ll + p * logx, axis=-1)
-        lseq = np.logaddexp.accumulate(ll + q * logx, axis=-1)
-        vals = np.exp((lsep - lseq) / (p - q))
-    return np.minimum(np.maximum(vals, lo), hi)[..., idx]
-
-
-def _prefix_gini_diagonal(x, lam, p):
-    """Gini(p, p) of every prefix: exp of the lam x**p-weighted mean of
-    log x.
-
-    With r = log(x / x[0]) and t = log lam + p r, the prefix sums
-    S0 = sum e**(t - c) and S1 = sum e**(t - c) r are compensated cumsums
-    and each mean is exp(log x[0] + S1 / S0).  r is formed from the
-    mantissas and exponents of x, so it is finite for any spread and, for
-    samples scaled alike by a power of two, does not depend on the scale.
-    The shift c is the running max of t where a segment starts; it moves,
-    and the carried sums are rescaled, only when the running max passes
-    c + _GINI_HEADROOM, so no term exceeds e**_GINI_HEADROOM and the
-    only Python loop is over those segments.
-    """
-    mx, ex = np.frexp(x)
-    r = np.log(mx / mx[0]) + (ex - ex[0]) * _LN2
-    with np.errstate(divide="ignore"):
-        t = np.log(lam) + p * r
-    tmax = np.maximum.accumulate(t)  # finite: lam[0] > 0
-    mean_r = np.empty(x.size)
-    carry0 = carry1 = (0.0, 0.0)
-    i, c = 0, float(tmax[0])
-    while i < x.size:
-        j = int(np.searchsorted(tmax, c + _GINI_HEADROOM, side="right"))
-        e = np.exp(t[i:j] - c)
-        s0, carry0 = compensated_cumsum(e, carry0)
-        s1, carry1 = compensated_cumsum(e * r[i:j], carry1)
-        mean_r[i:j] = s1 / s0
-        if j < x.size:
-            shift = float(tmax[j])
-            scale = math.exp(c - shift)
-            carry0 = (carry0[0] * scale, carry0[1] * scale)
-            carry1 = (carry1[0] * scale, carry1[1] * scale)
-            c = shift
-        i = j
-    return np.exp(math.log(x[0]) + mean_r)
-
-
-def _prefix_qa(x, lam, g, idx):
-    lo, hi = _running_bounds(x, lam)
-    vals = np.asarray(g.fn(x), dtype=float)
-    vlo, vhi = _running_bounds(vals, lam)
-    target = np.cumsum(lam * vals, axis=-1) / np.cumsum(lam)
-    target = np.minimum(np.maximum(target, vlo), vhi)
-    ys = np.asarray(g.inverse(target), dtype=float)
-    return np.minimum(np.maximum(ys, lo), hi)[..., idx]
 
 
 # -- CLI specifier parsing ------------------------------------------------

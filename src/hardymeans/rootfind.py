@@ -1,28 +1,26 @@
 """Bracketed root finding, in pure Python and NumPy.
 
-:func:`bracketed_root` solves f(x) = 0 on [lo, hi] when f(lo) and f(hi)
-straddle zero.  It has two paths:
+Two solvers, for functions whose values straddle zero on a bracket:
 
-* Brent's method (R. P. Brent, *Algorithms for Minimization without
-  Derivatives*, 1973, ch. 4): inverse quadratic interpolation and secant
+* :func:`bracketed_root`, Brent's method (R. P. Brent, *Algorithms for
+  Minimization without Derivatives*, 1973, ch. 4), for one scalar f
+  without a derivative: inverse quadratic interpolation and secant
   steps, falling back to bisection whenever they do not shrink the
   bracket fast enough.  The iteration is the one of SciPy's ``brentq``,
   step for step, so ``xtol``/``rtol`` mean the same and the iterates
   and iteration counts are the same.
-* Safeguarded Newton, when f also returns its derivative: Newton steps
-  from a start point, with a bisection step whenever the Newton step
-  would leave the current bracket or fails to halve the step before
-  last.  A wrong-signed, vanishing or NaN derivative therefore costs
-  speed, never the bracket.  The stopping test (a Newton step within
-  tolerance) trusts the derivative's magnitude.
+* :func:`newton_lanes`, safeguarded Newton when f also returns its
+  derivative, on many independent brackets ("lanes") at once, in the
+  manner of the lane-wise safeguarded solvers (T. R. Chandrupatla,
+  *Adv. Eng. Software* 28, 1997): Newton steps from a start point, with
+  a bisection step whenever the Newton step would leave the current
+  bracket or fails to halve the step before last, each lane with its
+  own bracket updates, fallback and stop.  A wrong-signed, vanishing or
+  NaN derivative therefore costs speed, never the bracket.  The
+  stopping test (a Newton step within tolerance) trusts the
+  derivative's magnitude.  One scalar solve is a batch of one lane.
 
-The Newton iteration is :func:`newton_lanes`, which runs it on many
-independent brackets ("lanes") at once, each with its own bracket
-updates, bisection fallback and stop, in the manner of the lane-wise
-safeguarded solvers (T. R. Chandrupatla, *Adv. Eng. Software* 28,
-1997).  One scalar solve is a batch of one lane.
-
-No path evaluates f twice at one point: endpoint values the caller
+Neither evaluates f twice at one point: endpoint values the caller
 already holds are passed in, and the reported residual is the value
 already computed at the returned root.  :func:`expand_bracket_up` is a
 slide-and-double bracket search for roots of decreasing functions on
@@ -57,16 +55,12 @@ class RootResult:
 
 def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
                    rtol: float = RTOL_FLOOR, *, flo: float | None = None,
-                   fhi: float | None = None, fprime: bool = False,
-                   x0: float | None = None) -> RootResult:
-    """Root of f on [lo, hi], where f(lo) and f(hi) must straddle zero.
+                   fhi: float | None = None) -> RootResult:
+    """Root of f on [lo, hi] by Brent's method, where f(lo) and f(hi)
+    must straddle zero.
 
     flo, fhi -- values of f at lo and hi the caller already holds; each
                 one left out is evaluated here.
-    fprime   -- f returns the pair (f(x), f'(x)); the solver then takes
-                safeguarded Newton steps from x0 (from the secant point
-                of the bracket when x0 is None or not inside it).
-                Supplied endpoint values are plain values.
     xtol, rtol -- the root is returned once it is known to within
                 xtol + rtol * |root|; rtol is floored at RTOL_FLOOR.
 
@@ -78,7 +72,13 @@ def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
     if not xtol > 0.0:
         raise DomainError(f"xtol must be positive, got {xtol!r}")
     rtol = max(rtol, RTOL_FLOOR)
-    value = _value_of(f, fprime)
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise DomainError(f"function value is NaN at x={x!r}")
+        return fx
+
     flo = value(lo) if flo is None else float(flo)
     if flo == 0.0:
         return RootResult(lo, 0.0, (lo, hi), 0)
@@ -89,30 +89,8 @@ def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
         raise BracketError(
             f"no sign change on [{lo:g}, {hi:g}]: "
             f"f(lo)={flo:g}, f(hi)={fhi:g}")
-    if fprime:
-        def lane(x, lanes):
-            fx, dfx = f(float(x[0]))
-            return np.array([float(fx)]), np.array([float(dfx)])
-
-        roots, values, counts = newton_lanes(
-            lane, [lo], [flo], [hi], [fhi], None if x0 is None else [x0],
-            xtol, rtol)
-        root, residual, iterations = (float(roots[0]), float(values[0]),
-                                      int(counts[0]))
-    else:
-        root, residual, iterations = _brent(value, lo, flo, hi, fhi, xtol,
-                                            rtol)
+    root, residual, iterations = _brent(value, lo, flo, hi, fhi, xtol, rtol)
     return RootResult(root, residual, (lo, hi), iterations)
-
-
-def _value_of(f, fprime: bool):
-    """x -> float f(x), NaN rejected; the value part when f returns pairs."""
-    def value(x):
-        fx = float(f(x)[0] if fprime else f(x))
-        if fx != fx:
-            raise DomainError(f"function value is NaN at x={x!r}")
-        return fx
-    return value
 
 
 def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,

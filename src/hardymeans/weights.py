@@ -210,41 +210,57 @@ class WeightSequence:
         return f"WeightSequence({self.spec_text()})"
 
 
-def compensated_cumsum(v: np.ndarray, carry: tuple[float, float] = (0.0, 0.0)
-                       ) -> tuple[np.ndarray, tuple[float, float]]:
-    """Prefix sums of v, each as accurate as if accumulated in twice the
-    working precision and then rounded.
+def compensated_cumsum(v: np.ndarray, carry=(0.0, 0.0)):
+    """Prefix sums of v, or of each row of a 2-d v, each as accurate as
+    if accumulated in twice the working precision and then rounded.
 
     ``np.cumsum`` gives the floating-point running sums s_i; the TwoSum
     error of each step (s_{i-1} + v_i = s_i + err_i exactly) is
     accumulated by a second cumsum and added back (Ogita, Rump & Oishi,
     "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005).
+    Each row of a 2-d v is summed as if it were alone.
 
     carry -- (running sum, accumulated error) after the terms before v,
-             as returned by an earlier call; the sums then continue that
-             one, bit for bit as if v had been appended to its input.
+             numbers or arrays of one entry per row, as returned by an
+             earlier call; the sums then continue that one, bit for bit
+             as if v had been appended to its input.
 
     Returns the prefix sums and the carry after the last term.  Once the
     running sum overflows, the prefix sums are that running sum (inf or
     NaN), with no floating-point warning.
     """
-    run = np.concatenate(([carry[0]], v))
+    # the sums run down axis 0 of the transposed layout, so that for a
+    # batch every step is one contiguous operation across the rows
+    v = v.T
+    run = np.empty((v.shape[0] + 1,) + v.shape[1:])
+    run[0] = carry[0]
+    run[1:] = v
     err = np.empty_like(run)
     err[0] = carry[1]
     prev, s, e = run[:-1], run[1:], err[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(run, out=run)
+        np.cumsum(run, axis=0, out=run)
         b = s - prev
         # e = (prev - (s - b)) + (v - b), without further temporaries
         np.subtract(s, b, out=e)
         np.subtract(prev, e, out=e)
         np.subtract(v, b, out=b)
         e += b
-        np.cumsum(err, out=err)
-        carry = (float(run[-1]), float(err[-1]))
+        np.cumsum(err, axis=0, out=err)
+        carry = (run[-1].copy(), err[-1].copy())
         e += s
-    np.copyto(e, s, where=~np.isfinite(s))
-    return e, carry
+    # a running sum that overflows stays inf or NaN, so a finite last sum
+    # means finite sums throughout
+    if not np.isfinite(carry[0]).all():
+        np.copyto(e, s, where=~np.isfinite(s))
+    return e.T, carry
+
+
+def unit_scaled(w: np.ndarray) -> np.ndarray:
+    """w times the power of two that brings max(w) into [1/2, 1): sums of
+    w times values of order one stay in float range, and their ratios
+    and roots do not move."""
+    return np.ldexp(w, -math.frexp(float(w.max()))[1])
 
 
 def _check_index(n) -> int:

@@ -347,6 +347,38 @@ def test_batched_ratios_match_one_trial_at_a_time(spec, closed, weights,
             assert abs(ratios[j] - want) <= rtol * want, f"trial {first + j}"
 
 
+def _fsum_ratio_power_half(x, lam):
+    """R(x) for Power(1/2) with math.fsum sums."""
+    terms = list(lam * np.sqrt(x))
+    weights = list(lam)
+    means = [(math.fsum(terms[:n]) / math.fsum(weights[:n])) ** 2
+             for n in range(1, x.size + 1)]
+    return math.fsum(lam * np.array(means)) / math.fsum(lam * x)
+
+
+def test_ratios_with_weight_sums_beyond_float_range_stay_finite():
+    # geometric weights up to 2**1023 at N = 1024: sum lam x overflows
+    # unless lam is scaled first; trial 110 of seed 1 fills all of N
+    N, trials = 1024, 200
+    lam = GEO2.lam_array(N)
+    scaled = np.ldexp(lam, -1023)  # the same weights, in float range
+    x, lengths = empirical._draw_trials(1, 0, trials, N)
+    report = verify_inequality(Power(0.5), GEO2, C_of(0.5, 0.5),
+                               trials=trials, seed=1, N=N)
+    j = report.max_ratio_trial
+    best = x[j, :lengths[j]]
+    assert report.max_ratio == pytest.approx(
+        _fsum_ratio_power_half(best, scaled[:best.size]), rel=1e-13)
+    assert lengths[110] == N
+    assert hardy_ratio(Power(0.5), GEO2, x[110]) == pytest.approx(
+        _fsum_ratio_power_half(x[110], scaled), rel=1e-13)
+
+
+def test_a_ratio_that_is_not_finite_is_a_domain_error():
+    with pytest.raises(DomainError):
+        hardy_ratio(Power(0.5), ONES, np.full(4, 1e308))
+
+
 def test_violation_is_the_first_crossing_in_trial_order():
     # a constant between the best ratio before trial j and the ratio of
     # trial j, for a j in a later block: that trial must be reported

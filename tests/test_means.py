@@ -6,14 +6,15 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from hardymeans.errors import (BracketError, DomainError, InversionError,
                                UsageError)
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    dev_gini, dev_power, difference_kernel,
-                                   log_gen, power_gap_kernel, power_gen,
-                                   ratio_kernel)
+                                   exp_gen, log_gen, power_gap_kernel,
+                                   power_gen, ratio_kernel)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic, gini_mean, homogeneous_devmean,
                               parse_mean, power_mean, prefix_values,
@@ -219,6 +220,11 @@ def test_internality(xlam, spec):
 @settings(max_examples=60, deadline=None)
 @given(samples_and_weights(), st.sampled_from(SPECS),
        st.floats(min_value=-6.0, max_value=6.0))
+# a first weight hundreds of e-folds below the rest, within and beyond
+# the range where the prefix sums need a shift
+@example((np.array([1.0, 100.0]), np.array([9.7e-110, 1.0])), Power(0.5), 1.0)
+@example((np.array([10.0, 1.0, 1.0]), np.array([2.2e-311, 1e-52, 1e-52])),
+         Power(0.5), 0.5)
 def test_weight_scaling_invariance(xlam, spec, logt):
     x, lam = xlam
     t = 10.0 ** logt
@@ -312,6 +318,115 @@ def test_prefix_values_match_per_prefix_evaluation(spec):
         assert got[n - 1] == pytest.approx(direct, rel=1e-11), f"n={n}"
 
 
+# -- one evaluation path --------------------------------------------------
+
+EVERY_FAMILY = SPECS + [
+    Power(1e-9), Power(-1e-9), Power(math.inf), Power(-math.inf),
+    Gini(-0.5, -0.5), QuasiArithmetic(replace(log_gen(), inverse=None)),
+    HomogeneousDeviation(log_gen()),
+    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+]
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=repr)
+def test_evaluate_is_the_last_prefix_bit_for_bit(spec):
+    # zero weights inside the sequence and at its end: evaluate sees only
+    # the weighted samples, prefix_values sees all of them
+    rng = np.random.default_rng(5)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 30)
+    lam = rng.uniform(0.0, 1.0, 30)
+    lam[[0, 4, 5, 17, 29]] = (0.8, 0.0, 0.0, 0.0, 0.0)
+    assert spec.evaluate(x, lam) == prefix_values(spec, x, lam)[-1]
+
+
+def _fsum_power_mean(x, lam, p):
+    """(sum lam x**p / sum lam) ** (1/p), or the geometric mean at p = 0,
+    with math.fsum sums."""
+    if p == 0.0:
+        return math.exp(math.fsum(lam * np.log(x)) / math.fsum(lam))
+    return (math.fsum(lam * x ** p) / math.fsum(lam)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("spec", [Power(0.0), Power(0.5), Gini(0.5, -0.5)],
+                         ids=repr)
+def test_weights_beyond_float_range_give_one_answer(spec):
+    # geometric weights 2**(n-1) up to 2**1023: their total overflows,
+    # the prefix sums are shifted; both paths give the true mean
+    x = 10.0 ** np.random.default_rng(1).uniform(-3.0, 3.0, 1024)
+    lam = np.ldexp(1.0, np.arange(1024))
+    got = prefix_values(spec, x, lam)[-1]
+    assert got == spec.evaluate(x, lam)
+    scaled = np.ldexp(lam, -1023)  # the same weights, in float range
+    if isinstance(spec, Power):
+        want = _fsum_power_mean(x, scaled, spec.p)
+    else:
+        want = (_fsum_power_mean(x, scaled, 0.5)
+                * _fsum_power_mean(x, scaled, -0.5)) ** 0.5
+    # log-space weights near e**709 carry 1e-13 relative rounding
+    assert got == pytest.approx(want, rel=2e-13)
+
+
+def test_huge_equal_weights_leave_the_deviation_root_unmoved():
+    spec = parse_mean("devmean:f=pow:0.5")
+    x, lam = np.array([1.0, 2.0, 3.0]), np.full(3, 1e308)
+    got = prefix_values(spec, x, lam)
+    assert got[-1] == spec.evaluate(x, lam)
+    want = [_fsum_power_mean(x[:n], np.ones(n), 0.5) for n in (1, 2, 3)]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert want[-1] == pytest.approx(1.9101675806, rel=1e-10)
+
+
+def test_overflowing_generator_values_are_a_domain_error_on_both_paths():
+    spec = QuasiArithmetic(exp_gen())
+    x, lam = np.array([1.0, 800.0]), np.ones(2)
+    with pytest.raises(DomainError):
+        spec.evaluate(x, lam)
+    with pytest.raises(DomainError):
+        prefix_values(spec, x, lam)
+    # e**800 carries no weight: the mean of the rest
+    assert quasiarithmetic_mean(x, [1.0, 0.0], exp_gen()) == 1.0
+
+
+@pytest.mark.parametrize("p", [1e-12, -1e-12, 1e-9, -1e-9, 5e-8, -5e-8,
+                               1e-6, -1e-6, 1e-4, -1e-4, 1e-2, -1e-2])
+def test_power_means_near_order_zero_keep_their_digits(p):
+    rng = np.random.default_rng(13)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    lam = rng.uniform(0.1, 1.0, 200)
+    with mpmath.workdps(60):
+        xm = [mpmath.mpf(float(v)) for v in x]
+        wm = [mpmath.mpf(float(v)) for v in lam]
+        pm = mpmath.mpf(p)
+        want = [(mpmath.fsum(w * v ** pm for w, v in zip(wm[:n], xm))
+                 / mpmath.fsum(wm[:n])) ** (1 / pm) for n in (2, 50, 200)]
+    got = prefix_values(Power(p), x, lam, ns=[2, 50, 200])
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * w
+    assert power_mean(x, lam, p) == got[-1]
+
+
+@pytest.mark.parametrize("spec", [
+    Power(0.5), Power(-1.0), Power(0.0), Gini(0.5, -0.5),
+    QuasiArithmetic(power_gen(0.5)),
+], ids=repr)
+def test_long_prefixes_match_fsum_references(spec):
+    rng = np.random.default_rng(17)
+    n = 10 ** 5
+    x = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    lam = rng.uniform(0.1, 1.0, n)
+    ns = [1, 10, 1000, 54321, n]
+    got = prefix_values(spec, x, lam, ns=ns)
+    for k, g in zip(ns, got):
+        xs, ws = x[:k], lam[:k]
+        if isinstance(spec, Gini):
+            want = (math.fsum(ws * xs ** 0.5)
+                    / math.fsum(ws * xs ** -0.5))
+        else:
+            want = _fsum_power_mean(xs, ws, 0.5 if isinstance(
+                spec, QuasiArithmetic) else spec.p)
+        assert abs(g - want) <= 2e-14 * want, f"n={k}"
+
+
 # Deviation prefixes: Newton in log y for profiles with a declared f',
 # Brent in y for the rest (a profile without d1, a raw kernel).
 DEVIATION_PREFIX_SPECS = [
@@ -347,6 +462,22 @@ def prefix_samples(draw, centres, max_n=24):
     return np.array([10.0 ** v for v in logx]), np.array(lam), ns
 
 
+def _deviation_reference(spec, x, lam):
+    """The mean of x, solved on its own by SciPy's brentq: the arithmetic
+    mean for the difference kernel, else the root t = log(y / x[0]) of
+    sum lam f(x / y) with fsum sums."""
+    keep = lam > 0.0
+    xs, ws = x[keep], lam[keep]
+    if isinstance(spec, Deviation):
+        return math.fsum(ws * xs) / math.fsum(ws)
+    r = np.log(xs / xs[0])
+    if r.min() == r.max():
+        return xs[0]
+    t = brentq(lambda t: math.fsum(ws * spec.f.fn(np.exp(r - t))),
+               r.min(), r.max(), xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    return xs[0] * math.exp(t)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DEVIATION_PREFIX_SPECS), st.data())
 def test_deviation_prefixes_match_per_prefix_evaluation(spec, data):
@@ -354,7 +485,7 @@ def test_deviation_prefixes_match_per_prefix_evaluation(spec, data):
     got = prefix_values(spec, x, lam, ns=ns)
     want_ns = range(1, x.size + 1) if ns is None else ns
     for n, v in zip(want_ns, got):
-        direct = spec.evaluate(x[:n], lam[:n])
+        direct = _deviation_reference(spec, x[:n], lam[:n])
         assert abs(v - direct) <= 1e-13 * direct, f"n={n}"
 
 
@@ -588,7 +719,7 @@ def test_minimal_family_needs_only_evaluate():
 
     @dataclass(frozen=True)
     class Midrange(MeanSpec):
-        def evaluate(self, x, lam, tol=None):
+        def evaluate(self, x, lam):
             sup = np.asarray(x)[np.asarray(lam) > 0.0]
             return 0.5 * float(sup.min() + sup.max())
 

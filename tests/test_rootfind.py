@@ -49,19 +49,14 @@ def test_no_sign_change_raises():
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("fprime", [False, True])
-def test_tiny_same_sign_endpoint_values_raise(sign, fprime):
+def test_tiny_same_sign_endpoint_values_raise(sign):
     # the product of the endpoint values underflows to zero
-    if fprime:
-        f = _with_slope(lambda x: sign * 1e-200, lambda x: 0.0)
-    else:
-        def f(x):
-            return sign * 1e-200
+    def f(x):
+        return sign * 1e-200
     with pytest.raises(BracketError):
-        bracketed_root(f, 2.0, 3.0, fprime=fprime)
+        bracketed_root(f, 2.0, 3.0)
     with pytest.raises(BracketError):
-        bracketed_root(f, 2.0, 3.0, flo=sign * 1e-200, fhi=sign * 1e-300,
-                       fprime=fprime)
+        bracketed_root(f, 2.0, 3.0, flo=sign * 1e-200, fhi=sign * 1e-300)
 
 
 def test_expand_bracket_skips_tiny_same_sign_values():
@@ -167,18 +162,29 @@ def test_endpoint_values_are_computed_once_when_left_out():
 # -- safeguarded Newton ------------------------------------------------------
 
 
-def _with_slope(f, df):
-    return lambda x: (f(x), df(x))
+def _one_lane(f, df, lo, hi, x0=None, xtol=1e-12):
+    """A one-lane newton_lanes solve of f (derivative df) on [lo, hi]:
+    the root, the value there, the iterations, and the points f was
+    evaluated at by the solver (the endpoint values are passed in)."""
+    points = []
+
+    def lane(x, lanes):
+        points.append(float(x[0]))
+        return np.array([f(x[0])]), np.array([df(x[0])])
+
+    roots, values, iterations = rootfind.newton_lanes(
+        lane, [lo], [f(lo)], [hi], [f(hi)], None if x0 is None else [x0],
+        xtol, rootfind.RTOL_FLOOR)
+    return float(roots[0]), float(values[0]), int(iterations[0]), points
 
 
 @pytest.mark.parametrize("x0", [None, 0.1, 2.9, 1.5])
 def test_newton_converges_from_any_start(x0):
-    f, points = _counted(_with_slope(math.cos, lambda x: -math.sin(x)))
-    res = bracketed_root(f, 0.0, 3.0, xtol=1e-14, flo=1.0, fhi=math.cos(3.0),
-                         fprime=True, x0=x0)
-    assert abs(res.root - math.pi / 2.0) < 1e-14
-    assert len(points) == res.iterations <= 8
-    assert res.residual == math.cos(res.root)
+    root, value, iterations, points = _one_lane(
+        math.cos, lambda x: -math.sin(x), 0.0, 3.0, x0, xtol=1e-14)
+    assert abs(root - math.pi / 2.0) < 1e-14
+    assert len(points) == iterations <= 8
+    assert value == math.cos(root)
 
 
 @pytest.mark.parametrize("slope", [
@@ -187,20 +193,18 @@ def test_newton_converges_from_any_start(x0):
     lambda x: math.nan,
 ], ids=["wrong-sign", "zero", "nan"])
 def test_newton_stays_inside_the_bracket_with_a_bad_derivative(slope):
-    f, points = _counted(_with_slope(math.cos, slope))
-    res = bracketed_root(f, 0.5, 3.0, xtol=1e-13, fprime=True, x0=1.0)
-    points = points[2:]  # the endpoint values
+    root, _, iterations, points = _one_lane(math.cos, slope, 0.5, 3.0, 1.0,
+                                            xtol=1e-13)
     assert all(0.5 < x < 3.0 for x in points)
     # every Newton step is refused, so this is bisection
-    assert abs(res.root - math.pi / 2.0) < 1e-12
-    assert len(points) == res.iterations <= 60
+    assert abs(root - math.pi / 2.0) < 1e-12
+    assert len(points) == iterations <= 60
 
 
 def test_newton_on_a_linear_function_needs_one_step_and_a_check():
-    f, points = _counted(_with_slope(lambda x: 3.0 - 2.0 * x, lambda x: -2.0))
-    res = bracketed_root(f, -10.0, 10.0, flo=23.0, fhi=-17.0, fprime=True,
-                         x0=7.0)
-    assert res.root == 1.5 and len(points) == 2
+    root, _, _, points = _one_lane(lambda x: 3.0 - 2.0 * x, lambda x: -2.0,
+                                   -10.0, 10.0, 7.0)
+    assert root == 1.5 and len(points) == 2
 
 
 def test_newton_lanes_run_as_their_one_lane_solves():
@@ -218,12 +222,10 @@ def test_newton_lanes_run_as_their_one_lane_solves():
         f, np.zeros(6), -c, np.full(6, 4.0), 64.0 - c, x0, 1e-15,
         rootfind.RTOL_FLOOR)
     for i in range(6):
-        alone = bracketed_root(
-            lambda x: (x ** 3 - c[i], 3.0 * x ** 2), 0.0, 4.0, xtol=1e-15,
-            flo=-c[i], fhi=64.0 - c[i], fprime=True,
-            x0=None if np.isnan(x0[i]) else x0[i])
-        assert (roots[i], values[i], iterations[i]) == (
-            alone.root, alone.residual, alone.iterations)
+        alone = _one_lane(lambda x: x ** 3 - c[i], lambda x: 3.0 * x ** 2,
+                          0.0, 4.0, None if np.isnan(x0[i]) else x0[i],
+                          xtol=1e-15)
+        assert (roots[i], values[i], iterations[i]) == alone[:3]
         # a lane is evaluated until it stops, then never again
         assert sum(i in lanes for lanes in calls) == iterations[i]
     assert max(iterations) == len(calls)
@@ -240,9 +242,8 @@ def test_brent_raises_no_convergence_at_maxiter(monkeypatch):
 
 def test_newton_raises_no_convergence_at_maxiter(monkeypatch):
     monkeypatch.setattr(rootfind, "_MAXITER", 10)
-    f = _with_slope(math.cos, lambda x: 0.0)  # bisection only
     with pytest.raises(NoConvergenceError):
-        bracketed_root(f, 0.0, 3.0, xtol=1e-15, fprime=True)
+        _one_lane(math.cos, lambda x: 0.0, 0.0, 3.0, xtol=1e-15)  # bisection
 
 
 def test_nan_value_is_a_domain_error():
