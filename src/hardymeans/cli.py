@@ -9,8 +9,9 @@ significant digits and infinities print as the literal ``inf``.
 with the closed-form constant.
 
 A ``--config <file>`` of ``key=value`` lines (keys are the long flag
-names) is merged *under* explicit flags: a flag given on the command
-line always wins.
+names) is read as ``--key=value`` flags placed before the command-line
+flags: it is checked like them, and a flag given on the command line
+always wins.
 """
 
 from __future__ import annotations
@@ -31,33 +32,6 @@ from .weights import parse_weights
 # Largest `sweep --eta` grid; a finer step is a usage error.
 _MAX_GRID_POINTS = 10 ** 6
 
-_DEFAULTS = {
-    "constant": {"eta": 0.0, "method": "closed", "tol": 1e-12},
-    "solve": {"eta": 0.0, "tol": 1e-12},
-    "verify": {"constant": "auto", "trials": 200, "seed": 0, "N": 50},
-    "est": {"y": 1.0, "out": None},
-    "gena": {},
-    "sweep": {"method": "closed", "out": None},
-    "homogenize": {"tol": 1e-8},
-}
-
-_REQUIRED = {
-    "constant": ("family",),
-    "solve": ("family",),
-    "verify": ("mean", "weights"),
-    "est": ("mean", "weights", "N"),
-    "gena": ("p", "weights", "N"),
-    "sweep": ("family", "eta"),
-    "homogenize": ("mean", "x", "lam"),
-}
-
-_CONVERTERS = {
-    "family": str, "mean": str, "weights": str, "method": str,
-    "constant": str, "out": str, "x": str, "lam": str, "eta": str,
-    "tol": float, "trials": int, "seed": int, "N": int, "y": float,
-    "p": float,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,95 +40,91 @@ def _build_parser() -> argparse.ArgumentParser:
                     "inequalities, and empirical checks of them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constant", help="closed-form or root-solved constant")
-    p.add_argument("--family", help="mean specifier, e.g. power:p=0.5")
-    p.add_argument("--eta", help="weight ratio limit in [0, 1)")
-    p.add_argument("--method", choices=("closed", "root", "both"))
-    p.add_argument("--tol", type=float)
-    p.add_argument("--config")
+    def command(name, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="file of key=value flag lines")
+        return p
 
-    p = sub.add_parser("solve", help="root of the characteristic equation")
-    p.add_argument("--family")
-    p.add_argument("--eta")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--config")
+    p = command("constant", "closed-form or root-solved constant")
+    p.add_argument("--family", required=True,
+                   help="mean specifier, e.g. power:p=0.5")
+    p.add_argument("--eta", default="0", help="weight ratio limit in [0, 1)")
+    p.add_argument("--method", choices=("closed", "root", "both"),
+                   default="closed")
+    p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("verify", help="fuzz the inequality at a constant")
-    p.add_argument("--mean")
-    p.add_argument("--weights")
-    p.add_argument("--constant", help="'auto' or a positive real")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--config")
+    p = command("solve", "root of the characteristic equation")
+    p.add_argument("--family", required=True)
+    p.add_argument("--eta", default="0")
+    p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("est", help="witness trace toward the constant")
-    p.add_argument("--mean")
-    p.add_argument("--weights")
-    p.add_argument("--y", type=float)
-    p.add_argument("--N", type=int)
+    p = command("verify", "fuzz the inequality at a constant")
+    p.add_argument("--mean", required=True)
+    p.add_argument("--weights", required=True)
+    p.add_argument("--constant", default="auto",
+                   help="'auto' or a positive real")
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--N", type=int, default=50)
+
+    p = command("est", "witness trace toward the constant")
+    p.add_argument("--mean", required=True)
+    p.add_argument("--weights", required=True)
+    p.add_argument("--y", type=float, default=1.0)
+    p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.add_argument("--config")
 
-    p = sub.add_parser("gena", help="weighted probe sums and their limit")
-    p.add_argument("--p", type=float)
-    p.add_argument("--weights")
-    p.add_argument("--N", type=int)
-    p.add_argument("--config")
+    p = command("gena", "weighted probe sums and their limit")
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--weights", required=True)
+    p.add_argument("--N", type=int, required=True)
 
-    p = sub.add_parser("sweep", help="constants over an eta grid, as CSV")
-    p.add_argument("--family")
-    p.add_argument("--eta", help="grid start:stop:step")
-    p.add_argument("--method", choices=("closed", "root"))
+    p = command("sweep", "constants over an eta grid, as CSV")
+    p.add_argument("--family", required=True)
+    p.add_argument("--eta", required=True, help="grid start:stop:step")
+    p.add_argument("--method", choices=("closed", "root"), default="closed")
     p.add_argument("--out")
-    p.add_argument("--config")
 
-    p = sub.add_parser("homogenize", help="scaling ladder of a mean")
-    p.add_argument("--mean")
-    p.add_argument("--x", help="comma-separated positive samples")
-    p.add_argument("--lam", help="comma-separated nonnegative weights")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--config")
+    p = command("homogenize", "scaling ladder of a mean")
+    p.add_argument("--mean", required=True)
+    p.add_argument("--x", required=True,
+                   help="comma-separated positive samples")
+    p.add_argument("--lam", required=True,
+                   help="comma-separated nonnegative weights")
+    p.add_argument("--tol", type=float, default=1e-8)
     return parser
 
 
-def _merge_config(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> None:
-    path = getattr(args, "config", None)
-    if path is None:
-        return
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        parser.error(f"cannot read config {path!r}: {exc}")
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def _with_config(argv: list[str], parser: argparse.ArgumentParser
+                 ) -> list[str]:
+    """argv with the lines of its --config file inserted after the
+    subcommand as --key=value flags, so that the subcommand's parser
+    checks them as it checks the others, and a flag given on the command
+    line, which comes later, wins."""
+    for i, token in enumerate(argv):
+        if token.startswith("--config="):
+            path = token.partition("=")[2]
+        elif token == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        else:
             continue
-        key, sep, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not sep or not key:
-            parser.error(f"malformed config line {raw.strip()!r}")
-        if key not in vars(args) or key == "config":
-            parser.error(f"config key {key!r} is not a flag of this command")
-        if getattr(args, key) is None:
-            conv = _CONVERTERS.get(key, str)
-            try:
-                setattr(args, key, conv(val))
-            except ValueError as exc:
-                parser.error(f"config value for {key!r}: {exc}")
-
-
-def _finalize(args: argparse.Namespace,
-              parser: argparse.ArgumentParser) -> None:
-    for key, default in _DEFAULTS[args.command].items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
-    for key in _REQUIRED[args.command]:
-        if getattr(args, key, None) is None:
-            parser.error(f"--{key} is required for '{args.command}'")
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            parser.error(f"cannot read config {path!r}: {exc}")
+        flags = []
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, val = line.partition("=")
+            key = key.strip()
+            if not sep or not key or key == "config":
+                parser.error(f"malformed config line {line!r}")
+            flags.append(f"--{key}={val.strip()}")
+        return argv[:1] + flags + argv[1:]
+    return argv
 
 
 def _parse_eta(text, parser) -> float:
@@ -330,9 +300,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config(args, parser)
-        _finalize(args, parser)
+        args = parser.parse_args(_with_config(
+            list(sys.argv[1:] if argv is None else argv), parser))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotNormalizableError
+from .errors import HardyMeansError, NoConvergenceError, NotNormalizableError
 from .generators import QuasideviationKernel
 from .means import MeanSpec
 
@@ -76,7 +76,8 @@ def homogenize(spec: MeanSpec, x, lam,
     Evaluates the mean down the ladder t = 4**-k, k = 1..20, applies one
     Richardson step, and accepts once three successive extrapolants
     agree within `tol`.  Non-convergence is a report, not a failure:
-    check the ``converged`` flag.
+    check the ``converged`` flag.  A library error from a rung ends the
+    ladder there; any other exception is a fault and propagates.
     """
     x = np.asarray(x, dtype=float)
     ts, us = [], []
@@ -84,7 +85,7 @@ def homogenize(spec: MeanSpec, x, lam,
         t = 4.0 ** -k
         try:
             u = spec.evaluate(t * x, lam) / t
-        except Exception:
+        except HardyMeansError:
             break
         ts.append(t)
         us.append(u)

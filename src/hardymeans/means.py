@@ -4,16 +4,16 @@ All means take a positive sample vector x and a nonnegative weight
 vector lam (first entry positive, positive total) and return a value
 between the smallest and largest sample carrying positive weight.
 
-A family computes its values in one place, its prefix evaluation
-``MeanSpec.prefix``; ``evaluate`` is the last prefix.  Power and Gini
-means, and the weighted means of quasiarithmetic generators, are shifted
-compensated prefix sums, so wide dynamic ranges, large exponents and
-weights past float range neither overflow nor lose digits.  Deviation
-means are roots of a one-dimensional strictly bracketed equation, by
-lane-wise Newton when the profile has a derivative, warm-started from
-the previous prefix, and by Brent's method otherwise.  Prefix evaluation
-works along the last axis, so a batch of sample rows that share one
-weight vector is evaluated in one pass.
+A family computes its values in one place, ``MeanSpec.prefix``: the
+mean of prefix i depends on x[..., :i+1] and lam[:i+1] alone, bit for
+bit, whatever else is requested, and ``evaluate`` asks for the last
+prefix only.  Power and Gini means, and the weighted means of
+quasiarithmetic generators, are shifted compensated prefix sums, so wide
+dynamic ranges, large exponents and weights past float range neither
+overflow nor lose digits.  Deviation means are bracketed roots, by
+lane-wise Newton from each prefix's osculating power mean when the
+profile has a derivative, and by Brent's method otherwise.  A batch of
+sample rows that share one weight vector is evaluated in one pass.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -43,7 +43,13 @@ _P_EXTREME = 1e15
 # Largest exponent of a term of the shifted prefix sums: a million terms
 # of e**600 stay far below overflow.
 _HEADROOM = 600.0
+# Widest log spread of the samples of a homogeneous deviation prefix: the
+# ratios x / y of its root, within e**709, stay in float range.
+_LOG_SPREAD_MAX = 709.0
 _LN2 = math.log(2.0)
+# log 2 in two parts, the first with 21 trailing zero bits, so that k times
+# it is exact for |k| < 2**21 (Cody & Waite; the split of fdlibm's exp)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 def check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +201,13 @@ class MeanSpec:
     symmetric_monotone = False
 
     def evaluate(self, x, lam) -> float:
-        """The weighted mean of x: the last of the prefix means of the
-        samples with positive weight, bit for bit
+        """The weighted mean of x: ``prefix`` of the samples with positive
+        weight, asked for the last prefix only, and so bit for bit
         ``prefix_values(self, x, lam)[-1]`` when lam[0] > 0."""
         x, lam = check_xlam(x, lam)
         keep = lam > 0.0
         xs, ws = x[keep], lam[keep]
-        return float(self.prefix(xs, ws, np.arange(xs.size))[-1])
+        return float(self.prefix(xs, ws, np.array([xs.size - 1]))[0])
 
     def prefix(self, x: np.ndarray, lam: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
@@ -209,10 +215,11 @@ class MeanSpec:
 
         x is one sample row of shape (N,) or a batch of rows (rows, N);
         lam has shape (N,), lam[0] > 0, and the inputs are already
-        validated.  Prefix means are causal: entries past column i do not
-        change the mean of prefix i.  This generic path, for a family
-        that defines only ``evaluate``, loops over the rows and evaluates
-        each prefix on its own.
+        validated.  The mean of prefix i of a row depends on its x[:i+1]
+        and lam[:i+1] alone, bit for bit, not on other rows or columns or
+        idx; a prefix with no mean raises.  This generic path, for a
+        family that defines only ``evaluate``, loops over the rows and
+        evaluates each prefix on its own.
         """
         if x.ndim > 1:
             return np.array([self.prefix(row, lam, idx) for row in x])
@@ -356,6 +363,9 @@ class HomogeneousDeviation(MeanSpec):
         return self.f.concave and self.f.sign_like
 
     def prefix(self, x, lam, idx):
+        lo, hi = (np.log(b[..., idx]) for b in _running_bounds(x, lam))
+        if (hi - lo > _LOG_SPREAD_MAX).any():
+            raise DomainError("prefix samples span more than e**709")
         if self.f.d1 is not None:
             return _prefix_devmean_newton(x, lam, self.f, idx)
         if x.ndim > 1:
@@ -436,102 +446,136 @@ def _log_ratios(x):
     return r
 
 
+def _log_weights(lam):
+    """lam / lam[0] as e**t 2**k from mantissas and exponents: |t| < log 2
+    (-inf where lam = 0) and k exact, so weight sums take no rounding from
+    the weights' magnitude (:func:`_shifted_sums`)."""
+    t, k = np.frexp(lam)
+    t /= t[0]  # in place: a new array of the weights' size costs more
+    with np.errstate(divide="ignore"):
+        np.log(t, out=t)
+    k -= k[0]
+    # equal exponents, as unit weights have, need no array of zeros
+    return t, (k if k.any() else np.broadcast_to(0, k.shape))
+
+
+def _fold(e):
+    """e as d + k log 2: k = 0 where |e| < 700, else the integer that brings
+    d within log 2 of 0, with d keeping e's digits (two-part log 2)."""
+    if -700.0 < e.min() and e.max() < 700.0:
+        return e, 0
+    far = (np.abs(e) >= 700.0) & np.isfinite(e)
+    k = np.where(far, np.rint(e / _LN2), 0.0)
+    return (e - k * _LN2_HI) - k * _LN2_LO, k.astype(int)
+
+
 def _times_exp(a, e):
-    """a * exp(e); once |e| nears the float range of exp, as
-    2**k a exp(e - k log 2), so that exp(e) may leave that range while
-    the product does not."""
-    if (np.abs(e) < 700.0).all():
-        return a * np.exp(e)
-    k = np.rint(e / _LN2)
-    return np.ldexp(a * np.exp(e - k * _LN2), k.astype(int))
+    """a * exp(e), entry by entry, as 2**k a exp(d) (:func:`_fold`), so
+    that exp(e) may leave float range while the product does not."""
+    d, k = _fold(e)
+    v = a * np.exp(d)
+    return np.ldexp(v, k, out=v)
 
 
-def _shifted_sums(t, values, idx):
-    """Prefix sums of e**t, and the e**t-weighted prefix means of each v
-    in `values`, along the last axis at the columns idx.
+def _shifted_sums(t, k, values, idx):
+    """Prefix sums of the terms e**t 2**k, and the term-weighted prefix
+    means of each v in `values`, along the last axis at the columns idx.
 
-    t is (N,) or (rows, N) with t[..., 0] finite; a v has t's shape, or
-    rows of its own when t is one shared row.  Each sum comes as a shift
-    c and the compensated sum (:func:`compensated_cumsum`) s of
-    e**(t - c), with s at least e**-_HEADROOM and at most N e**_HEADROOM:
-    two sums compare as the difference of their shifts plus the log of
-    s / s'.  If every t_0 and every entry of t is within _HEADROOM of 0,
-    c = 0, e**t is exact to rounding and all rows go in one pass; else
-    each row goes alone (:func:`_segmented_sums`).  An overflowing term
-    e**t_i v_i makes that mean inf or NaN from i on.
+    t is (N,) or (rows, N) with t[..., 0] = 0, and k is one shared row of
+    integers with k[0] = 0; a v has t's shape, or rows of its own when t
+    is one shared row.  Each sum comes as a shift (c, j) and the
+    compensated sum (:func:`compensated_cumsum`) s of the terms over
+    e**c 2**j, with s at least e**-_HEADROOM and at most N e**_HEADROOM:
+    two sums compare as (c - c') + (j - j') log 2 plus the log of s / s'.
+    Where |t| and every term stay within e**_HEADROOM, all rows go in one
+    pass with shift (0, 0); else each row goes alone
+    (:func:`_segmented_sums`), with the same bits up to its first shift.
+    An overflowing term times v_i makes that mean inf or NaN from i on.
     """
     rows = np.atleast_2d(t)
     vals = [np.atleast_2d(v) for v in values]
     with np.errstate(over="ignore", invalid="ignore"):
-        if ((np.abs(rows[:, 0]) <= _HEADROOM)
-                & (rows.max(axis=-1) <= _HEADROOM)).all():
+        if (rows.min() >= -_HEADROOM and rows.max() + k.max() * _LN2
+                <= _HEADROOM):
             e = np.exp(rows)
+            if k.any():
+                np.ldexp(e, k, out=e)
             sums = compensated_cumsum(e)[0][..., idx]
-            shift = np.zeros((len(rows), 1))
+            c, j = np.zeros((len(rows), 1)), np.zeros((len(rows), 1), int)
             means = [compensated_cumsum(e * v)[0][..., idx] / sums
                      for v in vals]
         else:
             parts = [_segmented_sums(
-                row, [v if len(rows) == 1 else v[k:k + 1] for v in vals], idx)
-                for k, row in enumerate(rows)]
-            shift, sums = (np.array([part[i] for part in parts])
-                           for i in (0, 1))
-            means = [np.concatenate([part[2][m] for part in parts])
+                row, k, [v if len(rows) == 1 else v[r:r + 1] for v in vals],
+                idx) for r, row in enumerate(rows)]
+            c, j, sums = (np.array([part[i] for part in parts])
+                          for i in range(3))
+            means = [np.concatenate([part[3][m] for part in parts])
                      for m in range(len(vals))]
     if np.ndim(t) == 1:
-        shift, sums = shift[0], sums[0]
+        c, j, sums = c[0], j[0], sums[0]
         means = [m[0] if np.ndim(v) == 1 else m
                  for v, m in zip(values, means)]
-    return shift, sums, means
+    return (c, j), sums, means
 
 
-def _exp_diff(a, b):
-    """e**(a - b) for a finite b, with the rounding of a - b restored
-    (TwoSum), so that the error is that of exp alone however large
-    a - b is; 0 where a = -inf."""
+def _exp_diff(a, b, k):
+    """e**(a - b) 2**k for a finite b, with the rounding of a - b restored
+    (TwoSum): the error is that of exp alone however large a - b is, and
+    e**(a - b) may leave float range (:func:`_fold`); 0 where a = -inf."""
     d = a - b
     z = d - a
     lo = (a - (d - z)) - (b + z)
-    e = np.exp(d)
+    d, move = _fold(d)
+    e = np.ldexp(np.exp(d), k + move)
     return np.fmax(e + e * lo, 0.0)
 
 
-def _segmented_sums(row, vals, idx):
-    """_shifted_sums of one row of t.  The shift c starts at 0, or at t_0
-    when that is farther than _HEADROOM from 0; it moves to the running
-    maximum of t, and the carried sums are rescaled, when that passes
-    c + _HEADROOM, so no term exceeds e**_HEADROOM and the Python loop is
-    over segments.  A row that needs no move gives the bits of the
-    one-pass path."""
+def _segmented_sums(row, k, vals, idx):
+    """_shifted_sums of one row of t.  The shift (c, j) starts at (0, 0),
+    the first term; it moves to the term of the running maximum of
+    t + k log 2, and the carried sums are rescaled, when that maximum
+    passes the shift's by _HEADROOM, so no term exceeds e**_HEADROOM and
+    the Python loop is over segments.  A row that needs no move gives the
+    bits of the one-pass path."""
     n = row.size
-    tmax = np.maximum.accumulate(row)
-    s0, shift = np.empty(n), np.empty(n)
+    top = np.maximum.accumulate(row + k * _LN2)
+    s0, shift_c, shift_j = np.empty(n), np.empty(n), np.empty(n, int)
     sums = [np.empty(v.shape) for v in vals]
     carries = [(0.0, 0.0)] * (1 + len(vals))
-    i, c = 0, (0.0 if abs(row[0]) <= _HEADROOM else row[0])
+    i, c, j = 0, 0.0, 0
     while i < n:
-        j = int(np.searchsorted(tmax, c + _HEADROOM, side="right"))
-        e = _exp_diff(row[i:j], c)
-        s0[i:j], carries[0] = compensated_cumsum(e, carries[0])
-        for k, (v, s) in enumerate(zip(vals, sums), 1):
-            s[..., i:j], carries[k] = compensated_cumsum(e * v[..., i:j],
-                                                         carries[k])
-        shift[i:j] = c
-        if j < n:
-            scale = _exp_diff(c, tmax[j])
+        end = int(np.searchsorted(top, top[i] + _HEADROOM, side="right"))
+        e = _exp_diff(row[i:end], c, k[i:end] - j)
+        s0[i:end], carries[0] = compensated_cumsum(e, carries[0])
+        for m, (v, s) in enumerate(zip(vals, sums), 1):
+            s[..., i:end], carries[m] = compensated_cumsum(
+                e * v[..., i:end], carries[m])
+        shift_c[i:end], shift_j[i:end] = c, j
+        if end < n:
+            scale = _exp_diff(c, row[end], j - k[end])
             carries = [(a * scale, b * scale) for a, b in carries]
-            c = tmax[j]
-        i = j
+            c, j = row[end], k[end]
+        i = end
     s0 = s0[idx]
-    return shift[idx], s0, [s[..., idx] / s0 for s in sums]
+    return shift_c[idx], shift_j[idx], s0, [s[..., idx] / s0 for s in sums]
 
 
 def _prefix_gini(x, lam, p, q, idx):
-    """Gini(p, q) of every prefix; the mean is symmetric in (p, q), which
-    are ordered so that p >= q, and Power(p) is Gini(p, 0).
+    """Gini(p, q) of the prefixes idx: x[0] e**(:func:`_gini_exponent`)."""
+    lo, hi = _running_bounds(x, lam)
+    e = _gini_exponent(_log_ratios(x), _log_weights(lam), p, q, idx)
+    vals = _times_exp(x[..., :1], e)
+    return np.minimum(np.maximum(vals, lo[..., idx]), hi[..., idx])
 
-    With r = log(x / x[0]) (:func:`_log_ratios`) and weights lam e**(q r),
-    the exponent e = log(M / x[0]) is the weighted mean of r when p = q.
+
+def _gini_exponent(r, log_lam, p, q, idx):
+    """e = log(M / x[0]) of the Gini(p, q) mean of the prefixes idx, from
+    r = log(x / x[0]) (:func:`_log_ratios`) and log_lam, the log weights
+    up to a common shift; the mean is symmetric in (p, q), which are
+    ordered so that p >= q, and Power(p) is Gini(p, 0).
+
+    With weights lam e**(q r), e is the weighted mean of r when p = q.
     Otherwise it is log1p(m) / (p - q) for the weighted mean m of
     expm1((p - q) r) when p - q < 1/2: the form of
     :func:`~hardymeans.hardy.C_of`, which has no cancellation as
@@ -541,29 +585,27 @@ def _prefix_gini(x, lam, p, q, idx):
     its rounding by p - q > log 2 / max |r|.
     """
     q, p = sorted((float(p), float(q)))
-    lo, hi = _running_bounds(x, lam)
-    r = _log_ratios(x)
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
     d = p - q
-    # log(lam x**s / x[0]**s); the weights' own row when s = 0
-    t_p, t_q = (log_lam + s * r if s else log_lam for s in (p, q))
+    log_w, k = log_lam
+    # log(lam x**s / (lam[0] x[0]**s)) less k log 2; the weights' own row
+    # when s = 0
+    t_p, t_q = (log_w + s * r if s else log_w for s in (p, q))
     if d == 0.0:
-        _, _, (e,) = _shifted_sums(t_p, [r], idx)
+        _, _, (e,) = _shifted_sums(t_p, k, [r], idx)
     else:
         with np.errstate(over="ignore"):
             grown = [np.expm1(d * r)] if d < 0.5 else []
-        c_q, s_q, means = _shifted_sums(t_q, grown, idx)
+        (c_q, j_q), s_q, means = _shifted_sums(t_q, k, grown, idx)
         if means:
             (m,) = means
             e = np.log1p(np.maximum(m, -0.5)) / d
             far = ~np.isfinite(m) | (m < -0.5)
         if not means or far.any():
-            c_p, s_p, _ = _shifted_sums(t_p, [], idx)
-            ratio = ((c_p - c_q) + np.log(s_p / s_q)) / d
+            (c_p, j_p), s_p, _ = _shifted_sums(t_p, k, [], idx)
+            ratio = ((c_p - c_q) + (j_p - j_q) * _LN2
+                     + np.log(s_p / s_q)) / d
             e = np.where(far, ratio, e) if means else ratio
-    vals = _times_exp(x[..., :1], e)
-    return np.minimum(np.maximum(vals, lo[..., idx]), hi[..., idx])
+    return e
 
 
 def _prefix_qa(x, lam, g, idx):
@@ -572,12 +614,10 @@ def _prefix_qa(x, lam, g, idx):
     with np.errstate(all="ignore"):
         vals = np.asarray(g.fn(x), dtype=float)
     vals = np.where(lam > 0.0, vals, 0.0)
-    if not np.isfinite(vals).all():
-        raise DomainError("generator produced non-finite values on the sample")
-    with np.errstate(divide="ignore"):
-        _, _, (target,) = _shifted_sums(np.log(lam), [vals], idx)
+    _, _, (target,) = _shifted_sums(*_log_weights(lam), [vals], idx)
     if not np.isfinite(target).all():
-        raise DomainError("weighted mean of the generator values overflows")
+        raise DomainError("generator values or their weighted mean are not "
+                          "finite on the sample")
     vlo, vhi = _running_bounds(vals, lam)
     target = np.minimum(np.maximum(target, vlo[..., idx]), vhi[..., idx])
     lo, hi = (b[..., idx] for b in _running_bounds(x, lam))
@@ -608,17 +648,17 @@ def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
 
 
 def _prefix_deviation(x, lam, efn, idx, homogeneous):
-    """Brent root per prefix.  The support of prefix i is the leading
-    count[i] positive-weight samples, so the mask is taken once."""
+    """Brent root per prefix, on the leading count[i] positive-weight
+    samples and their weights scaled by :func:`unit_scaled`."""
     lo, hi = _running_bounds(x, lam)
     support = lam > 0.0
     count = np.cumsum(support)
-    xs, ws = x[support], unit_scaled(lam[support])
+    xs, ws = x[support], lam[support]
     out = np.empty(idx.size)
     for j, i in enumerate(idx):
         k = count[i]
-        out[j] = _solve_deviation(xs[:k], ws[:k], float(lo[i]), float(hi[i]),
-                                  efn, homogeneous)
+        out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]), float(lo[i]),
+                                  float(hi[i]), efn, homogeneous)
     return out
 
 
@@ -629,17 +669,18 @@ def _prefix_devmean_newton(x, lam, f, idx):
     decreases from g(min r) >= 0 to g(max r) <= 0, with
     g'(t) = -sum w u f'(u).  Each requested prefix is one safeguarded
     Newton solve with the rows as lanes (:func:`rootfind.newton_lanes`),
-    each row warm-started from its last solved root, moved by the change
-    in the weighted mean of r since (the whole change when f = log).
-    x[0] is in every prefix's support, so t and u carry errors set by the
-    spread of the samples, not by their magnitude; the weights are scaled
-    by a power of two (:func:`~hardymeans.weights.unit_scaled`) so that g
-    stays in range.  The bracket ends are the running extremes of r, and
-    the solve stops once |dt| is within 1e-13 lo / hi + RTOL_FLOOR
-    (1 + |t|).  A row whose prefix has equal extremes, or a zero of g at
-    an extreme, takes that value without a solve; a prefix with the
-    weighted samples of the one before it takes that one's means, so
-    zero weights neither add a solve nor change the chain of warm starts.
+    started at t of the prefix's osculating power mean, of order
+    p0 = 1 + f''(1) / f'(1): the root itself for the power and log
+    profiles, and within second order of it for Gini (kept on a bracket
+    end where rounding puts it).  No state passes from one prefix to the
+    next.  x[0] is in every prefix's support, so t and u carry errors set
+    by the spread of the samples, not by their magnitude; each prefix's
+    weights are scaled by a power of two
+    (:func:`~hardymeans.weights.unit_scaled`) so that g stays in range.
+    The bracket ends are the running extremes of r, and the solve stops
+    once |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).  A row whose
+    prefix has equal extremes, or a zero of g at an extreme, takes that
+    value without a solve.
     """
     _require_sign_like(f)
     fn, d1 = f.fn, f.d1
@@ -648,29 +689,27 @@ def _prefix_devmean_newton(x, lam, f, idx):
     support = lam > 0.0
     count = np.cumsum(support)
     x_ref = rows[:, 0]
-    rx = np.compress(support, _log_ratios(rows), axis=-1)
-    _, _, (r_mean,) = _shifted_sums(np.log(lam[support]), [rx],
-                                    np.arange(rx.shape[-1]))
-    ws = unit_scaled(lam[support])
+    r_all = _log_ratios(rows)
+    # p0 is p for dev_power(p), 0 for log and p + q for dev_gini(p, q);
+    # 0 without f'' or when not finite
+    with np.errstate(all="ignore"):
+        p0 = 1.0 + np.float64(f.d2(1.0)) / f.d1(1.0) if f.d2 else 0.0
+    start = _gini_exponent(r_all, _log_weights(lam),
+                           float(p0) if np.isfinite(p0) else 0.0, 0.0, idx)
+    rx = np.compress(support, r_all, axis=-1)
+    ws = lam[support]
     rlo = np.minimum.accumulate(rx, axis=-1)
     rhi = np.maximum.accumulate(rx, axis=-1)
     out = np.empty((rows.shape[0], idx.size))
-    t = np.full(rows.shape[0], np.nan)  # last solved root of each row
-    k_solved = np.zeros(rows.shape[0], dtype=int)
-    k_prev = 0
     for j, i in enumerate(idx):
         k = count[i]
-        if k == k_prev:
-            out[:, j] = out[:, j - 1]
-            continue
-        k_prev = k
         a, b = rlo[:, k - 1], rhi[:, k - 1]
         lo_i, hi_i = lo[:, i], hi[:, i]
         out[:, j] = np.minimum(np.maximum(x_ref, lo_i), hi_i)  # a == b == 0
         live = np.flatnonzero(a != b)
         if live.size == 0:
             continue
-        r, w = _take_rows(rx[:, :k], live), ws[:k]
+        r, w = _take_rows(rx[:, :k], live), unit_scaled(ws[:k])
         ga = _row_dot(fn(np.exp(r - a[live, None])), w)
         gb = _row_dot(fn(np.exp(r - b[live, None])), w)
         at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
@@ -690,16 +729,14 @@ def _prefix_devmean_newton(x, lam, f, idx):
             u = np.exp(_take_rows(r, sub) - s[:, None])
             return _row_dot(fn(u), w), -_row_dot(u * d1(u), w)
 
-        x0 = t[lanes] + (r_mean[lanes, k - 1]
-                         - r_mean[lanes, k_solved[lanes] - 1])
-        t[lanes], _, _ = newton_lanes(
-            g_slope, a[lanes], ga[solve], b[lanes], gb[solve], x0,
+        a, b = a[lanes], b[lanes]
+        t, _, _ = newton_lanes(
+            g_slope, a, ga[solve], b, gb[solve],
+            np.minimum(np.maximum(start[lanes, j], a), b),
             xtol=1e-13 * lo_i[lanes] / hi_i[lanes] + RTOL_FLOOR,
             rtol=RTOL_FLOOR)
-        k_solved[lanes] = k
         out[lanes, j] = np.minimum(
-            np.maximum(_times_exp(x_ref[lanes], t[lanes]), lo_i[lanes]),
-            hi_i[lanes])
+            np.maximum(_times_exp(x_ref[lanes], t), lo_i[lanes]), hi_i[lanes])
     return out if x.ndim > 1 else out[0]
 
 

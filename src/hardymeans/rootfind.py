@@ -154,9 +154,9 @@ def newton_lanes(f, a, fa, b, fb, x0, xtol, rtol
     of opposite signs.  f(x, lanes) takes the current points of the
     lanes still running (indices into the inputs, ascending) and returns
     arrays of the values and derivatives there.  x0 holds the start
-    points (None, or NaN for a lane, means the secant point of the
-    bracket, then its midpoint when that is not inside); xtol may be an
-    array of per-lane tolerances.
+    points, in [a, b], an end included (None, NaN or a point outside the
+    bracket means the secant point of the bracket, then its midpoint when
+    that is not inside); xtol may be an array of per-lane tolerances.
 
     Per lane, as for one bracket: every evaluated point replaces the
     bracket end of its sign, so the bracket only shrinks.  A Newton step
@@ -185,7 +185,7 @@ def newton_lanes(f, a, fa, b, fb, x0, xtol, rtol
         x = np.full(n, np.nan) if x0 is None else np.array(x0, dtype=float)
         secant = a - fa * (b - a) / (np.asarray(fb, dtype=float) - fa)
         secant = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
-        x = np.where((a < x) & (x < b), x, secant)
+        x = np.where((a <= x) & (x <= b), x, secant)
         step = step_old = b - a
         for it in range(1, _MAXITER + 1):
             fx, dfx = f(x, lanes)

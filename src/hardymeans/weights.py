@@ -133,14 +133,17 @@ class WeightSequence:
         return out
 
     def log_lam_array(self, n: int) -> np.ndarray:
+        """log(lam_k / lam_n), k = 1..n: small, and exact to rounding, near
+        k = n, however far lam_n is beyond float range."""
         n = _check_index(n)
         if self.kind == "ones":
             return np.zeros(n)
         if self.kind == "geometric":
-            return np.arange(n, dtype=float) * math.log(self.a)
+            return np.arange(1 - n, 1, dtype=float) * math.log(self.a)
         if self.kind == "powerlaw":
-            return self.alpha * np.log(np.arange(1, n + 1, dtype=float))
-        return np.log(self.lam_array(n))
+            return self.alpha * np.log(np.arange(1, n + 1, dtype=float) / n)
+        log_lam = np.log(self.lam_array(n))
+        return log_lam - log_lam[-1]
 
     # -- prefix sums ----------------------------------------------------
 

@@ -288,3 +288,21 @@ def test_config_validation(capsys, tmp_path):
                "--config", str(cfg))[0] == 2
     assert run(capsys, "constant", "--family", "power:p=0.5",
                "--config", str(tmp_path / "missing.cfg"))[0] == 2
+
+
+@pytest.mark.parametrize("command, eta, line", [
+    ("constant", "0.5", "method=bogus"),  # not a choice of --method
+    ("sweep", "0:0.5:0.25", "method=both"),  # a choice of constant only
+    ("constant", "0.5", "config=other.cfg"),  # configs do not nest
+    ("constant", "0.5", "tol=small"),  # not a float
+])
+def test_config_lines_are_checked_like_flags(capsys, tmp_path, command, eta,
+                                             line):
+    cfg = tmp_path / "run.cfg"
+    argv = (command, "--family", "power:p=0.5", "--eta", eta,
+            "--config", str(cfg))
+    cfg.write_text("# nothing but a comment\n")
+    assert run(capsys, *argv)[0] == 0
+    cfg.write_text(line + "\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""

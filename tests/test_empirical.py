@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,21 @@ def test_partial_sum_survives_overflowing_weights():
     # 2**5000 is far beyond float range; the log-space path must not care
     got = genA_partial(PowerProbe(0.5), GEO2, 5000)
     assert got == pytest.approx(genA_limit(0.5, 0.5), rel=1e-12)
+
+
+def test_partial_sum_keeps_its_digits_on_geometric_weights_at_depth():
+    # lam_k = 2**(k-1) and Lam_k = 2**k - 1, each term to 30 digits; the
+    # terms below k = n - 1000 sum to under 2**-500
+    n, p = 10 ** 6, 0.5
+    with mpmath.workdps(30):
+        two = mpmath.mpf(2)
+        lam_n = two ** n - 1
+        want = math.fsum(float(two ** (k - 1) / lam_n
+                               * ((two ** k - 1) / lam_n) ** -p)
+                         for k in range(n - 1000, n + 1))
+    got = genA_partial(PowerProbe(p), GEO2, n)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert want == pytest.approx(1.0 + 0.5 ** 0.5, rel=1e-15, abs=0.0)
 
 
 def test_partial_sum_generic_callable_agrees_with_probe():

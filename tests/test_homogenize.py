@@ -80,6 +80,25 @@ def test_nonconvergence_is_reported_not_raised():
     assert math.isfinite(est.value)
 
 
+def test_ladder_stops_at_a_library_error_and_passes_other_faults_on():
+    from dataclasses import dataclass
+
+    from hardymeans.errors import DomainError
+    from hardymeans.means import MeanSpec
+
+    @dataclass(frozen=True)
+    class Failing(MeanSpec):
+        exc: type
+
+        def evaluate(self, x, lam):
+            raise self.exc("from a rung")
+
+    est = homogenize(Failing(DomainError), (1.0, 4.0), (1.0, 1.0))
+    assert not est.converged and est.ladder.size == 0
+    with pytest.raises(TypeError, match="from a rung"):
+        homogenize(Failing(TypeError), (1.0, 4.0), (1.0, 1.0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     xs=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=6),

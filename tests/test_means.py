@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from hardymeans.errors import (BracketError, DomainError, InversionError,
-                               UsageError)
+from hardymeans import means
+from hardymeans.errors import (BracketError, DomainError, HardyMeansError,
+                               InversionError, UsageError)
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    dev_gini, dev_power, difference_kernel,
                                    exp_gen, log_gen, power_gap_kernel,
@@ -19,6 +20,7 @@ from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic, gini_mean, homogeneous_devmean,
                               parse_mean, power_mean, prefix_values,
                               quasiarithmetic_mean, quasideviation_mean)
+from hardymeans.rootfind import newton_lanes
 
 ONES2 = np.array([1.0, 1.0])
 X14 = np.array([1.0, 4.0])
@@ -305,27 +307,62 @@ def test_gini_factorization(xlam, pq):
 # -- prefix evaluation -------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(
-    getattr(s, "p", getattr(s, "g", getattr(s, "f", getattr(s, "kernel", ""))))))
-def test_prefix_values_match_per_prefix_evaluation(spec):
-    rng = np.random.default_rng(7)
-    x = 10.0 ** rng.uniform(-2, 2, 40)
-    lam = rng.uniform(0.0, 1.0, 40)
-    lam[0] = 0.7
-    got = prefix_values(spec, x, lam)
-    for n in (1, 2, 7, 25, 40):
-        direct = spec.evaluate(x[:n], lam[:n])
-        assert got[n - 1] == pytest.approx(direct, rel=1e-11), f"n={n}"
-
-
-# -- one evaluation path --------------------------------------------------
-
 EVERY_FAMILY = SPECS + [
     Power(1e-9), Power(-1e-9), Power(math.inf), Power(-math.inf),
     Gini(-0.5, -0.5), QuasiArithmetic(replace(log_gen(), inverse=None)),
     HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
 ]
+
+
+def _outcome(call):
+    """call()'s value, or the type of the library error it raises."""
+    try:
+        return call()
+    except HardyMeansError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=repr)
+def test_prefix_values_match_per_prefix_evaluation(spec):
+    # the mean of a prefix depends on that prefix alone: the whole run of
+    # prefixes, one requested prefix and evaluate on the prefix give the
+    # same bits, or the same error.  The wide rows start at 1e-300 and
+    # hold one sample near 1e300 among samples near 1e-300; the second
+    # weights grow to 2**975, so a later weight is always the largest.
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(0.0, 1.0, 40)
+    lam[0] = 0.7
+    wide = 10.0 ** rng.uniform(-300.0, -299.0, (2, 40))
+    wide[:, 0] = 1e-300
+    wide[:, 23] = 10.0 ** rng.uniform(299.0, 300.0, 2)
+    for x in [10.0 ** rng.uniform(-2, 2, 40), *wide]:
+        for w in (lam, np.ldexp(lam, 25 * np.arange(40))):
+            one = [_outcome(lambda: prefix_values(spec, x, w, ns=[n])[0])
+                   for n in range(1, 41)]
+            for n in range(1, 41):
+                alone = _outcome(lambda: spec.evaluate(x[:n], w[:n]))
+                assert alone == one[n - 1]
+            every = _outcome(lambda: list(prefix_values(spec, x, w)))
+            assert every == one if isinstance(every, list) else every in one
+
+
+def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return newton_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(means, "newton_lanes", counting)
+    x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
+    for f in (dev_power(0.5), dev_gini(0.5, -0.5), log_gen()):
+        calls.clear()
+        HomogeneousDeviation(f).evaluate(x, np.ones(50))
+        assert len(calls) == 1
+
+
+# -- one evaluation path --------------------------------------------------
 
 
 @pytest.mark.parametrize("spec", EVERY_FAMILY, ids=repr)
@@ -362,8 +399,22 @@ def test_weights_beyond_float_range_give_one_answer(spec):
     else:
         want = (_fsum_power_mean(x, scaled, 0.5)
                 * _fsum_power_mean(x, scaled, -0.5)) ** 0.5
-    # log-space weights near e**709 carry 1e-13 relative rounding
-    assert got == pytest.approx(want, rel=2e-13)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_terms_whose_weight_and_sample_leave_float_range_apart():
+    # relative to the second term, the third is e**1381 by its sample and
+    # 2**-1200 by its weight: neither factor is a float, their product is
+    x = np.array([1e-300, 1e-300, 1e300])
+    lam = np.array([1.0, 2.0 ** 1000, 2.0 ** -200])
+    with mpmath.workdps(40):
+        want = float(mpmath.fsum(mpmath.mpf(v) * mpmath.mpf(w)
+                                 for v, w in zip(x, lam))
+                     / mpmath.fsum(mpmath.mpf(w) for w in lam))
+    got = prefix_values(Power(1.0), x, lam)
+    assert got[:2].tolist() == [1e-300, 1e-300]
+    # log(1e300 / 1e-300) = 1381.6 carries up to 1.1e-13 of rounding
+    assert got[2] == pytest.approx(want, rel=2e-13, abs=0.0)
 
 
 def test_huge_equal_weights_leave_the_deviation_root_unmoved():
@@ -542,6 +593,10 @@ def test_batch_rows_match_one_row_prefixes(spec):
     for row in range(9):
         assert np.array_equal(got[row], spec.prefix(x[row], lam, idx))
     assert np.array_equal(spec.prefix(x[3:5], lam, idx), got[3:5])
+    # and each column as if it were the only prefix requested
+    for k in range(idx.size):
+        assert np.array_equal(got[:, k:k + 1],
+                              spec.prefix(x, lam, idx[k:k + 1]))
 
 
 def test_prefix_values_subset_and_validation():
