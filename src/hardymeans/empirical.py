@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from . import hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
@@ -103,7 +105,7 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     """Materialize a positive test sequence of length N.
 
     String forms: ``constant:c=<v>``, ``witness:y=<v>`` (the extremal
-    sequence y / Lambda_n), ``random:seed=<s>`` (log-uniform on
+    sequence y / Lambda_n), ``random:seed=<s>`` (s >= 0; log-uniform on
     [1e-3, 1e3]), ``file:<path>`` (one value per line).  Anything
     array-like passes through with a length check.
     """
@@ -125,8 +127,10 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
                 "prefix sums leave float range at this N; shrink N")
         return y / prefixes
     if head == "random":
-        seed = int(parse_kv(rest, "seed", float))
-        rng = np.random.default_rng(seed)
+        seed = parse_kv(rest, "seed", float)
+        if not 0.0 <= seed < math.inf:
+            raise DomainError(f"seed must be nonnegative, got {seed!r}")
+        rng = np.random.default_rng(int(seed))
         return 10.0 ** rng.uniform(-3.0, 3.0, N)
     if head == "file":
         with open(rest) as fh:
@@ -293,16 +297,18 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
                       N: int = 50) -> VerifyReport:
     """Fuzz the inequality: random sequences must respect the constant.
 
-    Each trial draws its own generator from (seed, trial index), picks a
-    length in 1..N and log-uniform samples in [1e-3, 1e3], and checks
-    ratio <= constant * (1 + 1e-9).  For symmetric monotone means the
+    Trial i takes the sequence np.random.default_rng([seed, i]) draws: a
+    length in 1..N, then log-uniform samples in [1e-3, 1e3]; the seed
+    must be nonnegative.  Each trial checks ratio <= constant *
+    (1 + 1e-9).  For symmetric monotone means the
     unweighted constant is an envelope for every weight sequence, so a
     second check compares against it.
 
     The weights are built and validated once per call.  Trials run in
     blocks of at most _BLOCK (fewer when N is large), each drawn into a
-    padded array, validated once and evaluated in one batch (see the
-    module docstring).  The first crossing in trial order raises
+    padded array in array passes, bit for bit that rule
+    (:func:`_draw_trials`), validated once and evaluated in one batch
+    (see the module docstring).  The first crossing in trial order raises
     ViolationFound carrying the witness sequence, its ratio and its
     trial; a trial that crosses both limits reports the "constant"
     check.  Identical inputs give bit-identical reports, and a trial's
@@ -310,6 +316,8 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
     """
     if trials < 1 or N < 1:
         raise DomainError("trials and N must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     trials, seed, N = int(trials), int(seed), int(N)
     constant = float(constant)
     eta = w.eta()
@@ -362,11 +370,103 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
 def _draw_trials(seed: int, first: int, stop: int, N: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Trials first..stop-1 of the (seed, trial) stream: rows of a
-    (stop - first, N) array padded with 1.0, and their lengths."""
-    x = np.ones((stop - first, N))
-    lengths = np.empty(stop - first, dtype=int)
-    for row, i in enumerate(range(first, stop)):
-        rng = np.random.default_rng([seed, i])
+    (stop - first, N) array padded with 1.0, and their lengths.
+
+    Trial i is what np.random.default_rng([seed, i]) draws: a length by
+    integers(1, N + 1), then that many exponents of 10 by
+    uniform(-3, 3).  The block is drawn bit for bit alike in array
+    passes: the seeding words of every row at once (:func:`_seed_words`),
+    one PCG64 per row for its first N + 1 raw 64-bit words, and NumPy's
+    transforms of those words over the whole block:
+
+    * the length is 1 + (lo * N >> 32), Lemire's bounded draw on the low
+      32 bits lo of word 0; for N = 1 it draws no word;
+    * each exponent is -3 + 6 * (w >> 11) * 2**-53 for the next word w.
+
+    A row whose Lemire draw NumPy would reject and redraw
+    (lo * N mod 2**32 < 2**32 mod N, about once in 1e8 trials at
+    N = 50), or whose trial index takes a second seed word (i >= 2**32),
+    is drawn by default_rng([seed, i]) itself.
+    """
+    trials = np.arange(first, stop)
+    words = _seed_words(seed, trials)
+    raw = np.stack([PCG64(_FixedState(w)).random_raw(N + 1) for w in words])
+    redo = trials > _M32
+    if N == 1:
+        lengths = np.ones(trials.size, dtype=int)
+    else:
+        m = (raw[:, 0] & np.uint64(_M32)) * np.uint64(N)
+        lengths = (m >> np.uint64(32)).astype(int) + 1
+        redo |= (m & np.uint64(_M32)) < 2 ** 32 % N
+        raw = raw[:, 1:]
+    u = -3.0 + 6.0 * ((raw[:, :N] >> np.uint64(11)) * 2.0 ** -53)
+    x = np.where(np.arange(N) < lengths[:, np.newaxis], 10.0 ** u, 1.0)
+    for row in np.flatnonzero(redo):
+        rng = np.random.default_rng([seed, int(trials[row])])
         n = lengths[row] = rng.integers(1, N + 1)
+        x[row] = 1.0
         x[row, :n] = 10.0 ** rng.uniform(-3.0, 3.0, n)
     return x, lengths
+
+
+# numpy.random.SeedSequence's hash constants (after O'Neill's
+# seed_seq_fe) for its pool of four 32-bit words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for each
+    trial index i < 2**32, as the rows of a (trials.size, 4) array.
+
+    This is NumPy's mixing of the entropy words (the seed's 32-bit words,
+    least significant first, then i) into the pool and of the pool into
+    the state, in uint32 arithmetic over all rows at once: every row has
+    the same number of words, so the hash constants run alike.
+    """
+    entropy = [np.full(trials.size, seed >> 32 * k & _M32, np.uint32)
+               for k in range(max(1, -(-seed.bit_length() // 32)))]
+    entropy.append(trials.astype(np.uint32))
+    entropy += [np.zeros(trials.size, np.uint32)] * (_POOL - len(entropy))
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(v, w):
+        v = np.uint32(_MIX_L) * v - np.uint32(_MIX_R) * w
+        return v ^ (v >> np.uint32(16))
+
+    pool = [hashmix(v) for v in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for v in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(v))
+    const = _INIT_B
+    state = np.empty((trials.size, 2 * _POOL), np.uint32)
+    for k in range(2 * _POOL):
+        v = pool[k % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        v = v * np.uint32(const)
+        state[:, k] = v ^ (v >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _FixedState(ISeedSequence):
+    """A seed sequence whose state is words already generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words

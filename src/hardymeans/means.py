@@ -632,19 +632,35 @@ def _prefix_qa(x, lam, g, idx):
 
 def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
             ) -> float:
-    """y in [lo, hi] with g(y) = target, by Brent's method."""
+    """y in [lo, hi] with g(y) = target, by Brent's method on log y.
+
+    On log y the bracket [log lo, log hi] narrows in some 60 iterations
+    whatever its width, where bisection on y itself takes about 1900 from
+    1e300 to 1e-285.  A first solve finds log y to within 1e-6; a second
+    solves for t = log(y / c) about that estimate c, on a bracket twice
+    as wide as that tolerance, so the float spacing of log y (eps |log y|
+    relative in y, 1.5e-13 at 1e-300) does not limit the result.
+    """
     if lo == hi:
         return lo
 
     def h(y):
         return float(np.asarray(g.fn(np.array([y])), dtype=float)[0]) - target
 
+    def solve(c, a, b, xtol, ha=None, hb=None):
+        def y_of(t):
+            return min(max(c * math.exp(t), lo), hi)
+
+        return y_of(bracketed_root(lambda t: h(y_of(t)), a, b, xtol=xtol,
+                                   flo=ha, fhi=hb).root)
+
     hlo, hhi = h(lo), h(hi)
     if hlo != 0.0 and hhi != 0.0 and (hlo < 0.0) == (hhi < 0.0):
         raise InversionError(
             f"target {target:g} not bracketed by g on [{lo:g}, {hi:g}]")
-    return bracketed_root(h, lo, hi, xtol=max(1e-13 * lo, 5e-324),
-                          rtol=RTOL_FLOOR, flo=hlo, fhi=hhi).root
+    c = solve(1.0, math.log(lo), math.log(hi), 1e-6, hlo, hhi)
+    t = 2.0 * (1e-6 + RTOL_FLOOR * abs(math.log(c)))
+    return solve(c, -t, t, RTOL_FLOOR)
 
 
 def _prefix_deviation(x, lam, efn, idx, homogeneous):

@@ -33,7 +33,7 @@ def test_constant_closed_json(capsys):
     assert code == 0 and err == ""
     doc = parse_json(out)
     assert set(doc) == {"value", "method", "residual", "eta"}
-    assert doc["value"] == pytest.approx(math.e, rel=1e-15)
+    assert doc["value"] == pytest.approx(math.e, rel=1e-15, abs=0.0)
     assert doc["method"] == "closed"
     # 17 significant digits round-trip the double exactly
     assert "2.7182818284590451" in out
@@ -135,6 +135,14 @@ def test_verify_constant_text_validation(capsys):
                "--weights", "ones", "--constant", "many")[0] == 2
     assert run(capsys, "verify", "--mean", "power:p=0.5",
                "--weights", "ones", "--constant", "-3")[0] == 2
+
+
+def test_verify_negative_seed_is_a_json_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "--mean", "power:p=0.5",
+                         "--weights", "ones", "--constant", "auto",
+                         "--trials", "5", "--N", "10", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert parse_json(err)["error"] == "DomainError"
 
 
 def test_verify_is_deterministic(capsys):

@@ -34,7 +34,7 @@ GEO2 = WeightSequence.geometric(2.0)
 
 def test_ratio_of_constants_is_one():
     assert hardy_ratio(Power(1.0), ONES, "constant:c=1", 10) == pytest.approx(
-        1.0, rel=1e-14)
+        1.0, rel=1e-14, abs=0.0)
 
 
 def test_ratio_of_reciprocals_stays_below_e():
@@ -137,7 +137,7 @@ def test_trace_csv_format():
     assert len(lines) == trace.ns.size + 1
     n, v = lines[1].split(",")
     assert int(n) == int(trace.ns[0])
-    assert float(v) == pytest.approx(trace.values[0], rel=1e-15)
+    assert float(v) == pytest.approx(trace.values[0], rel=1e-15, abs=0.0)
 
 
 # -- genA --------------------------------------------------------------------
@@ -208,12 +208,12 @@ def test_partial_sum_rejects_bad_phi_values():
 
 
 def test_limit_values():
-    assert genA_limit(0.5, 0.0) == pytest.approx(2.0, rel=1e-15)
-    assert genA_limit(0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert genA_limit(0.0, 0.7) == pytest.approx(1.0, rel=1e-15)
+    assert genA_limit(0.5, 0.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert genA_limit(0.0, 0.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert genA_limit(0.0, 0.7) == pytest.approx(1.0, rel=1e-15, abs=0.0)
     assert genA_limit(0.5, 0.5) == pytest.approx(
-        0.5 / (1.0 - 2.0 ** -0.5), rel=1e-14)
-    assert genA_limit(-1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+        0.5 / (1.0 - 2.0 ** -0.5), rel=1e-14, abs=0.0)
+    assert genA_limit(-1.0, 0.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p, eta", [
@@ -257,6 +257,9 @@ def test_sequence_rule_validation():
         make_sequence("constant:k=1", ONES, 5)
     with pytest.raises(DomainError):
         make_sequence("witness:y=0", ONES, 5)
+    for seed in ("-1", "nan", "inf"):
+        with pytest.raises(DomainError):
+            make_sequence(f"random:seed={seed}", ONES, 5)
 
 
 # -- verify_inequality -------------------------------------------------------
@@ -318,6 +321,72 @@ def test_fuzzing_input_validation():
         verify_inequality(Power(0.5), ONES, 4.0, trials=0)
     with pytest.raises(DomainError):
         verify_inequality(Power(0.5), ONES, 4.0, N=0)
+    with pytest.raises(DomainError):
+        verify_inequality(Power(0.5), ONES, 4.0, seed=-1)
+
+
+# -- the (seed, trial) stream ------------------------------------------------
+
+
+def fuzz_trial(seed, trial, N):
+    """The sample of one trial, by verify_inequality's documented rule:
+    a generator seeded with [seed, trial] draws a length in 1..N, then
+    that many exponents uniform on [-3, 3]."""
+    rng = np.random.default_rng([int(seed), int(trial)])
+    length = int(rng.integers(1, int(N) + 1))
+    return 10.0 ** rng.uniform(-3.0, 3.0, length)
+
+
+def _assert_stream(seed, first, stop, N):
+    x, lengths = empirical._draw_trials(seed, first, stop, N)
+    assert x.shape == (stop - first, N)
+    for row, i in enumerate(range(first, stop)):
+        want = fuzz_trial(seed, i, N)
+        assert lengths[row] == want.size, (seed, N, i)
+        assert np.array_equal(x[row, :want.size].view(np.uint64),
+                              want.view(np.uint64)), (seed, N, i)
+        assert np.all(x[row, want.size:] == 1.0)
+
+
+STREAM_SEEDS = [0, 1, 7, 12345, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32,
+                2 ** 64 + 3, 2 ** 100 + 17]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("N", [1, 2, 7, 50, 64, 200])
+@pytest.mark.parametrize("first", [0, 128, 4096])
+def test_draw_trials_is_the_default_rng_stream_bit_for_bit(seed, N, first):
+    # the block's seeding, raw words, lengths and samples are NumPy's own
+    # arithmetic redone over arrays; a change of the stream fails here
+    _assert_stream(seed, first, first + 20, N)
+
+
+def test_draw_trials_past_two_to_the_31():
+    # a block past 2**31, and one that crosses 2**32, where a trial index
+    # takes a second entropy word
+    _assert_stream(3, 2 ** 31 + 5, 2 ** 31 + 25, 50)
+    _assert_stream(3, 2 ** 32 - 6, 2 ** 32 + 2, 50)
+
+
+def test_draw_trials_redraws_a_rejected_length(monkeypatch):
+    # a raw low word of 0 gives leftover 0 < 2**32 mod 50 = 46, where
+    # NumPy's bounded draw rejects and draws again; the row must still
+    # be the stream's own
+    seed, trial, N = 5, 3, 50
+    target = np.random.SeedSequence([seed, trial]).generate_state(
+        4, np.uint64)
+
+    class Rejecting(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            raw = super().random_raw(size, output)
+            if np.array_equal(self._seed_seq.words, target):
+                raw[0] &= ~np.uint64(0xFFFFFFFF)
+            return raw
+
+    monkeypatch.setattr(empirical, "PCG64", Rejecting)
+    # accepted, the zeroed word would have given that trial length 1
+    assert fuzz_trial(seed, trial, N).size != 1
+    _assert_stream(seed, 0, 8, N)
 
 
 # -- batched trials ----------------------------------------------------------
@@ -384,10 +453,10 @@ def test_ratios_with_weight_sums_beyond_float_range_stay_finite():
     j = report.max_ratio_trial
     best = x[j, :lengths[j]]
     assert report.max_ratio == pytest.approx(
-        _fsum_ratio_power_half(best, scaled[:best.size]), rel=1e-13)
+        _fsum_ratio_power_half(best, scaled[:best.size]), rel=1e-13, abs=0.0)
     assert lengths[110] == N
     assert hardy_ratio(Power(0.5), GEO2, x[110]) == pytest.approx(
-        _fsum_ratio_power_half(x[110], scaled), rel=1e-13)
+        _fsum_ratio_power_half(x[110], scaled), rel=1e-13, abs=0.0)
 
 
 def test_a_ratio_that_is_not_finite_is_a_domain_error():
@@ -412,7 +481,7 @@ def test_violation_is_the_first_crossing_in_trial_order():
                           N=40)
     exc = excinfo.value
     assert (exc.trial, exc.check) == (j, "constant")
-    assert exc.ratio == pytest.approx(ratios[j], rel=1e-15)
+    assert exc.ratio == pytest.approx(ratios[j], rel=1e-15, abs=0.0)
     assert exc.sequence == list(x[j, :lengths[j]])
 
 

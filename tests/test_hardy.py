@@ -68,7 +68,7 @@ def mp_gini_constant(p, q, eta):
     (math.inf, math.inf),
 ])
 def test_classical_table(p, expected):
-    assert classical_C(p) == pytest.approx(expected, rel=1e-14)
+    assert classical_C(p) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_classical_rejects_nan():
@@ -80,9 +80,9 @@ def test_classical_rejects_nan():
 
 
 def test_weighted_constant_small_cases():
-    assert C_of(0.5, 0.0) == pytest.approx(4.0, rel=1e-15)
-    assert C_of(0.0, 0.0) == pytest.approx(math.e, rel=1e-15)
-    assert C_of(0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
+    assert C_of(0.5, 0.0) == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert C_of(0.0, 0.0) == pytest.approx(math.e, rel=1e-15, abs=0.0)
+    assert C_of(0.0, 0.5) == pytest.approx(2.0, rel=1e-15, abs=0.0)
     assert C_of(0.5, 0.5) == pytest.approx(
         (0.5 / (1.0 - 2.0 ** -0.5)) ** 2, rel=1e-14)
 
@@ -90,7 +90,8 @@ def test_weighted_constant_small_cases():
 @pytest.mark.parametrize("r", R_GRID + [0.0])
 @pytest.mark.parametrize("eta", ETA_GRID)
 def test_weighted_constant_matches_high_precision(r, eta):
-    assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta), rel=1e-13)
+    assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta),
+                                         rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("r, eta", [
@@ -126,32 +127,37 @@ def test_weighted_constant_near_order_zero_matches_high_precision(r, eta):
     # (log eta - log denom) / r cancelled to 8.5e-8 relative at r = -1e-9
     # and 4.3e-4 at r = 1e-13; the log1p form keeps full precision
     assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta),
-                                         rel=1e-15)
+                                         rel=1e-15, abs=0.0)
 
 
 def test_weighted_constant_near_order_zero_hand_value():
     # 50-digit value 2.0000000009609060...
-    assert C_of(1e-9, 0.5) == pytest.approx(2.000000000960906, rel=1e-15)
+    assert C_of(1e-9, 0.5) == pytest.approx(2.000000000960906, rel=1e-15,
+                                            abs=0.0)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.6, 0.9, 0.999])
 @pytest.mark.parametrize("eta", [1e-9, 0.5, 0.999])
 def test_weighted_constant_near_order_one_matches_high_precision(r, eta):
     assert C_of(r, eta) == pytest.approx(mp_power_constant(r, eta),
-                                         rel=1e-14)
+                                         rel=1e-14, abs=0.0)
 
 
 # -- Gini closed form --------------------------------------------------------
 
 
 def test_gini_constant_small_cases():
-    assert gini_constant(0.0, 0.0, 0.0) == pytest.approx(math.e, rel=1e-15)
-    assert gini_constant(0.5, -0.5, 0.0) == pytest.approx(3.0, rel=1e-14)
-    assert gini_constant(0.0, -1.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert gini_constant(0.0, 0.0, 0.0) == pytest.approx(math.e, rel=1e-15,
+                                                         abs=0.0)
+    assert gini_constant(0.5, -0.5, 0.0) == pytest.approx(3.0, rel=1e-14,
+                                                          abs=0.0)
+    assert gini_constant(0.0, -1.0, 0.0) == pytest.approx(2.0, rel=1e-14,
+                                                          abs=0.0)
     # eta = 1/2 hand value: ((1 - 0.5**1.5) / (1 - 0.5**0.5)) ** 1
     assert gini_constant(0.5, -0.5, 0.5) == pytest.approx(
-        (1.0 - 0.5 ** 1.5) / (1.0 - 0.5 ** 0.5), rel=1e-14)
-    assert gini_constant(0.0, 0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
+        (1.0 - 0.5 ** 1.5) / (1.0 - 0.5 ** 0.5), rel=1e-14, abs=0.0)
+    assert gini_constant(0.0, 0.0, 0.5) == pytest.approx(2.0, rel=1e-15,
+                                                         abs=0.0)
 
 
 @pytest.mark.parametrize("p, q", [(-1.0, 0.5), (-0.5, 0.5), (-2.0, 0.9),
@@ -159,8 +165,9 @@ def test_gini_constant_small_cases():
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.8])
 def test_gini_constant_matches_high_precision(p, q, eta):
     got = gini_constant(p, q, eta)
-    assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-13)
-    assert gini_constant(q, p, eta) == pytest.approx(got, rel=1e-15)
+    assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-13,
+                                abs=0.0)
+    assert gini_constant(q, p, eta) == pytest.approx(got, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p, q", [(1e-9, -1e-9), (-1e-9, 1e-9),
@@ -170,14 +177,15 @@ def test_gini_constant_matches_high_precision(p, q, eta):
 def test_gini_constant_near_zero_exponents_matches_high_precision(p, q, eta):
     # differencing log d_p and log d_q lost 6e-8 relative at (1e-9, -1e-9)
     got = gini_constant(p, q, eta)
-    assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-14)
+    assert got == pytest.approx(mp_gini_constant(p, q, eta), rel=1e-14,
+                                abs=0.0)
 
 
 @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 0.9])
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8])
 def test_gini_zero_exponent_collapses_to_power(p, eta):
     assert gini_constant(p, 0.0, eta) == pytest.approx(C_of(p, eta),
-                                                       rel=1e-15)
+                                                       rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p, q, eta", [

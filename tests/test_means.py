@@ -65,7 +65,7 @@ def test_gini_mean_is_symmetric_in_pq():
     x = np.array([0.3, 5.0, 2.0])
     lam = np.array([1.0, 2.0, 0.5])
     assert gini_mean(x, lam, 0.7, -1.3) == pytest.approx(
-        gini_mean(x, lam, -1.3, 0.7), rel=1e-15)
+        gini_mean(x, lam, -1.3, 0.7), rel=1e-15, abs=0.0)
 
 
 def test_gini_diagonal_oracle():
@@ -74,7 +74,8 @@ def test_gini_diagonal_oracle():
     lam = np.array([1.0, 3.0, 0.25])
     w = lam * x ** 2.0
     want = math.exp(float(np.dot(w, np.log(x)) / w.sum()))
-    assert gini_mean(x, lam, 2.0, 2.0) == pytest.approx(want, rel=1e-14)
+    assert gini_mean(x, lam, 2.0, 2.0) == pytest.approx(want, rel=1e-14,
+                                                        abs=0.0)
 
 
 def test_quasiarithmetic_small_cases():
@@ -83,7 +84,7 @@ def test_quasiarithmetic_small_cases():
     assert quasiarithmetic_mean([1.0, 2.0], [2.0, 1.0],
                                 power_gen(1.0)) == pytest.approx(4.0 / 3.0)
     assert quasiarithmetic_mean(X14, ONES2, power_gen(0.5)) == pytest.approx(
-        power_mean(X14, ONES2, 0.5), rel=1e-14)
+        power_mean(X14, ONES2, 0.5), rel=1e-14, abs=0.0)
 
 
 def test_quasiarithmetic_without_inverse_roots():
@@ -127,10 +128,11 @@ def test_quasideviation_small_cases():
     for scale in (1e-160, 1e-300, 1e290):
         x = [scale, scale / 10.0]
         assert quasideviation_mean(x, [1.0, 0.5], difference_kernel()) \
-            == pytest.approx(0.7 * scale, rel=1e-13)
+            == pytest.approx(0.7 * scale, rel=1e-13, abs=0.0)
         # (x**2 - y**2 = 0): y**2 = (1 + 0.005) / 1.5 scale**2
         assert quasideviation_mean(x, [1.0, 0.5], power_gap_kernel(2.0)) \
-            == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13)
+            == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13,
+                             abs=0.0)
 
 
 def test_quasideviation_rejects_sign_violating_kernel():
@@ -323,28 +325,45 @@ def _outcome(call):
         return type(exc)
 
 
-@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=repr)
-def test_prefix_values_match_per_prefix_evaluation(spec):
-    # the mean of a prefix depends on that prefix alone: the whole run of
-    # prefixes, one requested prefix and evaluate on the prefix give the
-    # same bits, or the same error.  The wide rows start at 1e-300 and
-    # hold one sample near 1e300 among samples near 1e-300; the second
-    # weights grow to 2**975, so a later weight is always the largest.
+def _prefix_cases():
+    """(x, lam) pairs of 40 samples: one row in [1e-2, 1e2] and two wide
+    rows, which start at 1e-300 and hold one sample near 1e300 among
+    samples near 1e-300, each under two weights; the second weights grow
+    to 2**975, so a later weight is always the largest."""
     rng = np.random.default_rng(7)
     lam = rng.uniform(0.0, 1.0, 40)
     lam[0] = 0.7
     wide = 10.0 ** rng.uniform(-300.0, -299.0, (2, 40))
     wide[:, 0] = 1e-300
     wide[:, 23] = 10.0 ** rng.uniform(299.0, 300.0, 2)
-    for x in [10.0 ** rng.uniform(-2, 2, 40), *wide]:
-        for w in (lam, np.ldexp(lam, 25 * np.arange(40))):
-            one = [_outcome(lambda: prefix_values(spec, x, w, ns=[n])[0])
-                   for n in range(1, 41)]
-            for n in range(1, 41):
-                alone = _outcome(lambda: spec.evaluate(x[:n], w[:n]))
-                assert alone == one[n - 1]
-            every = _outcome(lambda: list(prefix_values(spec, x, w)))
-            assert every == one if isinstance(every, list) else every in one
+    return [(x, w) for x in [10.0 ** rng.uniform(-2, 2, 40), *wide]
+            for w in (lam, np.ldexp(lam, 25 * np.arange(40)))]
+
+
+@pytest.mark.parametrize("spec", EVERY_FAMILY, ids=repr)
+def test_prefix_values_match_per_prefix_evaluation(spec):
+    # the mean of a prefix depends on that prefix alone: the whole run of
+    # prefixes, one requested prefix and evaluate on the prefix give the
+    # same bits, or the same error
+    for x, w in _prefix_cases():
+        one = [_outcome(lambda: prefix_values(spec, x, w, ns=[n])[0])
+               for n in range(1, 41)]
+        for n in range(1, 41):
+            alone = _outcome(lambda: spec.evaluate(x[:n], w[:n]))
+            assert alone == one[n - 1]
+        every = _outcome(lambda: list(prefix_values(spec, x, w)))
+        assert every == one if isinstance(every, list) else every in one
+
+
+def test_inverse_free_quasiarithmetic_spans_wide_rows():
+    # g(y) = log y is inverted by Brent's method on log y, so every prefix
+    # of the wide rows solves; the target log y ~ -656 fixes y only to its
+    # float spacing, 5.7e-14 relative
+    free = QuasiArithmetic(replace(log_gen(), inverse=None))
+    for x, w in _prefix_cases():
+        want = prefix_values(QuasiArithmetic(log_gen()), x, w)
+        got = prefix_values(free, x, w)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
