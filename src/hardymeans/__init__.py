@@ -2,7 +2,8 @@
 
 The package splits into a small stack:
 
-- :mod:`~hardymeans.weights` — weight sequences and their tail profile,
+- :mod:`~hardymeans.weights` — weight sequences, their prefix sums and
+  their declared ratio limit eta,
 - :mod:`~hardymeans.generators` — generator functions and deviation
   kernels with the analytic metadata the solvers need,
 - :mod:`~hardymeans.hardy` — closed-form constants and the
@@ -24,7 +25,6 @@ from .errors import (
     DerivativeUnavailableError,
     DomainError,
     HardyMeansError,
-    InconclusiveProfile,
     InversionError,
     LimitNotDetected,
     NoBracketError,
@@ -37,7 +37,7 @@ from .errors import (
     ViolationFound,
     ZeroDerivativeError,
 )
-from .weights import WeightSequence, WeightProfile, parse_weights, profile
+from .weights import WeightSequence, parse_weights
 from .generators import (
     GeneratorFunction,
     QuasideviationKernel,
@@ -78,7 +78,6 @@ from .hardy import (
     C_of,
     F_eval,
     HardyConstantResult,
-    LimitProbe,
     chi_f,
     classical_C,
     constant_closed,
@@ -116,10 +115,8 @@ __all__ = [
     "HardyMeansError",
     "HomogeneousDeviation",
     "HomogenizationEstimate",
-    "InconclusiveProfile",
     "InversionError",
     "LimitNotDetected",
-    "LimitProbe",
     "MeanSpec",
     "NoBracketError",
     "NoConvergenceError",
@@ -134,7 +131,6 @@ __all__ = [
     "UsageError",
     "VerifyReport",
     "ViolationFound",
-    "WeightProfile",
     "WeightSequence",
     "ZeroDerivativeError",
     "chi_f",
@@ -164,7 +160,6 @@ __all__ = [
     "power_gen",
     "power_mean",
     "prefix_values",
-    "profile",
     "qa_constant",
     "quasiarithmetic_mean",
     "quasideviation_mean",

@@ -105,8 +105,9 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     """Materialize a positive test sequence of length N.
 
     String forms: ``constant:c=<v>``, ``witness:y=<v>`` (the extremal
-    sequence y / Lambda_n), ``random:seed=<s>`` (s >= 0; log-uniform on
-    [1e-3, 1e3]), ``file:<path>`` (one value per line).  Anything
+    sequence y / Lambda_n), ``random:seed=<s>`` (s an integer >= 0, or
+    an integral float form such as ``1e3``; log-uniform on [1e-3, 1e3]),
+    ``file:<path>`` (one value per line).  Anything
     array-like passes through with a length check.
     """
     if not isinstance(rule, str):
@@ -127,16 +128,29 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
                 "prefix sums leave float range at this N; shrink N")
         return y / prefixes
     if head == "random":
-        seed = parse_kv(rest, "seed", float)
-        if not 0.0 <= seed < math.inf:
-            raise DomainError(f"seed must be nonnegative, got {seed!r}")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(parse_kv(rest, "seed", _parse_seed))
         return 10.0 ** rng.uniform(-3.0, 3.0, N)
     if head == "file":
         with open(rest) as fh:
             vals = [float(line) for line in fh if line.strip()]
         return make_sequence(vals, w, N)
     raise UsageError(f"unknown sequence rule {rule!r}")
+
+
+def _parse_seed(text: str) -> int:
+    """A nonnegative integer seed, read exactly as an integer; a float
+    form is accepted only when its value is integral."""
+    try:
+        seed = int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise DomainError(
+                f"seed must be an integer, got {text!r}") from None
+        seed = int(value)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {text!r}")
+    return seed
 
 
 def hardy_ratio(spec: MeanSpec, w: WeightSequence, x,

@@ -48,10 +48,6 @@ class TailBoundFailure(HardyMeansError):
     """The series tail bound did not close before the term cap."""
 
 
-class InconclusiveProfile(HardyMeansError):
-    """The weight ratio oscillates beyond tolerance without a usable trend."""
-
-
 class LimitNotDetected(HardyMeansError):
     """Limit detection did not stabilize over the probe ladder."""
 

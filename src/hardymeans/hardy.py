@@ -338,43 +338,33 @@ def chi_f(f: GeneratorFunction, x: float) -> float:
     return x * d2 / d1 + 1.0
 
 
-@dataclass(frozen=True)
-class LimitProbe:
-    """Probe schedule for chi-limit detection at 0+.
-
-    Points are 10**-j for j in start..stop; the limit is accepted once
-    `agree` successive values match within `tol`.
-    """
-
-    start: int = 1
-    stop: int = 12
-    agree: int = 3
-    tol: float = 1e-6
+# chi-limit detection at 0+: chi is probed at 10**-j for j in
+# _PROBE_POWERS, and the limit is accepted once _PROBE_AGREE successive
+# values match within _PROBE_TOL
+_PROBE_POWERS = range(1, 13)
+_PROBE_AGREE = 3
+_PROBE_TOL = 1e-6
 
 
-def detect_order(g: GeneratorFunction,
-                 probe: LimitProbe = LimitProbe()) -> float:
+def detect_order(g: GeneratorFunction) -> float:
     """Limit of chi(x) as x -> 0+, detected over the probe ladder.
 
-    Raises LimitNotDetected when no `agree` successive probe values
-    match within the probe tolerance.
+    Raises LimitNotDetected when no _PROBE_AGREE successive probe values
+    match within _PROBE_TOL.
     """
-    if probe.agree < 2 or probe.stop <= probe.start:
-        raise DomainError("malformed probe schedule")
     chis: list[float] = []
-    for j in range(probe.start, probe.stop + 1):
+    for j in _PROBE_POWERS:
         chis.append(chi_f(g, 10.0 ** -j))
-        if len(chis) >= probe.agree:
-            window = chis[-probe.agree:]
-            if all(abs(window[i + 1] - window[i]) <= probe.tol
+        if len(chis) >= _PROBE_AGREE:
+            window = chis[-_PROBE_AGREE:]
+            if all(abs(window[i + 1] - window[i]) <= _PROBE_TOL
                    for i in range(len(window) - 1)):
                 return window[-1]
     raise LimitNotDetected(
-        f"chi values {chis} never stabilized within {probe.tol:g}")
+        f"chi values {chis} never stabilized within {_PROBE_TOL:g}")
 
 
-def qa_constant(g: GeneratorFunction, eta: float,
-                probe: LimitProbe = LimitProbe()) -> HardyConstantResult:
+def qa_constant(g: GeneratorFunction, eta: float) -> HardyConstantResult:
     """Sharp constant for the quasiarithmetic mean with generator g.
 
     Detects p = lim chi(x) as x -> 0+ over the probe ladder and returns
@@ -383,7 +373,7 @@ def qa_constant(g: GeneratorFunction, eta: float,
     (the constant is then +inf, by the classical table).
     """
     _check_eta(eta)
-    detected = detect_order(g, probe)
+    detected = detect_order(g)
     if detected >= 1.0:
         raise PGeqOne(
             f"detected order {detected:.9g} >= 1: constant is +inf",

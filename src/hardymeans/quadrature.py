@@ -27,6 +27,9 @@ _NEGLIGIBLE_WEIGHT = 1e-250
 
 _MACHINE_STALL = 8.0 * np.finfo(float).eps
 
+# Cap on refinement levels (node spacing 2**-_MAX_LEVEL).
+_MAX_LEVEL = 12
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -75,8 +78,7 @@ def _pair_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
-              max_level: int = 12) -> QuadratureResult:
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12) -> QuadratureResult:
     """Integrate a vectorized callable f over the finite interval [a, b].
 
     Parameters
@@ -88,8 +90,6 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
         Integration bounds; a > b flips the sign of the result.
     tol : float
         Absolute tolerance on the level-to-level change.
-    max_level : int
-        Cap on refinement levels (node spacing 2**-max_level).
 
     Refinement stops once the inter-level change drops below `tol` or
     below machine-relative stall; otherwise the level cap is reported
@@ -109,7 +109,7 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
     err = math.inf
     converged = False
     level = 0
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         offsets, weights = _pair_nodes(level)
         xs = np.concatenate((a + half * offsets, b - half * offsets))
         ws = np.concatenate((weights, weights))

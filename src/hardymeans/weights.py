@@ -1,29 +1,23 @@
-"""Weight sequences and their tail profile.
+"""Weight sequences.
 
-A weight sequence lambda has lambda_1 > 0 and lambda_n >= 0.  The ratio
-r_n = lambda_n / Lambda_n (Lambda_n the n-th prefix sum) controls which
-sharp constant applies, through its limit eta; `profile` estimates eta
-from a finite horizon and reports the monotonicity and divergence facts
-that the constant formulas assume.
+A weight sequence lambda has lambda_1 > 0 and lambda_n >= 0.  The sharp
+constants depend on it only through eta, the limit of lambda_n /
+Lambda_n (Lambda_n the n-th prefix sum), which each family declares
+through `WeightSequence.eta`; the empirical checks use its weights, log
+weights and prefix sums as arrays.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconclusiveProfile, UsageError
+from .errors import DomainError, UsageError
 from .formatting import parse_kv
 
 _KINDS = ("ones", "geometric", "powerlaw", "explicit")
-
-# Below this spread over the trailing window the ratio counts as settled.
-_PROFILE_TOL = 1e-6
-# Slack for "nonincreasing" in the presence of rounding.
-_TIE_TOL = 1e-14
 
 
 class WeightSequence:
@@ -87,50 +81,34 @@ class WeightSequence:
     def explicit(cls, values) -> "WeightSequence":
         return cls("explicit", values=values)
 
-    # -- single terms -------------------------------------------------
+    # -- weights --------------------------------------------------------
 
-    def lam(self, n: int) -> float:
-        """The n-th weight, n >= 1."""
-        n = _check_index(n)
+    def _terms(self, first: int, last: int) -> np.ndarray:
+        """Weights first..last (1-based, inclusive): the one place each
+        family states its formula."""
         if self.kind == "ones":
-            return 1.0
-        if self.kind == "geometric":
-            return self.a ** (n - 1)
-        if self.kind == "powerlaw":
-            return float(n) ** self.alpha
-        return self.values[min(n, len(self.values)) - 1]
-
-    def log_lam(self, n: int) -> float:
-        """log of the n-th weight, exact in the exponent (no overflow)."""
-        n = _check_index(n)
-        if self.kind == "ones":
-            return 0.0
-        if self.kind == "geometric":
-            return (n - 1) * math.log(self.a)
-        if self.kind == "powerlaw":
-            return self.alpha * math.log(n)
-        return math.log(self.values[min(n, len(self.values)) - 1])
-
-    # -- vectorized views ----------------------------------------------
-
-    def lam_array(self, n: int) -> np.ndarray:
-        """Weights 1..n as a float array.  Overflows to inf for huge
-        geometric indices; use :meth:`log_lam_array` beyond float range."""
-        n = _check_index(n)
-        if self.kind == "ones":
-            return np.ones(n)
+            return np.ones(last - first + 1)
         if self.kind == "geometric":
             with np.errstate(over="ignore"):
-                return self.a ** np.arange(n, dtype=float)
+                return self.a ** np.arange(first - 1, last, dtype=float)
         if self.kind == "powerlaw":
-            return np.arange(1, n + 1, dtype=float) ** self.alpha
-        vals = np.asarray(self.values, dtype=float)
-        if n <= vals.size:
-            return vals[:n].copy()
-        out = np.empty(n)
-        out[:vals.size] = vals
-        out[vals.size:] = vals[-1]
+            return np.arange(first, last + 1, dtype=float) ** self.alpha
+        out = np.full(last - first + 1, self.values[-1])
+        head = self.values[first - 1:last]
+        out[:len(head)] = head
         return out
+
+    def lam(self, n: int) -> float:
+        """The n-th weight, n >= 1: bit for bit ``lam_array(n)[-1]``, and
+        inf where that is inf."""
+        n = _check_index(n)
+        return float(self._terms(n, n)[0])
+
+    def lam_array(self, n: int) -> np.ndarray:
+        """Weights 1..n as a float array; its last entry is ``lam(n)``.
+        Overflows to inf for huge geometric indices; use
+        :meth:`log_lam_array` beyond float range."""
+        return self._terms(1, _check_index(n))
 
     def log_lam_array(self, n: int) -> np.ndarray:
         """log(lam_k / lam_n), k = 1..n: small, and exact to rounding, near
@@ -271,93 +249,6 @@ def _check_index(n) -> int:
     if m != n or m < 1:
         raise DomainError(f"index must be a positive integer, got {n!r}")
     return m
-
-
-def ratio_diag_array(w: WeightSequence, n: int) -> np.ndarray:
-    """Ratios lambda_k / Lambda_k for k = 1..n, computed in log space.
-
-    Stays finite for weight families whose raw terms overflow float range
-    (large geometric indices).
-    """
-    log_lam = w.log_lam_array(n)
-    log_prefix = np.logaddexp.accumulate(log_lam)
-    return np.exp(log_lam - log_prefix)
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Finite-horizon summary of the weight tail.
-
-    eta is the detected limit of lambda_n / Lambda_n, or None when the
-    ratio is still drifting monotonically at the horizon ("not
-    convergent" within this horizon).
-    """
-
-    eta: float | None
-    ratio_nonincreasing: bool
-    lambda_divergent: bool
-    horizon: int
-    window_spread: float
-
-
-def profile(w: WeightSequence, horizon: int = 1000) -> WeightProfile:
-    """Estimate eta and tail facts from the first `horizon` ratios.
-
-    The trailing quarter of the ratio sequence is the decision window:
-    a spread below 1e-6 reports its mean; a monotone decay that has at
-    least halved (geometrically) since mid-horizon reports 0; a window
-    already below 1e-6 reports 0; a monotone but unsettled drift reports
-    None.  Anything that oscillates beyond tolerance raises
-    InconclusiveProfile, as does a disagreement between the divergence
-    of Lambda and of the ratio series, which must diverge together.
-    """
-    horizon = _check_index(horizon)
-    if horizon < 100:
-        raise DomainError("profile horizon must be at least 100")
-
-    r = ratio_diag_array(w, horizon)
-    diffs = np.diff(r)
-    nonincreasing = bool(np.all(diffs <= _TIE_TOL))
-
-    # Divergence of Lambda, judged in log space over the trailing quarter.
-    log_prefix = np.logaddexp.accumulate(w.log_lam_array(horizon))
-    start = (3 * horizon) // 4
-    lam_growth = float(log_prefix[-1] - log_prefix[start - 1])
-    lam_divergent = lam_growth > _PROFILE_TOL
-
-    # The ratio series sum(lambda_n / Lambda_n) diverges iff Lambda does.
-    ratio_partials = np.cumsum(r)
-    ratio_growth = float(ratio_partials[-1] - ratio_partials[start - 1])
-    ratio_divergent = ratio_growth > _PROFILE_TOL
-    if lam_divergent != ratio_divergent:
-        raise InconclusiveProfile(
-            "divergence cross-check disagrees at horizon "
-            f"{horizon}: Lambda growth {lam_growth:.3e}, "
-            f"ratio-series growth {ratio_growth:.3e}")
-
-    window = r[start:]
-    spread = float(window.max() - window.min())
-    wdiffs = np.diff(window)
-    window_noninc = bool(np.all(wdiffs <= _TIE_TOL))
-    window_nondec = bool(np.all(wdiffs >= -_TIE_TOL))
-
-    eta: float | None
-    if spread < _PROFILE_TOL:
-        eta = float(window.mean())
-    elif window_noninc and r[-1] <= 0.9 * r[horizon // 2 - 1]:
-        # Still shrinking geometrically at the horizon: limit 0.
-        eta = 0.0
-    elif float(window.max()) < _PROFILE_TOL:
-        eta = 0.0
-    elif window_noninc or window_nondec:
-        eta = None
-    else:
-        raise InconclusiveProfile(
-            f"ratio oscillates with spread {spread:.3e} over the trailing "
-            f"window at horizon {horizon}")
-    return WeightProfile(eta=eta, ratio_nonincreasing=nonincreasing,
-                         lambda_divergent=lam_divergent, horizon=horizon,
-                         window_spread=spread)
 
 
 def parse_weights(text: str) -> WeightSequence:

@@ -257,9 +257,24 @@ def test_sequence_rule_validation():
         make_sequence("constant:k=1", ONES, 5)
     with pytest.raises(DomainError):
         make_sequence("witness:y=0", ONES, 5)
-    for seed in ("-1", "nan", "inf"):
+    # a non-integral or negative seed is refused, not rounded
+    for seed in ("-1", "nan", "inf", "1.5", "0.5", "1e-3", "-1.0", "-1e3"):
         with pytest.raises(DomainError):
             make_sequence(f"random:seed={seed}", ONES, 5)
+
+
+def test_random_rule_seed_is_an_exact_integer():
+    def row(seed):
+        return make_sequence(f"random:seed={seed}", ONES, 3)
+
+    # seeds past 2**53 stay distinct, and each is NumPy's own integer seed
+    big = 2 ** 53 + 1
+    assert not np.array_equal(row(big), row(big - 1))
+    np.testing.assert_array_equal(
+        row(big), 10.0 ** np.random.default_rng(big).uniform(-3.0, 3.0, 3))
+    # an integral float form is that integer
+    np.testing.assert_array_equal(row("1e3"), row(1000))
+    np.testing.assert_array_equal(row("7.0"), row(7))
 
 
 # -- verify_inequality -------------------------------------------------------

@@ -13,7 +13,7 @@ from hardymeans.errors import (DomainError, LimitNotDetected,
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gen)
-from hardymeans.hardy import (C_of, F_eval, LimitProbe, chi_f, classical_C,
+from hardymeans.hardy import (C_of, F_eval, chi_f, classical_C,
                               constant_closed, constant_root, detect_order,
                               gini_constant, qa_constant, solve_cef)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
@@ -400,11 +400,6 @@ def test_order_detection_rejects_oscillation():
         label="wavy")
     with pytest.raises(LimitNotDetected):
         detect_order(wavy)
-
-
-def test_order_detection_probe_validation():
-    with pytest.raises(DomainError):
-        detect_order(log_gen(), LimitProbe(start=5, stop=3))
 
 
 def test_qa_constant_cube_root():

@@ -1,4 +1,4 @@
-"""Weight families, prefix sums, and the eta profiler."""
+"""Weight families, their terms, prefix sums and declared eta."""
 
 import math
 import sys
@@ -6,11 +6,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from hardymeans.errors import DomainError, InconclusiveProfile, UsageError
-from hardymeans.weights import (WeightSequence, parse_weights, profile,
-                                ratio_diag_array)
+from hardymeans.errors import DomainError, UsageError
+from hardymeans.weights import WeightSequence, parse_weights
 
 
 # -- term and prefix arithmetic -----------------------------------------
@@ -29,7 +27,7 @@ def test_geometric_matches_series_formula():
     assert w.lam(5) == 16.0
     # Lambda_n = (a**n - 1) / (a - 1)
     assert w.Lam(10) == 1023.0
-    assert abs(w.log_lam(50) - 49.0 * math.log(2.0)) < 1e-12
+    assert abs(w.log_lam_array(50)[0] + 49.0 * math.log(2.0)) < 1e-12
 
 
 def test_powerlaw_terms():
@@ -43,6 +41,26 @@ def test_explicit_extends_with_final_value():
     assert w.lam(3) == 2.0
     assert w.lam(100) == 2.0
     assert w.Lam(5) == 5.0 + 3.0 + 2.0 * 3.0
+
+
+@pytest.mark.parametrize("w", [
+    WeightSequence.ones(), WeightSequence.geometric(1.1),
+    WeightSequence.geometric(2.0), WeightSequence.power_law(0.5),
+    WeightSequence.power_law(1.3), WeightSequence.power_law(2.7),
+    WeightSequence.explicit([1e-8, 3.0, 1e5, 0.1, 7e12, 2.5]),
+], ids=["ones", "geometric1.1", "geometric2", "powerlaw0.5", "powerlaw1.3",
+        "powerlaw2.7", "explicit"])
+def test_single_term_is_last_array_entry(w):
+    # lam(n) is the same formula as lam_array, bit for bit
+    n = 20_000
+    terms = w.lam_array(n)
+    got = np.array([w.lam(k) for k in range(1, n + 1)])
+    assert np.array_equal(got.view(np.uint64), terms.view(np.uint64))
+    assert w.lam(n) == w.lam_array(n)[-1]
+
+
+def test_single_term_past_float_range_is_inf():
+    assert WeightSequence.geometric(1.1).lam(8000) == math.inf
 
 
 def test_kahan_prefix_consistency():
@@ -140,80 +158,6 @@ def test_declared_eta():
     assert WeightSequence.geometric(4.0).eta() == 0.75
     assert WeightSequence.power_law(2.0).eta() == 0.0
     assert WeightSequence.explicit([3.0, 1.0]).eta() == 0.0
-
-
-def test_ratio_diag_matches_direct_quotients():
-    w = WeightSequence.power_law(1.0)
-    r = ratio_diag_array(w, 20)
-    lams = w.lam_array(20)
-    direct = lams / np.cumsum(lams)
-    assert np.allclose(r, direct, rtol=1e-12)
-
-
-def test_ratio_diag_survives_overflowing_weights():
-    # raw 2**(n-1) leaves float range near n = 1075; the log-space path
-    # must keep the diagonal ratios finite and at the limit value
-    w = WeightSequence.geometric(2.0)
-    r = ratio_diag_array(w, 5000)
-    assert np.all(np.isfinite(r))
-    assert abs(r[-1] - 0.5) < 1e-12
-
-
-# -- the eta profiler ----------------------------------------------------
-
-
-def test_profile_ones_detects_zero():
-    p = profile(WeightSequence.ones(), horizon=10_000)
-    assert p.eta == 0.0
-    assert p.ratio_nonincreasing
-    assert p.lambda_divergent
-
-
-def test_profile_geometric_detects_limit():
-    p = profile(WeightSequence.geometric(2.0), horizon=200)
-    assert p.eta is not None
-    assert abs(p.eta - 0.5) < 1e-9
-    assert p.window_spread < 1e-6
-
-    p = profile(WeightSequence.geometric(1.25), horizon=500)
-    assert abs(p.eta - 0.2) < 1e-6
-
-
-def test_profile_powerlaw_detects_zero():
-    p = profile(WeightSequence.power_law(1.0), horizon=2000)
-    assert p.eta == 0.0
-
-
-def test_profile_explicit_tail_behaves_like_ones():
-    p = profile(WeightSequence.explicit([10.0, 5.0, 2.0, 1.0]), horizon=4000)
-    assert p.eta == 0.0
-
-
-def test_profile_oscillating_ratio_is_inconclusive():
-    w = WeightSequence.explicit([1.0, 2.0] * 500)
-    with pytest.raises(InconclusiveProfile):
-        profile(w, horizon=1000)
-
-
-def test_profile_rejects_short_horizon():
-    with pytest.raises(DomainError):
-        profile(WeightSequence.ones(), horizon=50)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=1.2, max_value=50.0))
-def test_profile_recovers_geometric_eta(a):
-    got = profile(WeightSequence.geometric(a), horizon=300).eta
-    assert got is not None
-    assert abs(got - (a - 1.0) / a) < 1e-6
-
-
-def test_profile_reports_unsettled_drift_as_none():
-    # a barely-geometric family still drifts toward its limit at this
-    # horizon; the profiler must say "don't know" rather than guess
-    p = profile(WeightSequence.geometric(1.03), horizon=300)
-    assert p.eta is None
-    assert p.ratio_nonincreasing
 
 
 # -- CLI specifier parsing ------------------------------------------------
