@@ -313,7 +313,7 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
 
     Trial i takes the sequence np.random.default_rng([seed, i]) draws: a
     length in 1..N, then log-uniform samples in [1e-3, 1e3]; the seed
-    must be nonnegative.  Each trial checks ratio <= constant *
+    must be nonnegative and the constant positive (inf allowed).  Each trial checks ratio <= constant *
     (1 + 1e-9).  For symmetric monotone means the
     unweighted constant is an envelope for every weight sequence, so a
     second check compares against it.
@@ -334,6 +334,8 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
         raise DomainError(f"seed must be nonnegative, got {seed!r}")
     trials, seed, N = int(trials), int(seed), int(N)
     constant = float(constant)
+    if not constant > 0.0:
+        raise DomainError(f"constant must be positive, got {constant!r}")
     eta = w.eta()
     ones_c: Optional[float] = None
     if spec.symmetric_monotone:

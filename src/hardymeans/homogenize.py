@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import HardyMeansError, NoConvergenceError, NotNormalizableError
 from .generators import QuasideviationKernel
-from .means import MeanSpec
+from .means import MeanSpec, check_xlam
 
 _LADDER_DEPTH = 20
 _FD_SCALE = 1e-6
@@ -75,11 +75,13 @@ def homogenize(spec: MeanSpec, x, lam,
 
     Evaluates the mean down the ladder t = 4**-k, k = 1..20, applies one
     Richardson step, and accepts once three successive extrapolants
-    agree within `tol`.  Non-convergence is a report, not a failure:
-    check the ``converged`` flag.  A library error from a rung ends the
-    ladder there; any other exception is a fault and propagates.
+    agree within `tol`.  Invalid x or lam raise DomainError before the
+    ladder (:func:`~hardymeans.means.check_xlam`).  Non-convergence is a
+    report, not a failure: check the ``converged`` flag.  A library error
+    from a rung ends the ladder there; any other exception is a fault and
+    propagates.
     """
-    x = np.asarray(x, dtype=float)
+    x, lam = check_xlam(x, lam)
     ts, us = [], []
     for k in range(1, _LADDER_DEPTH + 1):
         t = 4.0 ** -k

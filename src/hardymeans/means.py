@@ -10,10 +10,11 @@ bit, whatever else is requested, and ``evaluate`` asks for the last
 prefix only.  Power and Gini means, and the weighted means of
 quasiarithmetic generators, are shifted compensated prefix sums, so wide
 dynamic ranges, large exponents and weights past float range neither
-overflow nor lose digits.  Deviation means are bracketed roots, by
-lane-wise Newton from each prefix's osculating power mean when the
-profile has a derivative, and by Brent's method otherwise.  A batch of
-sample rows that share one weight vector is evaluated in one pass.
+overflow nor lose digits.  Homogeneous deviation means are bracketed
+roots, every (row, prefix) pair one lane of a Newton solve started at
+its prefix's osculating power mean; raw deviation kernels take one
+Brent root per prefix.  A batch of sample rows that share one weight
+vector is evaluated in one pass.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -46,6 +47,12 @@ _HEADROOM = 600.0
 # Widest log spread of the samples of a homogeneous deviation prefix: the
 # ratios x / y of its root, within e**709, stay in float range.
 _LOG_SPREAD_MAX = 709.0
+# Most lanes times widest prefix of one lane-wise Newton solve of the
+# homogeneous deviation means, which bounds its working set.
+_LANE_CELLS = 2 ** 12
+# Step in t = log(y / x[0]) of the forward-difference slope of a
+# deviation profile without a declared derivative.
+_SLOPE_STEP = 2.0 ** -26
 _LN2 = math.log(2.0)
 # log 2 in two parts, the first with 21 trailing zero bits, so that k times
 # it is exact for |k| < 2**21 (Cody & Waite; the split of fdlibm's exp)
@@ -132,45 +139,41 @@ def _require_sign_like(f: GeneratorFunction) -> None:
                           "generator (sign f(u) = sign(u-1))")
 
 
-def _ratio_kernel_fn(f: GeneratorFunction):
-    """E(x, y) = f(x / y) for a sign-like profile f."""
-    _require_sign_like(f)
-
-    def efn(xs, y):
-        return f.fn(np.asarray(xs, dtype=float) / y)
-
-    return efn
-
-
 def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
                      efn, homogeneous: bool) -> float:
     """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
     by Brent's method; ws > 0.
 
-    A homogeneous kernel (one whose mean is homogeneous) is solved for
-    y / 2**e on the samples scaled alike, exactly, with 2**e between lo
-    and hi: at sample scales near 1e-160 Brent's secant step f * dy
-    underflows, and the scaled problem has values of order one.
+    Brent runs on s = y / 2**e, with 2**e between lo and hi, and on the
+    sum scaled by the power of two that brings its larger end value near
+    one: both scalings are exact and leave the root where it is, and the
+    secant step f * ds no longer underflows at sample scales near
+    1e-160.  A homogeneous kernel (one whose mean is homogeneous) also
+    sees its samples scaled by 2**-e, so that it is evaluated on values
+    of order one.
     """
     if lo == hi:
         return lo
+    e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
     if homogeneous:
-        e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
-        y = _solve_deviation(np.ldexp(xs, -e), ws, math.ldexp(lo, -e),
-                             math.ldexp(hi, -e), efn, False)
-        return math.ldexp(y, e)
+        xs = np.ldexp(xs, -e)
 
-    def g(y):
+    def total(s):
+        y = s if homogeneous else math.ldexp(s, e)
         return float(np.dot(ws, np.asarray(efn(xs, y), dtype=float)))
 
-    glo, ghi = g(lo), g(hi)
+    slo, shi = math.ldexp(lo, -e), math.ldexp(hi, -e)
+    glo, ghi = total(slo), total(shi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
     _check_sign_property(glo, ghi, lo, hi)
-    return bracketed_root(g, lo, hi, xtol=max(1e-13 * lo, 5e-324),
-                          rtol=RTOL_FLOOR, flo=glo, fhi=ghi).root
+    m = -math.frexp(max(glo, -ghi))[1]
+    s = bracketed_root(lambda s: math.ldexp(total(s), m), slo, shi,
+                       xtol=max(1e-13 * slo, 5e-324), rtol=RTOL_FLOOR,
+                       flo=math.ldexp(glo, m), fhi=math.ldexp(ghi, m)).root
+    return math.ldexp(s, e)
 
 
 def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
@@ -366,12 +369,7 @@ class HomogeneousDeviation(MeanSpec):
         lo, hi = (np.log(b[..., idx]) for b in _running_bounds(x, lam))
         if (hi - lo > _LOG_SPREAD_MAX).any():
             raise DomainError("prefix samples span more than e**709")
-        if self.f.d1 is not None:
-            return _prefix_devmean_newton(x, lam, self.f, idx)
-        if x.ndim > 1:
-            return super().prefix(x, lam, idx)
-        return _prefix_deviation(x, lam, _ratio_kernel_fn(self.f), idx,
-                                 True)
+        return _prefix_devmean_newton(x, lam, self.f, idx)
 
     def _classical(self) -> Optional[MeanSpec]:
         """The power or Gini mean this is, for the log, power and Gini
@@ -682,91 +680,115 @@ def _prefix_devmean_newton(x, lam, f, idx):
     """Homogeneous deviation mean per prefix, solved for t = log(y / x[0]).
 
     With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
-    decreases from g(min r) >= 0 to g(max r) <= 0, with
-    g'(t) = -sum w u f'(u).  Each requested prefix is one safeguarded
-    Newton solve with the rows as lanes (:func:`rootfind.newton_lanes`),
-    started at t of the prefix's osculating power mean, of order
-    p0 = 1 + f''(1) / f'(1): the root itself for the power and log
-    profiles, and within second order of it for Gini (kept on a bracket
-    end where rounding puts it).  No state passes from one prefix to the
-    next.  x[0] is in every prefix's support, so t and u carry errors set
-    by the spread of the samples, not by their magnitude; each prefix's
-    weights are scaled by a power of two
-    (:func:`~hardymeans.weights.unit_scaled`) so that g stays in range.
-    The bracket ends are the running extremes of r, and the solve stops
-    once |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).  A row whose
-    prefix has equal extremes, or a zero of g at an extreme, takes that
-    value without a solve.
+    decreases from g(min r) >= 0 to g(max r) <= 0, with slope
+    -sum w u f'(u), or a forward difference in t when f has no f'.  Every
+    (row, requested prefix) pair is one lane of a safeguarded Newton solve
+    (:func:`rootfind.newton_lanes`), the lanes by prefix length in chunks
+    of at most _LANE_CELLS lanes times widest prefix, or one lane.  A
+    lane's sum is the running sum along its row read at the end of its
+    prefix, with the prefix's weights scaled by their power of two
+    (:func:`~hardymeans.weights.unit_scaled`), so it depends on that
+    prefix alone and not on its chunk.  Each solve starts at t of the
+    prefix's osculating power mean, of order p0 = 1 + f''(1) / f'(1): the
+    root itself for the power and log profiles, within second order of it
+    for Gini.  x[0] is in every prefix's support, so t and u carry errors
+    set by the spread of the samples, not by their magnitude.  The
+    bracket ends are the running extremes of r, and a solve stops once
+    |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).  A prefix with
+    equal extremes, or a zero of g at an extreme, takes that value.
     """
     _require_sign_like(f)
     fn, d1 = f.fn, f.d1
     rows = np.atleast_2d(x)
-    lo, hi = _running_bounds(rows, lam)
+    lo, hi = (b[:, idx] for b in _running_bounds(rows, lam))
     support = lam > 0.0
-    count = np.cumsum(support)
-    x_ref = rows[:, 0]
+    end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
     r_all = _log_ratios(rows)
     # p0 is p for dev_power(p), 0 for log and p + q for dev_gini(p, q);
-    # 0 without f'' or when not finite
+    # 0 without f' and f'' or when not finite
     with np.errstate(all="ignore"):
-        p0 = 1.0 + np.float64(f.d2(1.0)) / f.d1(1.0) if f.d2 else 0.0
+        p0 = (1.0 + np.float64(f.d2(1.0)) / d1(1.0)
+              if d1 is not None and f.d2 is not None else 0.0)
     start = _gini_exponent(r_all, _log_weights(lam),
                            float(p0) if np.isfinite(p0) else 0.0, 0.0, idx)
     rx = np.compress(support, r_all, axis=-1)
     ws = lam[support]
-    rlo = np.minimum.accumulate(rx, axis=-1)
-    rhi = np.maximum.accumulate(rx, axis=-1)
-    out = np.empty((rows.shape[0], idx.size))
-    for j, i in enumerate(idx):
-        k = count[i]
-        a, b = rlo[:, k - 1], rhi[:, k - 1]
-        lo_i, hi_i = lo[:, i], hi[:, i]
-        out[:, j] = np.minimum(np.maximum(x_ref, lo_i), hi_i)  # a == b == 0
-        live = np.flatnonzero(a != b)
-        if live.size == 0:
-            continue
-        r, w = _take_rows(rx[:, :k], live), unit_scaled(ws[:k])
-        ga = _row_dot(fn(np.exp(r - a[live, None])), w)
-        gb = _row_dot(fn(np.exp(r - b[live, None])), w)
+    rlo = np.minimum.accumulate(rx, axis=-1)[:, end]
+    rhi = np.maximum.accumulate(rx, axis=-1)[:, end]
+    shift = -np.frexp(np.maximum.accumulate(ws))[1][end]
+    out = np.minimum(np.maximum(rows[:, :1], lo), hi)  # rlo == rhi == 0
+    row, col = np.nonzero(rlo != rhi)
+    order = np.argsort(end[col], kind="stable")
+    row, col = row[order], col[order]
+    first = 0
+    while first < row.size:
+        # as many lanes as fit _LANE_CELLS at the widest, and at least one
+        widths = end[col[first:first + _LANE_CELLS]] + 1
+        fits = np.arange(1, widths.size + 1) * widths <= _LANE_CELLS
+        rr, cc = (v[first:first + max(1, np.count_nonzero(fits))]
+                  for v in (row, col))
+        first += rr.size
+        e = end[cc]
+        r = rx[rr, :e[-1] + 1]
+        w = np.ldexp(ws[:e[-1] + 1], shift[cc, None])
+        a, b, lo_l, hi_l = (v[rr, cc] for v in (rlo, rhi, lo, hi))
+
+        def g(s, lanes, slope=False):
+            """g at s of the lanes (ascending), and its slope when asked;
+            the cells past a lane's prefix may overflow and are not read.
+            Not recursive: a closure that calls itself is a reference
+            cycle, which holds the chunk's arrays until a collection."""
+            n = e[lanes[-1]] + 1
+            r_l, w_l, e_l = (_take_rows(r, lanes)[:, :n],
+                             _take_rows(w, lanes)[:, :n], e[lanes])
+            with np.errstate(all="ignore"):
+                u = r_l - s[:, None]
+                val = _lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
+                if not slope:
+                    return val
+                if d1 is not None:
+                    return val, -_lane_sums(u * d1(u), w_l, e_l)
+                h = (s + _SLOPE_STEP) - s
+                u = r_l - (s + h)[:, None]
+                return val, (_lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
+                             - val) / h
+
+        every = np.arange(rr.size)
+        ga, gb = g(a, every), g(b, every)
         at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
-        out[live[at_lo], j] = lo_i[live[at_lo]]
-        out[live[at_hi], j] = hi_i[live[at_hi]]
-        solve = ~(at_lo | at_hi)
-        bad = solve & ((ga < 0.0) | (gb > 0.0))
+        live = np.flatnonzero(~(at_lo | at_hi))
+        bad = (ga[live] < 0.0) | (gb[live] > 0.0)
         if bad.any():
-            m = bad.argmax()
+            m = live[bad.argmax()]
             _check_sign_property(float(ga[m]), float(gb[m]),
-                                 float(lo_i[live[m]]), float(hi_i[live[m]]))
-        r, lanes = _take_rows(r, np.flatnonzero(solve)), live[solve]
-        if lanes.size == 0:
-            continue
-
-        def g_slope(s, sub):
-            u = np.exp(_take_rows(r, sub) - s[:, None])
-            return _row_dot(fn(u), w), -_row_dot(u * d1(u), w)
-
-        a, b = a[lanes], b[lanes]
-        t, _, _ = newton_lanes(
-            g_slope, a, ga[solve], b, gb[solve],
-            np.minimum(np.maximum(start[lanes, j], a), b),
-            xtol=1e-13 * lo_i[lanes] / hi_i[lanes] + RTOL_FLOOR,
-            rtol=RTOL_FLOOR)
-        out[lanes, j] = np.minimum(
-            np.maximum(_times_exp(x_ref[lanes], t), lo_i[lanes]), hi_i[lanes])
+                                 float(lo_l[m]), float(hi_l[m]))
+        y = np.where(at_lo, lo_l, hi_l)
+        if live.size:
+            t, _, _ = newton_lanes(
+                lambda s, sub: g(s, live[sub], slope=True),
+                a[live], ga[live], b[live], gb[live],
+                np.minimum(np.maximum(start[rr[live], cc[live]], a[live]),
+                           b[live]),
+                xtol=1e-13 * lo_l[live] / hi_l[live] + RTOL_FLOOR,
+                rtol=RTOL_FLOOR)
+            y[live] = _times_exp(rows[rr[live], 0], t)
+        out[rr, cc] = np.minimum(np.maximum(y, lo_l), hi_l)
     return out if x.ndim > 1 else out[0]
+
+
+def _lane_sums(v, w, end):
+    """sum(v * w) of each lane (row) over its columns up to end, read from
+    the running sum along the row: not a sum over the padded width, which
+    would round a lane differently by the width of its chunk."""
+    v = v * w
+    np.cumsum(v, axis=-1, out=v)
+    return v[np.arange(end.size), end]
 
 
 def _take_rows(a, rows):
     """a[rows] for ascending distinct row indices; a itself, not a copy,
     when they are all the rows."""
     return a if rows.size == a.shape[0] else a[rows]
-
-
-def _row_dot(a, w):
-    """sum(a * w) along the last axis.  Not matmul: BLAS rounds a row
-    differently by its position in the batch, and each row's value must
-    depend on that row alone."""
-    return np.einsum("ij,j->i", a, w)
 
 
 # -- CLI specifier parsing ------------------------------------------------

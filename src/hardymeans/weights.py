@@ -10,7 +10,6 @@ weights and prefix sums as arrays.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -21,18 +20,12 @@ _KINDS = ("ones", "geometric", "powerlaw", "explicit")
 
 
 class WeightSequence:
-    """One of the supported weight families, with cached prefix sums.
+    """One of the supported weight families; it holds no state beyond its
+    parameters.
 
     Construct through :meth:`ones`, :meth:`geometric`, :meth:`power_law`
     or :meth:`explicit`.  Indexing is 1-based throughout.  Explicit lists
     extend past their end by repeating the final value.
-
-    Prefix sums are accumulated with a compensated cumsum
-    (:func:`compensated_cumsum`) and cached, so Lam(n) - Lam(n-1)
-    reproduces lam(n) to ulp scale even for very long sequences.  The
-    cache grows from its end with the carried running sum and error, so
-    Lam(n) does not depend on which prefixes were asked for before.
-    Instances are safe to share across threads.
     """
 
     def __init__(self, kind: str, *, a: float | None = None,
@@ -60,10 +53,6 @@ class WeightSequence:
             if any(not math.isfinite(v) or v <= 0.0 for v in vals):
                 raise DomainError("explicit weights must be positive and finite")
             self.values = vals
-        self._lock = threading.Lock()
-        # read-only, replaced (never written) when it grows
-        self._prefix = np.empty(0)
-        self._carry = (0.0, 0.0)
 
     @classmethod
     def ones(cls) -> "WeightSequence":
@@ -125,45 +114,24 @@ class WeightSequence:
 
     # -- prefix sums ----------------------------------------------------
 
-    def Lam(self, n: int) -> float:
-        """Prefix sum Lambda_n = lambda_1 + ... + lambda_n."""
-        n = _check_index(n)
-        if self.kind == "ones":
-            return float(n)
-        return float(self._ensure(n)[n - 1])
-
     def prefix_array(self, n: int, *, lam: np.ndarray | None = None
                      ) -> np.ndarray:
-        """Prefix sums Lambda_1..Lambda_n (a read-only view of the cache
-        for all kinds but ones).
+        """Prefix sums Lambda_1..Lambda_n, by a compensated cumsum
+        (:func:`compensated_cumsum`), so Lambda_n - Lambda_(n-1)
+        reproduces lam(n) to ulp scale even for very long sequences.
 
-        lam -- lam_array(n), when the caller already holds it; a cache
-               that must grow then grows from it instead of building the
-               weights again.  The sums are the same bits either way.
+        lam -- lam_array(n), when the caller already holds it (n entries,
+               DomainError otherwise); the sums are the same bits either
+               way.
         """
         n = _check_index(n)
+        if lam is not None and np.shape(lam) != (n,):
+            raise DomainError(f"lam must have {n} entries, got "
+                              f"{np.shape(lam)}")
         if self.kind == "ones":
             return np.arange(1, n + 1, dtype=float)
-        return self._ensure(n, lam)[:n]
-
-    def _ensure(self, n: int, lam: np.ndarray | None = None) -> np.ndarray:
-        """The cached prefix sums, extended to at least n terms (from lam,
-        which is lam_array(n), when given)."""
-        prefix = self._prefix
-        if prefix.size >= n:
-            return prefix
-        with self._lock:
-            prefix = self._prefix
-            if prefix.size >= n:
-                return prefix
-            if lam is None:
-                lam = self.lam_array(n)
-            sums, self._carry = compensated_cumsum(lam[prefix.size:n],
-                                                   self._carry)
-            prefix = np.concatenate((prefix, sums))
-            prefix.flags.writeable = False
-            self._prefix = prefix
-            return prefix
+        return compensated_cumsum(self.lam_array(n) if lam is None
+                                  else np.asarray(lam, dtype=float))[0]
 
     # -- tail facts -----------------------------------------------------
 

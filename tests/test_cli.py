@@ -264,6 +264,10 @@ def test_homogenize_prints_ladder(capsys):
 def test_homogenize_argument_validation(capsys):
     assert run(capsys, "homogenize", "--mean", "power:p=0.5",
                "--x", "1;4", "--lam", "1,1")[0] == 2
+    # a domain error, not a ladder ending in nan
+    code, out, err = run(capsys, "homogenize", "--mean", "power:p=0.5",
+                         "--x", "1,4", "--lam", "1,1,1")
+    assert code == 1 and out == "" and "DomainError" in err
 
 
 # -- config file -------------------------------------------------------------

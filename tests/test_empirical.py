@@ -338,6 +338,10 @@ def test_fuzzing_input_validation():
         verify_inequality(Power(0.5), ONES, 4.0, N=0)
     with pytest.raises(DomainError):
         verify_inequality(Power(0.5), ONES, 4.0, seed=-1)
+    # a NaN constant would pass every trial, and -1 fail trial 0
+    for constant in (math.nan, -1.0, 0.0):
+        with pytest.raises(DomainError):
+            verify_inequality(Power(0.5), ONES, constant, trials=5)
 
 
 # -- the (seed, trial) stream ------------------------------------------------

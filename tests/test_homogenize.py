@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardymeans.errors import NoConvergenceError, NotNormalizableError
+from hardymeans.errors import (DomainError, NoConvergenceError,
+                               NotNormalizableError)
 from hardymeans.generators import (QuasideviationKernel, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gap_kernel, ratio_kernel)
@@ -78,6 +79,14 @@ def test_nonconvergence_is_reported_not_raised():
     assert len(est.ladder) == 20
     assert est.spread > 0.5
     assert math.isfinite(est.value)
+
+
+@pytest.mark.parametrize("x, lam", [((1.0, 4.0), (1.0, 1.0, 1.0)),
+                                    ((1.0, -4.0), (1.0, 1.0))],
+                         ids=["length-mismatch", "negative-sample"])
+def test_invalid_input_raises_before_the_ladder(x, lam):
+    with pytest.raises(DomainError):
+        homogenize(Power(0.5), x, lam)
 
 
 def test_ladder_stops_at_a_library_error_and_passes_other_faults_on():

@@ -123,12 +123,15 @@ def test_quasideviation_small_cases():
                                difference_kernel()) == pytest.approx(4.0 / 3.0)
     assert quasideviation_mean(X14, ONES2,
                                ratio_kernel(log_gen())) == pytest.approx(2.0)
-    # homogeneous kernels at scales where Brent's secant step, or the
-    # kernel values themselves, under- or overflow in y
+    # kernels at scales where Brent's secant step, or the kernel values
+    # themselves, under- or overflow in y; the custom difference kernel is
+    # not declared homogeneous
+    custom = QuasideviationKernel(fn=lambda x, y: x - y)
     for scale in (1e-160, 1e-300, 1e290):
         x = [scale, scale / 10.0]
-        assert quasideviation_mean(x, [1.0, 0.5], difference_kernel()) \
-            == pytest.approx(0.7 * scale, rel=1e-13, abs=0.0)
+        for kernel in (difference_kernel(), custom):
+            assert quasideviation_mean(x, [1.0, 0.5], kernel) \
+                == pytest.approx(0.7 * scale, rel=1e-13, abs=0.0)
         # (x**2 - y**2 = 0): y**2 = (1 + 0.005) / 1.5 scale**2
         assert quasideviation_mean(x, [1.0, 0.5], power_gap_kernel(2.0)) \
             == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13,
@@ -366,7 +369,8 @@ def test_inverse_free_quasiarithmetic_spans_wide_rows():
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
-def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
+def _newton_calls(monkeypatch):
+    """A list that grows by one entry per means.newton_lanes call."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -374,11 +378,59 @@ def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
         return newton_lanes(*args, **kwargs)
 
     monkeypatch.setattr(means, "newton_lanes", counting)
+    return calls
+
+
+def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
+    calls = _newton_calls(monkeypatch)
     x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
     for f in (dev_power(0.5), dev_gini(0.5, -0.5), log_gen()):
         calls.clear()
         HomogeneousDeviation(f).evaluate(x, np.ones(50))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f", [dev_power(0.5), replace(dev_power(0.5),
+                                                       d1=None)],
+                         ids=["d1", "no-d1"])
+def test_one_row_of_deviation_prefixes_is_one_newton_solve(monkeypatch, f):
+    # all prefixes of one row are lanes of one solve; a profile without
+    # f' takes a forward-difference slope on the same path
+    calls = _newton_calls(monkeypatch)
+    x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
+    prefix_values(HomogeneousDeviation(f), x, np.ones(50))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f", [dev_power(0.5), replace(dev_power(0.5),
+                                                       d1=None)],
+                         ids=["d1", "no-d1"])
+def test_deviation_prefixes_over_several_chunks_match_evaluate(monkeypatch,
+                                                               f):
+    # a lane's value does not depend on the lanes that share its chunk
+    spec = HomogeneousDeviation(f)
+    rng = np.random.default_rng(19)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 400)
+    lam = rng.uniform(0.0, 1.0, 400)
+    lam[[0, 7, 8, 399]] = (0.9, 0.0, 0.0, 0.0)
+    calls = _newton_calls(monkeypatch)
+    got = prefix_values(spec, x, lam)
+    # several chunks, not one solve per prefix
+    assert 1 < len(calls) < 100
+    want = [spec.evaluate(x[:n], lam[:n]) for n in range(1, 401)]
+    assert np.array_equal(got, want)
+
+
+def test_unsorted_deviation_prefixes_equal_sorted_ones(monkeypatch):
+    spec = HomogeneousDeviation(dev_gini(0.5, -0.5))
+    rng = np.random.default_rng(23)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 50)
+    lam = rng.uniform(0.1, 1.0, 50)
+    ns = rng.permutation(np.arange(1, 51))
+    calls = _newton_calls(monkeypatch)
+    got = prefix_values(spec, x, lam, ns=ns)
+    assert len(calls) == 1
+    assert np.array_equal(got[np.argsort(ns)], prefix_values(spec, x, lam))
 
 
 # -- one evaluation path --------------------------------------------------
@@ -497,8 +549,9 @@ def test_long_prefixes_match_fsum_references(spec):
         assert abs(g - want) <= 2e-14 * want, f"n={k}"
 
 
-# Deviation prefixes: Newton in log y for profiles with a declared f',
-# Brent in y for the rest (a profile without d1, a raw kernel).
+# Deviation prefixes: lane-wise Newton in log y for the profiles (with a
+# forward-difference slope for one without d1), Brent in y for a raw
+# kernel.
 DEVIATION_PREFIX_SPECS = [
     HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(dev_power(0.5)),
@@ -579,7 +632,7 @@ def _reversed_log(**fields):
     HomogeneousDeviation(_reversed_log(d1=lambda u: -1.0 / u)),
     HomogeneousDeviation(_reversed_log()),
     Deviation(QuasideviationKernel(fn=lambda x, y: y - x)),
-], ids=["newton", "brent-profile", "brent-kernel"])
+], ids=["newton", "newton-no-d1", "brent-kernel"])
 def test_deviation_prefixes_reject_a_broken_sign_property(spec):
     x = np.array([1.0, 2.0, 8.0])
     # the one-sample prefix is its sample; the first mixed one raises

@@ -1,8 +1,6 @@
 """Weight families, their terms, prefix sums and declared eta."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ def test_ones_terms_and_prefixes():
     w = WeightSequence.ones()
     assert w.lam(1) == 1.0
     assert w.lam(17) == 1.0
-    assert w.Lam(5) == 5.0
+    assert w.prefix_array(5)[-1] == 5.0
     assert np.array_equal(w.prefix_array(4), [1.0, 2.0, 3.0, 4.0])
 
 
@@ -26,21 +24,21 @@ def test_geometric_matches_series_formula():
     w = WeightSequence.geometric(2.0)
     assert w.lam(5) == 16.0
     # Lambda_n = (a**n - 1) / (a - 1)
-    assert w.Lam(10) == 1023.0
+    assert w.prefix_array(10)[-1] == 1023.0
     assert abs(w.log_lam_array(50)[0] + 49.0 * math.log(2.0)) < 1e-12
 
 
 def test_powerlaw_terms():
     w = WeightSequence.power_law(0.5)
     assert w.lam(9) == 3.0
-    assert abs(w.Lam(3) - (1.0 + math.sqrt(2.0) + math.sqrt(3.0))) < 1e-14
+    assert abs(w.prefix_array(3)[-1] - (1.0 + math.sqrt(2.0) + math.sqrt(3.0))) < 1e-14
 
 
 def test_explicit_extends_with_final_value():
     w = WeightSequence.explicit([5.0, 3.0, 2.0])
     assert w.lam(3) == 2.0
     assert w.lam(100) == 2.0
-    assert w.Lam(5) == 5.0 + 3.0 + 2.0 * 3.0
+    assert w.prefix_array(5)[-1] == 5.0 + 3.0 + 2.0 * 3.0
 
 
 @pytest.mark.parametrize("w", [
@@ -64,65 +62,24 @@ def test_single_term_past_float_range_is_inf():
 
 
 def test_kahan_prefix_consistency():
-    # Lam(n) - Lam(n-1) must reproduce lam(n) far better than naive
+    # Lambda_n - Lambda_(n-1) must reproduce lam(n) far better than naive
     # accumulation would at this length.
     w = WeightSequence.power_law(0.5)
     n = 100_000
-    diff = w.Lam(n) - w.Lam(n - 1)
+    diff = w.prefix_array(n)[-1] - w.prefix_array(n - 1)[-1]
     assert abs(diff - w.lam(n)) < 1e-9 * w.lam(n)
 
 
-def test_prefix_cache_is_incremental():
-    # every prefix sum is the same bits whatever was asked for before
-    for make in (lambda: WeightSequence.geometric(1.5),
-                 lambda: WeightSequence.power_law(0.5),
-                 lambda: WeightSequence.explicit([1e-8, 3.0, 1e5, 0.1])):
-        w = make()
-        first = w.Lam(50)
-        w.Lam(200)  # extend
-        assert w.Lam(50) == first
-        late = make()
-        late.Lam(10 ** 5)
-        assert late.Lam(50) == first
-        stepped = make()
-        for n in (7, 8, 90, 200):
-            stepped.prefix_array(n)
-        assert np.array_equal(stepped.prefix_array(200), w.prefix_array(200))
-        assert np.array_equal(late.prefix_array(200), w.prefix_array(200))
-        # weights handed in by the caller give the same bits
-        handed = make()
-        handed.prefix_array(7, lam=handed.lam_array(7))
-        got = handed.prefix_array(200, lam=handed.lam_array(200))
+def test_prefix_sums_of_handed_weights_are_the_same_bits():
+    # weights handed in by the caller give the bits of the sequence's own
+    for w in (WeightSequence.geometric(1.5), WeightSequence.power_law(0.5),
+              WeightSequence.explicit([1e-8, 3.0, 1e5, 0.1])):
+        got = w.prefix_array(200, lam=w.lam_array(200))
         assert np.array_equal(got, w.prefix_array(200))
-
-
-def test_prefix_cache_is_thread_safe():
-    # threads extending one shared cache in interleaved steps must all read
-    # the bits a single-threaded sequence gives
-    shared = WeightSequence.power_law(0.5)
-    want = WeightSequence.power_law(0.5).prefix_array(20_000)
-    seen = []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        for n in rng.integers(1, 20_001, 40):
-            seen.append((int(n), shared.Lam(int(n)),
-                         shared.prefix_array(int(n))[-1]))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 8 * 40
-    for n, lam_n, last in seen:
-        assert lam_n == last == want[n - 1]
+        assert np.array_equal(w.prefix_array(7), got[:7])
+        # a weight array of another length is an error, not fewer sums
+        with pytest.raises(DomainError):
+            w.prefix_array(5, lam=w.lam_array(3))
 
 
 @pytest.mark.parametrize("w", [
