@@ -16,12 +16,13 @@ Both work on the ratio
 
 Ratios are computed for a batch of sequences at once: each sequence is a
 row of a (rows, N) array, padded past its length with 1.0, and one call
-of the family's prefix evaluation gives every prefix mean of every row.
-Prefix means are causal, so the padding changes none of a row's own
-prefixes; masked row sums then form each ratio.  :func:`hardy_ratio` is
-a batch of one, and :func:`verify_inequality` runs its trials in blocks
-of at most _BLOCK rows, so its working set does not grow with the number
-of trials.
+of the family's prefix evaluation, given the rows' lengths, gives every
+prefix mean of every row.  Prefix means are causal, so the padding
+changes none of a row's own prefixes; the root-solving families skip
+the padded ones, which the masked row sums that form each ratio never
+read.  :func:`hardy_ratio` is a batch of one, and
+:func:`verify_inequality` runs its trials in blocks of at most _BLOCK
+rows, so its working set does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
 from .formatting import fmt_real, parse_kv
 from .means import (MeanSpec, check_samples, check_weights, check_xlam,
                     prefix_values)
-from .weights import WeightSequence, unit_scaled
+from .weights import WeightSequence, check_int, unit_scaled
 
 _SLACK = 1e-9
 # Trials per block of verify_inequality, at most _BLOCK and at most
@@ -119,9 +120,7 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     if head == "constant":
         return np.full(N, parse_kv(rest, "c", float))
     if head == "witness":
-        y = parse_kv(rest, "y", float)
-        if y <= 0:
-            raise DomainError("witness level y must be positive")
+        y = _check_level(parse_kv(rest, "y", float))
         prefixes = w.prefix_array(N)
         if not np.all(np.isfinite(prefixes)):
             raise DomainError(
@@ -137,20 +136,21 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     raise UsageError(f"unknown sequence rule {rule!r}")
 
 
+def _check_level(y: float) -> float:
+    """y, after checking that it is a positive finite witness level."""
+    if not (math.isfinite(y) and y > 0.0):
+        raise DomainError("witness level y must be positive and finite")
+    return y
+
+
 def _parse_seed(text: str) -> int:
     """A nonnegative integer seed, read exactly as an integer; a float
     form is accepted only when its value is integral."""
     try:
         seed = int(text)
     except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise DomainError(
-                f"seed must be an integer, got {text!r}") from None
-        seed = int(value)
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {text!r}")
-    return seed
+        seed = float(text)
+    return check_int(seed, "seed", least=0)
 
 
 def hardy_ratio(spec: MeanSpec, w: WeightSequence, x,
@@ -186,7 +186,7 @@ def _ratios(spec: MeanSpec, x: np.ndarray, lengths: np.ndarray,
     validated and lam[0] > 0 (true of every WeightSequence).  The sums
     take lam scaled by a power of two (:func:`unit_scaled`), which keeps
     each ratio; one that is still not finite raises DomainError."""
-    means = spec.prefix(x, lam, np.arange(lam.size))
+    means = spec.prefix(x, lam, np.arange(lam.size), lengths)
     lam = unit_scaled(lam)
     inside = np.arange(lam.size) < lengths[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -208,11 +208,8 @@ def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,
     values increase toward it, so :meth:`EmpiricalTrace.tail_inf` is a
     certified-from-below estimate up to floating-point error.
     """
-    if not (math.isfinite(y) and y > 0.0):
-        raise DomainError("witness level y must be positive")
-    N = int(N)
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    _check_level(y)
+    N, grid = check_int(N, "N"), check_int(grid, "grid")
     lam = w.lam_array(N)
     prefixes = w.prefix_array(N, lam=lam)
     if not np.all(np.isfinite(prefixes)):
@@ -236,9 +233,7 @@ def genA_partial(phi, w: WeightSequence, n: int) -> float:
     generic callable, terms whose weight ratio underflows to zero are
     dropped (combined true value below ~n * 1e-15).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = check_int(n, "n")
     log_lam = w.log_lam_array(n)
     log_prefix = np.logaddexp.accumulate(log_lam)
     if isinstance(phi, PowerProbe):
@@ -328,11 +323,8 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
     check.  Identical inputs give bit-identical reports, and a trial's
     ratio does not depend on how many trials are run.
     """
-    if trials < 1 or N < 1:
-        raise DomainError("trials and N must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
-    trials, seed, N = int(trials), int(seed), int(N)
+    trials, N = check_int(trials, "trials"), check_int(N, "N")
+    seed = check_int(seed, "seed", least=0)
     constant = float(constant)
     if not constant > 0.0:
         raise DomainError(f"constant must be positive, got {constant!r}")

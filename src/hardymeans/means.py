@@ -10,11 +10,16 @@ bit, whatever else is requested, and ``evaluate`` asks for the last
 prefix only.  Power and Gini means, and the weighted means of
 quasiarithmetic generators, are shifted compensated prefix sums, so wide
 dynamic ranges, large exponents and weights past float range neither
-overflow nor lose digits.  Homogeneous deviation means are bracketed
-roots, every (row, prefix) pair one lane of a Newton solve started at
-its prefix's osculating power mean; raw deviation kernels take one
-Brent root per prefix.  A batch of sample rows that share one weight
-vector is evaluated in one pass.
+overflow nor lose digits; the sums run over cache-sized chunks of
+columns up to the last requested prefix, and are read at the requested
+prefixes only.  Homogeneous deviation means are bracketed roots, every
+(row, prefix) pair one lane of a Newton solve started at its prefix's
+osculating power mean; raw deviation kernels take one Brent root per
+prefix.  The running extremes of the samples, which bound every mean,
+are also taken at the requested prefixes only.  A batch of sample
+rows that share one weight vector is evaluated in one pass, and a
+batch's rows may hold sequences of their own lengths, whose padded
+prefixes the root-solving families skip.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -37,13 +42,16 @@ from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
 from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
                     qa_constant, solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
-from .weights import compensated_cumsum, unit_scaled
+from .weights import check_int, compensated_cumsum, unit_scaled
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
 _P_EXTREME = 1e15
 # Largest exponent of a term of the shifted prefix sums: a million terms
 # of e**600 stay far below overflow.
 _HEADROOM = 600.0
+# Columns per pass of the one-pass prefix sums, whose working arrays then
+# stay in cache.
+_CHUNK = 2 ** 15
 # Widest log spread of the samples of a homogeneous deviation prefix: the
 # ratios x / y of its root, within e**709, stay in float range.
 _LOG_SPREAD_MAX = 709.0
@@ -212,20 +220,28 @@ class MeanSpec:
         xs, ws = x[keep], lam[keep]
         return float(self.prefix(xs, ws, np.array([xs.size - 1]))[0])
 
-    def prefix(self, x: np.ndarray, lam: np.ndarray,
-               idx: np.ndarray) -> np.ndarray:
+    def prefix(self, x: np.ndarray, lam: np.ndarray, idx: np.ndarray,
+               lengths: Optional[np.ndarray] = None) -> np.ndarray:
         """Means of x[..., :i+1] for each i in idx, along the last axis.
 
         x is one sample row of shape (N,) or a batch of rows (rows, N);
-        lam has shape (N,), lam[0] > 0, and the inputs are already
-        validated.  The mean of prefix i of a row depends on its x[:i+1]
-        and lam[:i+1] alone, bit for bit, not on other rows or columns or
-        idx; a prefix with no mean raises.  This generic path, for a
-        family that defines only ``evaluate``, loops over the rows and
-        evaluates each prefix on its own.
+        lam has shape (N,), lam[0] > 0, idx is a nonempty integer array
+        of columns, and the inputs are already validated.  The mean of
+        prefix i of a row depends on its x[:i+1] and lam[:i+1] alone, bit
+        for bit, not on other rows or columns or idx; a prefix with no
+        mean raises.  lengths, for a batch, holds the length of each
+        row's own sequence: the entries of prefixes i >= lengths[row] are
+        then unspecified, and the root-solving families skip them.  This
+        generic path, for a family that defines only ``evaluate``, loops
+        over the rows and evaluates each prefix on its own.
         """
         if x.ndim > 1:
-            return np.array([self.prefix(row, lam, idx) for row in x])
+            own = np.broadcast_to(_own(idx, lengths), (len(x), idx.size))
+            out = np.full(own.shape, math.nan)
+            for r, row in enumerate(x):
+                if own[r].any():
+                    out[r, own[r]] = self.prefix(row, lam, idx[own[r]])
+            return out
         if type(self).evaluate is MeanSpec.evaluate:
             raise DomainError(f"unknown mean spec {self!r}")
         return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
@@ -252,13 +268,13 @@ class Power(MeanSpec):
     homogeneous = True
     symmetric_monotone = True
 
-    def prefix(self, x, lam, idx):
+    def prefix(self, x, lam, idx, lengths=None):
         p = self.p
         if math.isnan(p):
             raise DomainError("power mean order must not be NaN")
         if abs(p) >= _P_EXTREME:
-            lo, hi = _running_bounds(x, lam)
-            return (hi if p > 0.0 else lo)[..., idx]
+            lo, hi = _running_extremes(x, lam, idx)
+            return hi if p > 0.0 else lo
         return _prefix_gini(x, lam, p, 0.0, idx)
 
     def closed_constant(self, eta):
@@ -289,7 +305,7 @@ class Gini(MeanSpec):
     def symmetric_monotone(self):
         return min(self.p, self.q) <= 0.0 <= max(self.p, self.q)
 
-    def prefix(self, x, lam, idx):
+    def prefix(self, x, lam, idx, lengths=None):
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise DomainError("Gini exponents must be finite")
         return _prefix_gini(x, lam, self.p, self.q, idx)
@@ -314,8 +330,8 @@ class QuasiArithmetic(MeanSpec):
     def homogeneous(self):
         return self.g.family[0] in ("pow-map", "log")
 
-    def prefix(self, x, lam, idx):
-        return _prefix_qa(x, lam, self.g, idx)
+    def prefix(self, x, lam, idx, lengths=None):
+        return _prefix_qa(x, lam, self.g, idx, lengths)
 
     def closed_constant(self, eta):
         try:
@@ -343,9 +359,9 @@ class Deviation(MeanSpec):
         return self.kernel.family[0] in ("difference", "power-gap", "ratio",
                                          "scaled-ratio")
 
-    def prefix(self, x, lam, idx):
+    def prefix(self, x, lam, idx, lengths=None):
         if x.ndim > 1:
-            return super().prefix(x, lam, idx)
+            return super().prefix(x, lam, idx, lengths)
         return _prefix_deviation(x, lam, self.kernel.fn, idx,
                                  self.homogeneous)
 
@@ -365,11 +381,8 @@ class HomogeneousDeviation(MeanSpec):
     def symmetric_monotone(self):
         return self.f.concave and self.f.sign_like
 
-    def prefix(self, x, lam, idx):
-        lo, hi = (np.log(b[..., idx]) for b in _running_bounds(x, lam))
-        if (hi - lo > _LOG_SPREAD_MAX).any():
-            raise DomainError("prefix samples span more than e**709")
-        return _prefix_devmean_newton(x, lam, self.f, idx)
+    def prefix(self, x, lam, idx, lengths=None):
+        return _prefix_devmean_newton(x, lam, self.f, idx, lengths)
 
     def _classical(self) -> Optional[MeanSpec]:
         """The power or Gini mean this is, for the log, power and Gini
@@ -418,16 +431,44 @@ def prefix_values(spec: MeanSpec, x, lam,
     if ns is None:
         ns_arr = np.arange(1, n_total + 1)
     else:
-        ns_arr = np.asarray(list(ns), dtype=int)
-        if ns_arr.size == 0 or ns_arr.min() < 1 or ns_arr.max() > n_total:
+        ns_arr = np.array([check_int(n, "prefix length") for n in ns],
+                          dtype=int)
+        if ns_arr.size == 0 or ns_arr.max() > n_total:
             raise DomainError("prefix indices must lie in 1..len(x)")
     return spec.prefix(x, lam, ns_arr - 1)
 
 
-def _running_bounds(x, lam):
-    lo = np.minimum.accumulate(np.where(lam > 0.0, x, math.inf), axis=-1)
-    hi = np.maximum.accumulate(np.where(lam > 0.0, x, -math.inf), axis=-1)
-    return lo, hi
+def _own(idx, lengths):
+    """Which prefixes idx are each row's own (see MeanSpec.prefix): a mask
+    that broadcasts against (rows, idx.size), all True without lengths."""
+    return idx < (math.inf if lengths is None else lengths[:, np.newaxis])
+
+
+def _running_extremes(x, lam, idx):
+    """The least and the greatest positive-weight sample of x[..., :i+1]
+    for each i in idx, along the last axis.
+
+    Each is the min (max) over the segments that the sorted requested
+    columns cut from x[..., :max(idx)+1], then running over those few
+    segments; with every column requested the segments are the columns.
+    Min and max are exact, so these are the bits of a running min (max)
+    along the whole row read at idx."""
+    stop = int(idx.max()) + 1
+    x, support = x[..., :stop], lam[:stop] > 0.0
+    everywhere = support.all()
+    if (idx[1:] > idx[:-1]).all():
+        cols, back = idx, None
+    else:
+        cols, back = np.unique(idx, return_inverse=True)
+    out = []
+    for ufunc, none in ((np.minimum, math.inf), (np.maximum, -math.inf)):
+        v = x if everywhere else np.where(support, x, none)
+        if cols.size < stop:  # segments that start after each column
+            v = ufunc.reduceat(v, np.concatenate(([0], cols[:-1] + 1)),
+                               axis=-1)
+        v = ufunc.accumulate(v, axis=-1)
+        out.append(v if back is None else v[..., back])
+    return out
 
 
 def _log_ratios(x):
@@ -485,8 +526,8 @@ def _shifted_sums(t, k, values, idx):
     compensated sum (:func:`compensated_cumsum`) s of the terms over
     e**c 2**j, with s at least e**-_HEADROOM and at most N e**_HEADROOM:
     two sums compare as (c - c') + (j - j') log 2 plus the log of s / s'.
-    Where |t| and every term stay within e**_HEADROOM, all rows go in one
-    pass with shift (0, 0); else each row goes alone
+    Where |t| and every term stay within e**_HEADROOM, all rows go with
+    shift (0, 0) (:func:`_one_pass_sums`); else each row goes alone
     (:func:`_segmented_sums`), with the same bits up to its first shift.
     An overflowing term times v_i makes that mean inf or NaN from i on.
     """
@@ -495,13 +536,8 @@ def _shifted_sums(t, k, values, idx):
     with np.errstate(over="ignore", invalid="ignore"):
         if (rows.min() >= -_HEADROOM and rows.max() + k.max() * _LN2
                 <= _HEADROOM):
-            e = np.exp(rows)
-            if k.any():
-                np.ldexp(e, k, out=e)
-            sums = compensated_cumsum(e)[0][..., idx]
+            sums, means = _one_pass_sums(rows, k, vals, idx)
             c, j = np.zeros((len(rows), 1)), np.zeros((len(rows), 1), int)
-            means = [compensated_cumsum(e * v)[0][..., idx] / sums
-                     for v in vals]
         else:
             parts = [_segmented_sums(
                 row, k, [v if len(rows) == 1 else v[r:r + 1] for v in vals],
@@ -515,6 +551,37 @@ def _shifted_sums(t, k, values, idx):
         means = [m[0] if np.ndim(v) == 1 else m
                  for v, m in zip(values, means)]
     return (c, j), sums, means
+
+
+def _one_pass_sums(rows, k, vals, idx):
+    """The sums and means of :func:`_shifted_sums` with shift (0, 0), in
+    passes over _CHUNK columns up to the last requested one, each read at
+    the requested columns it holds.  A pass continues the compensated sums
+    of the one before (:func:`compensated_cumsum`'s carry), so the bits
+    are those of one pass over the whole row."""
+    stop = int(idx.max()) + 1
+    scaled = k.any()
+    col = idx % _CHUNK
+    carries = [(0.0, 0.0)] * (1 + len(vals))
+    picked = [None] * (1 + len(vals))
+    for c, first in enumerate(range(0, stop, _CHUNK)):
+        cols = slice(first, min(first + _CHUNK, stop))
+        e = np.exp(rows[:, cols])
+        if scaled:
+            np.ldexp(e, k[cols], out=e)
+        for m, v in enumerate([None] + vals):
+            s, carries[m] = compensated_cumsum(
+                e if v is None else e * v[:, cols], carries[m])
+            if c == 0:
+                # every requested column: the first pass is _CHUNK wide
+                # when there are more, and each of those overwrites the
+                # columns it holds
+                picked[m] = s[:, col]
+            else:
+                here = idx // _CHUNK == c
+                picked[m][:, here] = s[:, col[here]]
+    sums = picked[0]
+    return sums, [p / sums for p in picked[1:]]
 
 
 def _exp_diff(a, b, k):
@@ -561,10 +628,10 @@ def _segmented_sums(row, k, vals, idx):
 
 def _prefix_gini(x, lam, p, q, idx):
     """Gini(p, q) of the prefixes idx: x[0] e**(:func:`_gini_exponent`)."""
-    lo, hi = _running_bounds(x, lam)
+    lo, hi = _running_extremes(x, lam, idx)
     e = _gini_exponent(_log_ratios(x), _log_weights(lam), p, q, idx)
     vals = _times_exp(x[..., :1], e)
-    return np.minimum(np.maximum(vals, lo[..., idx]), hi[..., idx])
+    return np.minimum(np.maximum(vals, lo), hi)
 
 
 def _gini_exponent(r, log_lam, p, q, idx):
@@ -606,9 +673,10 @@ def _gini_exponent(r, log_lam, p, q, idx):
     return e
 
 
-def _prefix_qa(x, lam, g, idx):
+def _prefix_qa(x, lam, g, idx, lengths=None):
     """g^-1 of the weighted prefix means of g(x), by g's inverse or, for
-    a generator without one, by one Brent root per requested prefix."""
+    a generator without one, by one Brent root per requested prefix of a
+    row's own (see MeanSpec.prefix)."""
     with np.errstate(all="ignore"):
         vals = np.asarray(g.fn(x), dtype=float)
     vals = np.where(lam > 0.0, vals, 0.0)
@@ -616,14 +684,15 @@ def _prefix_qa(x, lam, g, idx):
     if not np.isfinite(target).all():
         raise DomainError("generator values or their weighted mean are not "
                           "finite on the sample")
-    vlo, vhi = _running_bounds(vals, lam)
-    target = np.minimum(np.maximum(target, vlo[..., idx]), vhi[..., idx])
-    lo, hi = (b[..., idx] for b in _running_bounds(x, lam))
+    vlo, vhi = _running_extremes(vals, lam, idx)
+    target = np.minimum(np.maximum(target, vlo), vhi)
+    lo, hi = _running_extremes(x, lam, idx)
     if g.inverse is not None:
         ys = np.asarray(g.inverse(target), dtype=float)
     else:
-        ys = np.empty(target.shape)
-        for k in np.ndindex(target.shape):
+        ys = np.full(target.shape, math.nan)
+        own = np.broadcast_to(_own(idx, lengths), target.shape)
+        for k in zip(*np.nonzero(own)):
             ys[k] = _invert(g, float(target[k]), float(lo[k]), float(hi[k]))
     return np.minimum(np.maximum(ys, lo), hi)
 
@@ -664,19 +733,19 @@ def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
 def _prefix_deviation(x, lam, efn, idx, homogeneous):
     """Brent root per prefix, on the leading count[i] positive-weight
     samples and their weights scaled by :func:`unit_scaled`."""
-    lo, hi = _running_bounds(x, lam)
+    lo, hi = _running_extremes(x, lam, idx)
     support = lam > 0.0
     count = np.cumsum(support)
     xs, ws = x[support], lam[support]
     out = np.empty(idx.size)
     for j, i in enumerate(idx):
         k = count[i]
-        out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]), float(lo[i]),
-                                  float(hi[i]), efn, homogeneous)
+        out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]), float(lo[j]),
+                                  float(hi[j]), efn, homogeneous)
     return out
 
 
-def _prefix_devmean_newton(x, lam, f, idx):
+def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
     """Homogeneous deviation mean per prefix, solved for t = log(y / x[0]).
 
     With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
@@ -695,12 +764,16 @@ def _prefix_devmean_newton(x, lam, f, idx):
     set by the spread of the samples, not by their magnitude.  The
     bracket ends are the running extremes of r, and a solve stops once
     |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).  A prefix with
-    equal extremes, or a zero of g at an extreme, takes that value.
+    equal extremes, or a zero of g at an extreme, takes that value; one
+    that is not its row's own (see MeanSpec.prefix) makes no lane.
     """
     _require_sign_like(f)
     fn, d1 = f.fn, f.d1
     rows = np.atleast_2d(x)
-    lo, hi = (b[:, idx] for b in _running_bounds(rows, lam))
+    lo, hi = _running_extremes(rows, lam, idx)
+    own = _own(idx, lengths)
+    if ((np.log(hi) - np.log(lo) > _LOG_SPREAD_MAX) & own).any():
+        raise DomainError("prefix samples span more than e**709")
     support = lam > 0.0
     end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
     r_all = _log_ratios(rows)
@@ -713,11 +786,10 @@ def _prefix_devmean_newton(x, lam, f, idx):
                            float(p0) if np.isfinite(p0) else 0.0, 0.0, idx)
     rx = np.compress(support, r_all, axis=-1)
     ws = lam[support]
-    rlo = np.minimum.accumulate(rx, axis=-1)[:, end]
-    rhi = np.maximum.accumulate(rx, axis=-1)[:, end]
+    rlo, rhi = _running_extremes(r_all, lam, idx)
     shift = -np.frexp(np.maximum.accumulate(ws))[1][end]
     out = np.minimum(np.maximum(rows[:, :1], lo), hi)  # rlo == rhi == 0
-    row, col = np.nonzero(rlo != rhi)
+    row, col = np.nonzero((rlo != rhi) & own)
     order = np.argsort(end[col], kind="stable")
     row, col = row[order], col[order]
     first = 0

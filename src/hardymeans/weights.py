@@ -90,19 +90,19 @@ class WeightSequence:
     def lam(self, n: int) -> float:
         """The n-th weight, n >= 1: bit for bit ``lam_array(n)[-1]``, and
         inf where that is inf."""
-        n = _check_index(n)
+        n = check_int(n)
         return float(self._terms(n, n)[0])
 
     def lam_array(self, n: int) -> np.ndarray:
         """Weights 1..n as a float array; its last entry is ``lam(n)``.
         Overflows to inf for huge geometric indices; use
         :meth:`log_lam_array` beyond float range."""
-        return self._terms(1, _check_index(n))
+        return self._terms(1, check_int(n))
 
     def log_lam_array(self, n: int) -> np.ndarray:
         """log(lam_k / lam_n), k = 1..n: small, and exact to rounding, near
         k = n, however far lam_n is beyond float range."""
-        n = _check_index(n)
+        n = check_int(n)
         if self.kind == "ones":
             return np.zeros(n)
         if self.kind == "geometric":
@@ -124,7 +124,7 @@ class WeightSequence:
                DomainError otherwise); the sums are the same bits either
                way.
         """
-        n = _check_index(n)
+        n = check_int(n)
         if lam is not None and np.shape(lam) != (n,):
             raise DomainError(f"lam must have {n} entries, got "
                               f"{np.shape(lam)}")
@@ -212,10 +212,15 @@ def unit_scaled(w: np.ndarray) -> np.ndarray:
     return np.ldexp(w, -math.frexp(float(w.max()))[1])
 
 
-def _check_index(n) -> int:
-    m = int(n)
-    if m != n or m < 1:
-        raise DomainError(f"index must be a positive integer, got {n!r}")
+def check_int(n, what: str = "index", least: int = 1) -> int:
+    """n as an int, after checking that it is an integer, or a float of
+    integral value, of at least `least`; DomainError otherwise."""
+    try:
+        m = int(n)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != n or m < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
     return m
 
 

@@ -120,6 +120,32 @@ def test_witness_trace_input_validation():
             make_sequence("witness:y=1", WeightSequence.geometric(2.0), 1100)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: est_lower_bound(Power(0.5), ONES, 1.0, 1.5), "N must"),
+    (lambda: est_lower_bound(Power(0.5), ONES, 1.0, 100, grid=-1),
+     "grid must"),
+    (lambda: est_lower_bound(Power(0.5), ONES, 1.0, 100, grid=0),
+     "grid must"),
+    (lambda: genA_partial(PowerProbe(0.5), ONES, 1.5), "n must"),
+    (lambda: verify_inequality(Power(0.5), ONES, 4.0, trials=1.5),
+     "trials must"),
+    (lambda: verify_inequality(Power(0.5), ONES, 4.0, N=2.5), "N must"),
+    (lambda: verify_inequality(Power(0.5), ONES, 4.0, seed=1.5),
+     "seed must"),
+    (lambda: prefix_values(Power(0.5), [1.0, 2.0, 3.0], np.ones(3),
+                           ns=[2.5]), "prefix length must"),
+    (lambda: make_sequence("witness:y=nan", ONES, 5), "witness level"),
+    (lambda: make_sequence("witness:y=inf", ONES, 5), "witness level"),
+], ids=["est-N", "est-grid-negative", "est-grid-zero", "genA-n",
+        "verify-trials", "verify-N", "verify-seed", "prefix-ns",
+        "witness-nan", "witness-inf"])
+def test_sizes_and_levels_that_are_not_valid_raise(call, match):
+    # refused with the library's error, not truncated to an integer,
+    # passed on as NaN or inf, or refused by NumPy or a later check
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_tail_inf_reads_second_half():
     trace = EmpiricalTrace(
         ns=np.arange(1, 11),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hardymeans import means
+from hardymeans.empirical import _draw_trials, verify_inequality
 from hardymeans.errors import (BracketError, DomainError, HardyMeansError,
                                InversionError, UsageError)
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
@@ -21,6 +22,7 @@ from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               parse_mean, power_mean, prefix_values,
                               quasiarithmetic_mean, quasideviation_mean)
 from hardymeans.rootfind import newton_lanes
+from hardymeans.weights import WeightSequence
 
 ONES2 = np.array([1.0, 1.0])
 X14 = np.array([1.0, 4.0])
@@ -370,11 +372,12 @@ def test_inverse_free_quasiarithmetic_spans_wide_rows():
 
 
 def _newton_calls(monkeypatch):
-    """A list that grows by one entry per means.newton_lanes call."""
+    """A list that grows by one entry per means.newton_lanes call: the
+    number of lanes it solves."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.size(args[1]))
         return newton_lanes(*args, **kwargs)
 
     monkeypatch.setattr(means, "newton_lanes", counting)
@@ -431,6 +434,20 @@ def test_unsorted_deviation_prefixes_equal_sorted_ones(monkeypatch):
     got = prefix_values(spec, x, lam, ns=ns)
     assert len(calls) == 1
     assert np.array_equal(got[np.argsort(ns)], prefix_values(spec, x, lam))
+
+
+def test_verify_solves_only_the_trials_own_prefixes(monkeypatch):
+    # a verify block pads its trials to N; the padded prefixes make no
+    # lanes, and each prefix of a trial whose samples differ makes one
+    calls = _newton_calls(monkeypatch)
+    verify_inequality(HomogeneousDeviation(log_gen()),
+                      WeightSequence.ones(), math.e, trials=40, N=50, seed=3)
+    x, lengths = _draw_trials(3, 0, 40, 50)
+    assert lengths.min() < 50
+    want = sum(x[r, :n].min() < x[r, :n].max()
+               for r, length in enumerate(lengths)
+               for n in range(1, length + 1))
+    assert sum(calls) == want
 
 
 # -- one evaluation path --------------------------------------------------
@@ -669,6 +686,35 @@ def test_batch_rows_match_one_row_prefixes(spec):
     for k in range(idx.size):
         assert np.array_equal(got[:, k:k + 1],
                               spec.prefix(x, lam, idx[k:k + 1]))
+
+
+# wider than three passes of the chunked prefix sums
+WIDE = 3 * 2 ** 15 + 17
+
+
+@pytest.mark.parametrize("spec", [
+    Power(0.5), Power(0.25), Power(0.0), Power(-1.0), Power(math.inf),
+    Power(-math.inf), Gini(0.5, -0.5), Gini(-0.5, -0.5), Gini(0.3, 0.3),
+    QuasiArithmetic(power_gen(0.5)), QuasiArithmetic(log_gen()),
+], ids=repr)
+def test_rows_wider_than_a_chunk_match_evaluate(spec):
+    # two rows share one weight row with zeros; Power(0.25), Power(0) and
+    # the quasiarithmetic means sum one shared row of terms times values
+    # of each row.  Prefixes are requested out of order and repeated, and
+    # end mid-row or at its last column; each is evaluate on its prefix,
+    # bit for bit
+    rng = np.random.default_rng(29)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, (2, WIDE))
+    lam = rng.uniform(0.0, 1.0, WIDE)
+    lam[rng.integers(1, WIDE, 300)] = 0.0
+    lam[[0, 2 ** 16 + 5]] = (0.8, 0.0)
+    for idx in ([2 ** 16 + 5, 3, 2 ** 15 - 1, 2 ** 15, 3, 2 ** 15 + 9],
+                [WIDE - 1, 0, 2 ** 16 + 3, WIDE - 1]):
+        idx = np.array(idx)
+        got = spec.prefix(x, lam, idx)
+        for r in range(2):
+            want = [spec.evaluate(x[r, :i + 1], lam[:i + 1]) for i in idx]
+            assert np.array_equal(got[r], want), (r, idx)
 
 
 def test_prefix_values_subset_and_validation():
