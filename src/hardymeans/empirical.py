@@ -23,17 +23,21 @@ the padded ones, which the masked row sums that form each ratio never
 read.  :func:`hardy_ratio` is a batch of one, and
 :func:`verify_inequality` runs its trials in blocks of at most _BLOCK
 rows, so its working set does not grow with the number of trials.
+Trial i is what np.random.default_rng([seed, i]) draws, bit for bit,
+but a block is drawn in array passes with no bit generator per trial:
+PCG64 is a 128-bit linear congruential generator, so each word of each
+trial is a closed-form jump from the trial's start state
+(:func:`_draw_trials`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import PCG64
-from numpy.random.bit_generator import ISeedSequence
 
 from . import hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
@@ -308,10 +312,10 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
 
     Trial i takes the sequence np.random.default_rng([seed, i]) draws: a
     length in 1..N, then log-uniform samples in [1e-3, 1e3]; the seed
-    must be nonnegative and the constant positive (inf allowed).  Each trial checks ratio <= constant *
-    (1 + 1e-9).  For symmetric monotone means the
-    unweighted constant is an envelope for every weight sequence, so a
-    second check compares against it.
+    must be nonnegative and the constant positive (inf allowed).  Each
+    trial checks ratio <= constant * (1 + 1e-9).  For symmetric monotone
+    means the unweighted constant is an envelope for every weight
+    sequence, so a second check compares against it.
 
     The weights are built and validated once per call.  Trials run in
     blocks of at most _BLOCK (fewer when N is large), each drawn into a
@@ -344,11 +348,9 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
                 default=math.inf) * (1.0 + _SLACK)
     lam = _weights(w, N)
     check_weights(lam)
-    block = min(_BLOCK, max(1, _BLOCK_CELLS // N))
     max_ratio = -math.inf
     max_trial = -1
-    for first in range(0, trials, block):
-        x, lengths = _draw_trials(seed, first, min(first + block, trials), N)
+    for first, x, lengths in _trial_blocks(seed, trials, N):
         check_samples(x)
         ratios = _ratios(spec, x, lengths, lam)
         above = np.flatnonzero(ratios > max_ratio)
@@ -375,6 +377,21 @@ def verify_inequality(spec: MeanSpec, w: WeightSequence, constant: float,
                         max_ratio=max_ratio, max_ratio_trial=max_trial)
 
 
+def _trial_blocks(seed: int, trials: int, N: int):
+    """Trials 0..trials-1 of the (seed, trial) stream as blocks
+    (first, x, lengths) of :func:`_draw_trials`, each of at most _BLOCK
+    rows and at most _BLOCK_CELLS / N (one at least).  The start states
+    of _SPAN trials at a time are seeded in one pass and each block takes
+    its slice of them."""
+    block = min(_BLOCK, max(1, _BLOCK_CELLS // N))
+    for start in range(0, trials, _SPAN):
+        span = np.arange(start, min(start + _SPAN, trials))
+        states = _start_states(_seed_words(seed, span))
+        for lo in range(0, span.size, block):
+            yield (start + lo, *_draw_rows(seed, span[lo:lo + block],
+                                           states[:, lo:lo + block], N))
+
+
 def _draw_trials(seed: int, first: int, stop: int, N: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Trials first..stop-1 of the (seed, trial) stream: rows of a
@@ -383,38 +400,147 @@ def _draw_trials(seed: int, first: int, stop: int, N: int
     Trial i is what np.random.default_rng([seed, i]) draws: a length by
     integers(1, N + 1), then that many exponents of 10 by
     uniform(-3, 3).  The block is drawn bit for bit alike in array
-    passes: the seeding words of every row at once (:func:`_seed_words`),
-    one PCG64 per row for its first N + 1 raw 64-bit words, and NumPy's
-    transforms of those words over the whole block:
+    passes, with no bit generator per row: each row's PCG64 start state
+    comes from its SeedSequence words (:func:`_seed_words`,
+    :func:`_start_states`), and NumPy's transforms run on the raw 64-bit
+    words over the whole block:
 
     * the length is 1 + (lo * N >> 32), Lemire's bounded draw on the low
       32 bits lo of word 0; for N = 1 it draws no word;
     * each exponent is -3 + 6 * (w >> 11) * 2**-53 for the next word w.
 
+    PCG64 steps a 128-bit linear congruential state s -> a s + inc, so
+    k steps from s reach A_k s + G_k inc (mod 2**128), with A_k = a**k
+    and G_k = sum_{j<k} a**j (Brown's jump-ahead).  Word k of a row is
+    XSL-RR of that state (:func:`_raw_words`), taken only for the words
+    inside the row's length.
+
     A row whose Lemire draw NumPy would reject and redraw
     (lo * N mod 2**32 < 2**32 mod N, about once in 1e8 trials at
-    N = 50), or whose trial index takes a second seed word (i >= 2**32),
-    is drawn by default_rng([seed, i]) itself.
+    N = 50), whose trial index takes a second seed word (i >= 2**32), or
+    that may be longer than the jump table (N > _JUMP) is drawn by
+    default_rng([seed, i]) itself: past a thousand or so words a row,
+    NumPy's own generator is the faster.
     """
     trials = np.arange(first, stop)
-    words = _seed_words(seed, trials)
-    raw = np.stack([PCG64(_FixedState(w)).random_raw(N + 1) for w in words])
-    redo = trials > _M32
+    states = _start_states(_seed_words(seed, trials))
+    return _draw_rows(seed, trials, states, N)
+
+
+def _draw_rows(seed: int, trials: np.ndarray, states: np.ndarray, N: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_draw_trials` of the given trials, whose states (4, rows)
+    are those of :func:`_start_states`."""
+    x = np.ones((trials.size, N))
+    lengths = np.ones(trials.size, dtype=int)
+    redo = (trials > _M32) | (N > _JUMP)
+    word0 = _xsl_rr(states[0], states[1])
     if N == 1:
-        lengths = np.ones(trials.size, dtype=int)
-    else:
-        m = (raw[:, 0] & np.uint64(_M32)) * np.uint64(N)
-        lengths = (m >> np.uint64(32)).astype(int) + 1
-        redo |= (m & np.uint64(_M32)) < 2 ** 32 % N
-        raw = raw[:, 1:]
-    u = -3.0 + 6.0 * ((raw[:, :N] >> np.uint64(11)) * 2.0 ** -53)
-    x = np.where(np.arange(N) < lengths[:, np.newaxis], 10.0 ** u, 1.0)
+        x[:, 0] = 10.0 ** _exponents(word0)
+    elif N <= _JUMP:
+        m = (word0 & _U_M32) * np.uint64(N)
+        lengths = (m >> _U32).astype(int) + 1
+        redo |= (m & _U_M32) < np.uint64(2 ** 32 % N)
+        inside = np.arange(N) < lengths[:, np.newaxis]
+        k = np.broadcast_to(np.arange(N), inside.shape)[inside]
+        raw = _raw_words(np.repeat(states, lengths, axis=1), k)
+        x[inside] = 10.0 ** _exponents(raw)
     for row in np.flatnonzero(redo):
         rng = np.random.default_rng([seed, int(trials[row])])
         n = lengths[row] = rng.integers(1, N + 1)
         x[row] = 1.0
         x[row, :n] = 10.0 ** rng.uniform(-3.0, 3.0, n)
     return x, lengths
+
+
+def _exponents(raw: np.ndarray) -> np.ndarray:
+    """uniform(-3, 3) of each raw word, as NumPy forms it."""
+    return -3.0 + 6.0 * ((raw >> _U11) * 2.0 ** -53)
+
+
+# PCG64 as NumPy runs it (O'Neill's pcg_setseq_128_xsl_rr_64): the state
+# steps s -> a s + inc mod 2**128, then outputs XSL-RR of the new state.
+# 128-bit values are (hi, lo) pairs of uint64 arrays; every operand is
+# an np.uint64 array or scalar, so no NumPy version promotes one to float.
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = 2 ** 64 - 1
+_M128 = 2 ** 128 - 1
+_U1, _U11, _U32 = np.uint64(1), np.uint64(11), np.uint64(32)
+_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_U_M32 = np.uint64(0xFFFFFFFF)
+# Trials seeded in one pass, so the working set stays a fixed size.
+_SPAN = 4096
+# Columns of the jump table: the widest rows drawn by jump-ahead.  On 2
+# shared cores, 2000 trials at N = 1000 took as long by jump-ahead as by
+# default_rng row by row, and at N = 1500 1.4 times as long.
+_JUMP = 1024
+
+
+def _start_states(words: np.ndarray) -> np.ndarray:
+    """Rows (s_hi, s_lo, inc_hi, inc_lo) of a (4, rows) array: the PCG64
+    state s that outputs word 0, and its increment, for each row of
+    SeedSequence words w (rows, 4) (:func:`_seed_words`).
+
+    NumPy seeds PCG64 with initstate = w0:w1 and initseq = w2:w3:
+    inc = initseq << 1 | 1 and state (inc + initstate) a + inc; word 0
+    comes one step on.
+    """
+    inc_hi = (words[:, 2] << _U1) | (words[:, 3] >> _U63)
+    inc_lo = (words[:, 3] << _U1) | _U1
+    t_lo = inc_lo + words[:, 1]
+    t_hi = inc_hi + words[:, 0] + (t_lo < inc_lo)
+    states = np.stack([t_hi, t_lo, inc_hi, inc_lo])
+    # two steps: the seeding's own, then the one to word 0
+    hi, lo = _mul_add(*_jump_table()[:, 1], states)
+    return np.stack([hi, lo, inc_hi, inc_lo])
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """Rows (A_hi, A_lo, G_hi, G_lo) of a (4, _JUMP) array: column k
+    holds A = a**(k+1) and G = sum_{j<=k} a**j, mod 2**128, which move
+    a state k + 1 steps on."""
+    A, G, cols = 1, 0, []
+    for _ in range(_JUMP):
+        A, G = A * _MULT & _M128, (G * _MULT + 1) & _M128
+        cols.append((A >> 64, A & _M64, G >> 64, G & _M64))
+    return np.array(cols, dtype=np.uint64).T.copy()
+
+
+def _raw_words(states: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Word k + 1 of each cell's stream, for states (4, cells) that
+    output word 0 and k < _JUMP: XSL-RR(A s + G inc) with column k of
+    the jump table."""
+    a_hi, a_lo, g_hi, g_lo = np.take(_jump_table(), k, axis=1)
+    return _xsl_rr(*_mul_add(a_hi, a_lo, g_hi, g_lo, states))
+
+
+def _mul_add(a_hi, a_lo, g_hi, g_lo, states):
+    """(hi, lo) of A s + G inc mod 2**128, for A = a_hi:a_lo,
+    G = g_hi:g_lo and the states' rows s_hi, s_lo, inc_hi, inc_lo."""
+    s_hi, s_lo, i_hi, i_lo = states
+    p = a_lo * s_lo
+    lo = p + g_lo * i_lo
+    hi = (a_hi * s_lo + a_lo * s_hi + g_hi * i_lo + g_lo * i_hi
+          + _mul_hi(a_lo, s_lo) + _mul_hi(g_lo, i_lo) + (lo < p))
+    return hi, lo
+
+
+def _mul_hi(x, y):
+    """The high 64 bits of the 128-bit products x * y, from 32-bit
+    halves; no partial sum leaves uint64."""
+    x0, x1 = x & _U_M32, x >> _U32
+    y0, y1 = y & _U_M32, y >> _U32
+    mid = x1 * y0 + (x0 * y0 >> _U32)
+    return x1 * y1 + (mid >> _U32) + (x0 * y1 + (mid & _U_M32) >> _U32)
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG's XSL-RR output of the 128-bit states hi:lo: hi ^ lo rotated
+    right by the top 6 bits of hi."""
+    v = hi ^ lo
+    r = hi >> _U58
+    return (v >> r) | (v << ((_U64 - r) & _U63))
 
 
 # numpy.random.SeedSequence's hash constants (after O'Neill's
@@ -469,12 +595,3 @@ def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
         state[:, k] = v ^ (v >> np.uint32(16))
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
-
-class _FixedState(ISeedSequence):
-    """A seed sequence whose state is words already generated."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words

@@ -416,22 +416,104 @@ def test_draw_trials_past_two_to_the_31():
 def test_draw_trials_redraws_a_rejected_length(monkeypatch):
     # a raw low word of 0 gives leftover 0 < 2**32 mod 50 = 46, where
     # NumPy's bounded draw rejects and draws again; the row must still
-    # be the stream's own
+    # be the stream's own, drawn by default_rng itself
     seed, trial, N = 5, 3, 50
-    target = np.random.SeedSequence([seed, trial]).generate_state(
-        4, np.uint64)
+    bits = np.random.PCG64(np.random.SeedSequence([seed, trial]))
+    bits.random_raw(1)
+    state = bits.state["state"]["state"]  # the state that outputs word 0
+    target = (np.uint64(state >> 64), np.uint64(state & (2 ** 64 - 1)))
+    xsl_rr = empirical._xsl_rr
 
-    class Rejecting(np.random.PCG64):
-        def random_raw(self, size=None, output=True):
-            raw = super().random_raw(size, output)
-            if np.array_equal(self._seed_seq.words, target):
-                raw[0] &= ~np.uint64(0xFFFFFFFF)
-            return raw
+    def rejecting(hi, lo):
+        raw = xsl_rr(hi, lo)
+        raw[(hi == target[0]) & (lo == target[1])] &= ~np.uint64(0xFFFFFFFF)
+        return raw
 
-    monkeypatch.setattr(empirical, "PCG64", Rejecting)
+    monkeypatch.setattr(empirical, "_xsl_rr", rejecting)
+    calls = []
+    default_rng = np.random.default_rng
+
+    def spy(*args):
+        calls.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    x, lengths = empirical._draw_trials(seed, 0, 8, N)
+    assert calls == [([seed, trial],)]
+    monkeypatch.undo()
     # accepted, the zeroed word would have given that trial length 1
-    assert fuzz_trial(seed, trial, N).size != 1
+    want = fuzz_trial(seed, trial, N)
+    assert want.size != 1
+    assert lengths[trial] == want.size
+    assert np.array_equal(x[trial, :want.size], want)
     _assert_stream(seed, 0, 8, N)
+
+
+class _FixedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is the given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _kernel_words(words, K):
+    """Raw words 0..K-1 (K <= _JUMP + 1) of each row of seed words
+    (rows, 4), by the draw's jump-ahead kernel."""
+    states = empirical._start_states(np.asarray(words, dtype=np.uint64))
+    rows, k = states.shape[1], np.arange(K - 1)
+    raw = empirical._raw_words(np.repeat(states, k.size, axis=1),
+                               np.tile(k, rows))
+    word0 = empirical._xsl_rr(states[0], states[1])
+    return np.column_stack([word0, raw.reshape(rows, k.size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), trial=st.integers(0, 2 ** 32 - 1),
+       K=st.integers(1, 80))
+def test_raw_word_kernel_is_pcg64(seed, trial, K):
+    words = empirical._seed_words(seed, np.array([trial]))
+    want = np.random.PCG64(np.random.SeedSequence([seed, trial])).random_raw(K)
+    assert np.array_equal(words[0], np.random.SeedSequence(
+        [seed, trial]).generate_state(4, np.uint64))
+    assert np.array_equal(_kernel_words(words, K)[0], want)
+
+
+def test_raw_word_kernel_carries_through_every_half():
+    # words of zeros, ones and all-ones halves, in every position: the
+    # seeding's additions and shift, and the 32-bit partial sums of each
+    # 128-bit product, carry at their widest; K reaches the last column
+    # of the jump table
+    halves = [0, 1, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 2 ** 32, 2 ** 64 - 1]
+    words = np.array([[a, b, c, d] for a in halves for b in halves
+                      for c in halves[::-1] for d in halves],
+                     dtype=np.uint64)
+    K = empirical._JUMP + 1
+    got = _kernel_words(words, K)
+    for row, w in enumerate(words):
+        want = np.random.PCG64(_FixedWords(w)).random_raw(K)
+        assert np.array_equal(got[row], want), w
+
+
+@pytest.mark.parametrize("N", [empirical._JUMP, empirical._JUMP + 1, 20000])
+def test_draw_trials_as_wide_as_the_jump_table_and_wider(N):
+    # the widest rows drawn by jump-ahead, and rows drawn by default_rng
+    _assert_stream(7, 0, 5, N)
+
+
+def test_trial_blocks_are_the_draw_across_spans(monkeypatch):
+    # blocks cut at span boundaries that fall inside a block
+    monkeypatch.setattr(empirical, "_SPAN", 50)
+    x, lengths = empirical._draw_trials(2, 0, 130, 30)
+    firsts = []
+    for first, bx, blengths in empirical._trial_blocks(2, 130, 30):
+        firsts.append(first)
+        stop = first + blengths.size
+        assert np.array_equal(bx, x[first:stop])
+        assert np.array_equal(blengths, lengths[first:stop])
+    assert firsts == [0, 50, 100]
 
 
 # -- batched trials ----------------------------------------------------------
