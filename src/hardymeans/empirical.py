@@ -504,7 +504,9 @@ def _jump_table() -> np.ndarray:
     for _ in range(_JUMP):
         A, G = A * _MULT & _M128, (G * _MULT + 1) & _M128
         cols.append((A >> 64, A & _M64, G >> 64, G & _M64))
-    return np.array(cols, dtype=np.uint64).T.copy()
+    table = np.array(cols, dtype=np.uint64).T.copy()
+    table.setflags(write=False)  # every caller shares it
+    return table
 
 
 def _raw_words(states: np.ndarray, k: np.ndarray) -> np.ndarray:
