@@ -25,12 +25,21 @@ import numpy as np
 from . import empirical, hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
 from .homogenize import homogenize as _scaling_ladder
-from .formatting import fmt_real, render_json
+from .formatting import render_csv, render_json
 from .means import parse_mean
+from .rootfind import check_tol
 from .weights import parse_weights
 
 # Largest `sweep --eta` grid; a finer step is a usage error.
 _MAX_GRID_POINTS = 10 ** 6
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tol(float(text))
+    except ValueError:  # DomainError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite real, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,12 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="0", help="weight ratio limit in [0, 1)")
     p.add_argument("--method", choices=("closed", "root", "both"),
                    default="closed")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
 
     p = command("solve", "root of the characteristic equation")
     p.add_argument("--family", required=True)
     p.add_argument("--eta", default="0")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
 
     p = command("verify", "fuzz the inequality at a constant")
     p.add_argument("--mean", required=True)
@@ -91,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated positive samples")
     p.add_argument("--lam", required=True,
                    help="comma-separated nonnegative weights")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     return parser
 
 
@@ -171,10 +180,8 @@ def _emit(text: str, out_path=None) -> None:
 def _error_json(exc: HardyMeansError) -> str:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ViolationFound):
-        payload["ratio"] = exc.ratio
-        payload["trial"] = exc.trial
-        payload["check"] = exc.check
-        payload["sequence"] = exc.sequence
+        payload.update(ratio=exc.ratio, trial=exc.trial, check=exc.check,
+                       sequence=exc.sequence)
     return render_json(payload)
 
 
@@ -257,14 +264,11 @@ def _cmd_gena(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     spec = parse_mean(args.family)
     etas = _parse_eta_grid(args.eta, parser)
-    rows = ["eta,value"]
-    for eta in etas:
-        if args.method == "closed":
-            value = hardy.constant_closed(spec, eta)
-        else:
-            value = hardy.constant_root(spec, eta).value
-        rows.append(f"{fmt_real(eta)},{fmt_real(value)}")
-    _emit("\n".join(rows) + "\n", args.out)
+    if args.method == "closed":
+        values = [hardy.constant_closed(spec, eta) for eta in etas]
+    else:
+        values = [hardy.constant_root(spec, eta).value for eta in etas]
+    _emit(render_csv("eta,value", zip(etas, values)), args.out)
     return 0
 
 
@@ -276,11 +280,8 @@ def _cmd_homogenize(args, parser) -> int:
     except ValueError:
         parser.error("--x and --lam must be comma-separated reals")
     est = _scaling_ladder(spec, x, lam, tol=args.tol)
-    rows = ["t,value"]
-    rows.extend(f"{fmt_real(t)},{fmt_real(v)}"
-                for t, v in zip(est.t_values, est.ladder))
-    rows.append(f"0,{fmt_real(est.value)}")
-    _emit("\n".join(rows) + "\n")
+    rows = [*zip(est.t_values, est.ladder), (0, est.value)]
+    _emit(render_csv("t,value", rows))
     if not est.converged:
         sys.stderr.write(render_json(
             {"warning": "NoConvergence",
@@ -302,18 +303,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_with_config(
             list(sys.argv[1:] if argv is None else argv), parser))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _HANDLERS[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # the parser's exit, also inside a handler
         return int(exc.code or 0)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except ViolationFound as exc:
-        sys.stderr.write(_error_json(exc) + "\n")
-        return 1
     except HardyMeansError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return 1

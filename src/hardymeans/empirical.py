@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hardy
 from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
-from .formatting import fmt_real, parse_kv
+from .formatting import parse_kv, render_csv
 from .means import (MeanSpec, check_samples, check_weights, check_xlam,
                     prefix_values)
 from .weights import WeightSequence, check_int, unit_scaled
@@ -87,10 +87,7 @@ class EmpiricalTrace:
     def to_csv(self, target) -> None:
         """Write rows ``n,value`` (17 significant digits) to a path or
         a writable file object."""
-        rows = ["n,value"]
-        rows.extend(f"{int(n)},{fmt_real(v)}"
-                    for n, v in zip(self.ns, self.values))
-        text = "\n".join(rows) + "\n"
+        text = render_csv("n,value", zip(self.ns, self.values))
         if hasattr(target, "write"):
             target.write(text)
         else:
@@ -124,12 +121,7 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     if head == "constant":
         return np.full(N, parse_kv(rest, "c", float))
     if head == "witness":
-        y = _check_level(parse_kv(rest, "y", float))
-        prefixes = w.prefix_array(N)
-        if not np.all(np.isfinite(prefixes)):
-            raise DomainError(
-                "prefix sums leave float range at this N; shrink N")
-        return y / prefixes
+        return _witness(w, parse_kv(rest, "y", float), N)[0]
     if head == "random":
         rng = np.random.default_rng(parse_kv(rest, "seed", _parse_seed))
         return 10.0 ** rng.uniform(-3.0, 3.0, N)
@@ -140,11 +132,15 @@ def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
     raise UsageError(f"unknown sequence rule {rule!r}")
 
 
-def _check_level(y: float) -> float:
-    """y, after checking that it is a positive finite witness level."""
+def _witness(w: WeightSequence, y: float, N: int, lam=None) -> tuple:
+    """The witness sequence y / Lambda_n, n = 1..N, and the prefix sums
+    Lambda_n; lam is w.lam_array(N) when the caller holds it."""
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError("witness level y must be positive and finite")
-    return y
+    prefixes = w.prefix_array(N, lam=lam)
+    if not np.all(np.isfinite(prefixes)):
+        raise DomainError("prefix sums leave float range at this N; shrink N")
+    return y / prefixes, prefixes
 
 
 def _parse_seed(text: str) -> int:
@@ -212,13 +208,9 @@ def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,
     values increase toward it, so :meth:`EmpiricalTrace.tail_inf` is a
     certified-from-below estimate up to floating-point error.
     """
-    _check_level(y)
     N, grid = check_int(N, "N"), check_int(grid, "grid")
     lam = w.lam_array(N)
-    prefixes = w.prefix_array(N, lam=lam)
-    if not np.all(np.isfinite(prefixes)):
-        raise DomainError("prefix sums leave float range at this N; shrink N")
-    xs = y / prefixes
+    xs, prefixes = _witness(w, y, N, lam)
     ns = np.unique(np.round(np.geomspace(1, N, num=min(grid, N))).astype(int))
     means = prefix_values(spec, xs, lam, ns=ns)
     values = prefixes[ns - 1] / y * means

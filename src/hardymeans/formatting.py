@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Integral
 
 from .errors import UsageError
 
@@ -31,6 +32,15 @@ def fmt_real(v: float) -> str:
     if v == -math.inf:
         return "-inf"
     return f"{v:.17g}"
+
+
+def render_csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of cells, with
+    integers (NumPy's too) as integers and reals by :func:`fmt_real`."""
+    lines = [header]
+    lines.extend(",".join(str(v) if isinstance(v, Integral) else fmt_real(v)
+                          for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def render_json(obj) -> str:

@@ -12,11 +12,11 @@ order r < 1 is
     C(r, eta) = (eta / (1 - (1-eta)**(1-r))) ** (1/r)      eta > 0, r != 0
                 (1-eta) ** (1 - 1/eta)                     eta > 0, r = 0
                 (1-r) ** (-1/r)                            eta = 0, r != 0
-                e                                          eta = 0, r = 0
+                e                                          eta = 0, r = 0,
 
-with companion closed forms for the two-exponent (Gini) family.  The
-same constants arise as the root c of a characteristic equation built
-from the mean's generator profile f:
+the q = 0 case of the two-exponent (Gini) constant, whose formula only
+gini_constant states.  The same constants arise as the root c of a
+characteristic equation built from the mean's generator profile f:
 
     integral_0^c f(1/x) dx = 0                (eta = 0)
     F(1/c, 1-eta) = 0                         (eta > 0)
@@ -40,31 +40,34 @@ from .errors import (DomainError, LimitNotDetected, NoConvergenceError,
                      ZeroDerivativeError, DerivativeUnavailableError)
 from .generators import GeneratorFunction
 from .quadrature import tanh_sinh
-from .rootfind import bracketed_root, expand_bracket_up
+from .rootfind import bracketed_root, check_tol, expand_bracket_up
 
 _BRACKET_CAP = 1e9
 _TERM_CAP = 10 ** 6
 
 
 def classical_C(p: float) -> float:
-    """Sharp unweighted constant for the power mean of order p.
-
+    """Sharp unweighted constant for the power mean of order p:
     1 at p = -inf, (1-p)**(-1/p) on (-inf, 0) and (0, 1), e at p = 0,
-    and +inf from p = 1 on (no finite constant exists).
-    """
+    and +inf from p = 1 on (no finite constant exists)."""
+    return power_constant(p, 0.0)
+
+
+def power_constant(p: float, eta: float) -> float:
+    """Sharp weighted constant of the power mean of any order p: C_of,
+    and the edges 1 at p = -inf and +inf from p = 1 on."""
     if math.isnan(p):
         raise DomainError("order must not be NaN")
     if p == -math.inf:
         return 1.0
     if p >= 1.0:
         return math.inf
-    if p == 0.0:
-        return math.e
-    return math.exp(-math.log1p(-p) / p)
+    return C_of(p, eta)
 
 
 def C_of(r: float, eta: float) -> float:
-    """Sharp weighted constant C(r, eta) for the power family, r < 1.
+    """Sharp weighted constant C(r, eta) for the power family, r < 1:
+    gini_constant(r, 0, eta), bit for bit.
 
     For eta > 0, with L = log(1 - eta), the denominator is
     1 - (1-eta)**(1-r) = eta * (1 - ((1-eta)/eta) * expm1(-r L)), so
@@ -79,13 +82,7 @@ def C_of(r: float, eta: float) -> float:
     _check_eta(eta)
     if math.isnan(r) or r >= 1.0 or math.isinf(r):
         raise DomainError(f"closed form needs finite order r < 1, got {r!r}")
-    if eta == 0.0:
-        if r == 0.0:
-            return math.e
-        return math.exp(-math.log1p(-r) / r)
-    if r == 0.0:
-        return math.exp((1.0 - 1.0 / eta) * math.log1p(-eta))
-    return math.exp(-_log_d_over_eta(r, eta) / r)
+    return gini_constant(r, 0.0, eta)
 
 
 def _log_d_over_eta(s: float, eta: float) -> float:
@@ -101,19 +98,25 @@ def gini_constant(p: float, q: float, eta: float) -> float:
     """Sharp weighted constant for the Gini family on its finite band.
 
     Requires min(p, q) <= 0 <= max(p, q) < 1; outside that band no
-    finite sharp constant is available.  gini_constant(p, 0, eta)
-    coincides with C_of(p, eta).
+    finite sharp constant is available.  This is the one statement of
+    the power-family formula too: C_of(p, eta) is gini_constant(p, 0,
+    eta), and p = q = 0 is the geometric mean's limit.
     """
     _check_eta(eta)
-    for v in (p, q):
-        if math.isnan(v) or math.isinf(v):
-            raise DomainError("Gini exponents must be finite")
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise DomainError("Gini exponents must be finite")
     if not (min(p, q) <= 0.0 <= max(p, q) < 1.0):
         raise DomainError(
             f"(p, q) = ({p:g}, {q:g}) outside the band min <= 0 <= max < 1")
+    if eta < 2.0 ** -1022:
+        # a subnormal eta, where (1 - eta) / eta overflows, moves the
+        # constant by far less than an ulp from its value at eta = 0
+        eta = 0.0
     if p == q:
-        # inside the band this forces p = q = 0
-        return C_of(0.0, eta)
+        # inside the band this forces p = q = 0: the geometric mean
+        if eta == 0.0:
+            return math.e
+        return math.exp((1.0 - 1.0 / eta) * math.log1p(-eta))
     if eta == 0.0:
         return math.exp((math.log1p(-q) - math.log1p(-p)) / (p - q))
     # log d_q - log d_p, with the common log eta cancelled exactly
@@ -173,8 +176,7 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
         raise DomainError(f"series argument x must be in (0, 1], got {x!r}")
     if not 0.0 < q < 1.0:
         raise DomainError(f"series ratio q must be in (0, 1), got {q!r}")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
 
     log_q = math.log(q)
     # index of the first term with argument above 1 (terms positive after it)
@@ -269,8 +271,7 @@ def solve_cef(f: GeneratorFunction, eta: float,
         raise DomainError(
             f"{f.label}: characteristic equation needs a concave profile "
             "with sign f(u) = sign(u - 1)")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_tol(tol)
 
     inner_tol = 0.1 * min(tol, 1e-12)
     if eta == 0.0:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import HardyMeansError, NoConvergenceError, NotNormalizableError
 from .generators import QuasideviationKernel
 from .means import MeanSpec, check_xlam
+from .rootfind import check_tol
 
 _LADDER_DEPTH = 20
 _FD_SCALE = 1e-6
@@ -75,13 +76,14 @@ def homogenize(spec: MeanSpec, x, lam,
 
     Evaluates the mean down the ladder t = 4**-k, k = 1..20, applies one
     Richardson step, and accepts once three successive extrapolants
-    agree within `tol`.  Invalid x or lam raise DomainError before the
-    ladder (:func:`~hardymeans.means.check_xlam`).  Non-convergence is a
+    agree within `tol`.  Invalid x, lam or tol raise DomainError before
+    the ladder (:func:`~hardymeans.means.check_xlam`).  Non-convergence is a
     report, not a failure: check the ``converged`` flag.  A library error
     from a rung ends the ladder there; any other exception is a fault and
     propagates.
     """
     x, lam = check_xlam(x, lam)
+    check_tol(tol)
     ts, us = [], []
     for k in range(1, _LADDER_DEPTH + 1):
         t = 4.0 ** -k
@@ -150,9 +152,10 @@ def h_of_kernel(E_star: QuasideviationKernel, x: float,
 
     The caller declares that the limit exists (E* normalized, limit 0 at
     the origin along the diagonal direction); the ladder only certifies
-    numerical agreement and raises NoConvergenceError otherwise.
-    """
+    numerical agreement and raises NoConvergenceError otherwise; a tol
+    that is not positive and finite raises DomainError."""
     x = float(x)
+    check_tol(tol)
     ts = 4.0 ** -np.arange(1, _LADDER_DEPTH + 1)
     vals = np.array([
         float(np.asarray(E_star.fn(np.array([x * t]), t), dtype=float)[0]) / t

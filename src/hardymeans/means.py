@@ -39,8 +39,8 @@ from .errors import (BracketError, DomainError, InversionError, PGeqOne,
 from .formatting import fmt_real, parse_kv
 from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
                          dev_power, exp_gen, log_gen, power_gen)
-from .hardy import (C_of, HardyConstantResult, detect_order, gini_constant,
-                    qa_constant, solve_cef)
+from .hardy import (HardyConstantResult, detect_order, gini_constant,
+                    power_constant, qa_constant, solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
 from .weights import check_int, compensated_cumsum, unit_scaled
 
@@ -278,14 +278,7 @@ class Power(MeanSpec):
         return _prefix_gini(x, lam, p, 0.0, idx)
 
     def closed_constant(self, eta):
-        p = self.p
-        if math.isnan(p):
-            raise DomainError("order must not be NaN")
-        if p == -math.inf:
-            return 1.0
-        if p >= 1.0:
-            return math.inf
-        return C_of(p, eta)
+        return power_constant(self.p, eta)
 
     def root_constant(self, eta, tol):
         return solve_cef(dev_power(self.p), eta, tol=tol)
@@ -732,16 +725,18 @@ def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
 
 def _prefix_deviation(x, lam, efn, idx, homogeneous):
     """Brent root per prefix, on the leading count[i] positive-weight
-    samples and their weights scaled by :func:`unit_scaled`."""
+    samples and their weights scaled by :func:`unit_scaled`; a kernel
+    that overflows ends in a root or a typed error, with no warning."""
     lo, hi = _running_extremes(x, lam, idx)
     support = lam > 0.0
     count = np.cumsum(support)
     xs, ws = x[support], lam[support]
     out = np.empty(idx.size)
-    for j, i in enumerate(idx):
-        k = count[i]
-        out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]), float(lo[j]),
-                                  float(hi[j]), efn, homogeneous)
+    with np.errstate(all="ignore"):
+        for j, k in enumerate(count[idx]):
+            out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]),
+                                      float(lo[j]), float(hi[j]), efn,
+                                      homogeneous)
     return out
 
 

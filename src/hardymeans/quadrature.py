@@ -13,6 +13,7 @@ roughly doubles the number of correct digits for analytic integrands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,7 @@ class QuadratureResult:
     converged: bool
 
 
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _pair_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint offsets and weights for the node pairs new at `level`.
 
@@ -57,9 +56,6 @@ def _pair_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     t = 0 is not included.  Offsets are distances from the nearer endpoint
     of the reference interval [-1, 1].
     """
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = 2.0 ** -level
     if level == 0:
         j = np.arange(1, int(_T_MAX / h) + 1)
@@ -73,9 +69,7 @@ def _pair_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = 2.0 * e / (1.0 + e)
     weights = 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
     keep = offsets > 0.0
-    pair = (offsets[keep], weights[keep])
-    _node_cache[level] = pair
-    return pair
+    return offsets[keep], weights[keep]
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12) -> QuadratureResult:

@@ -53,6 +53,13 @@ class RootResult:
     iterations: int
 
 
+def check_tol(tol: float, name: str = "tol") -> float:
+    """tol, checked to be positive and finite (DomainError otherwise)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
                    rtol: float = RTOL_FLOOR, *, flo: float | None = None,
                    fhi: float | None = None) -> RootResult:
@@ -64,13 +71,13 @@ def bracketed_root(f, lo: float, hi: float, xtol: float = 1e-12,
     xtol, rtol -- the root is returned once it is known to within
                 xtol + rtol * |root|; rtol is floored at RTOL_FLOOR.
 
-    Raises BracketError when the endpoint values share a sign,
-    NoConvergenceError after _MAXITER iterations and DomainError when f
-    returns NaN.  Endpoint zeros are returned directly with 0 iterations.
+    Raises DomainError when xtol is not positive and finite or f returns
+    NaN, BracketError when the endpoint values share a sign and
+    NoConvergenceError after _MAXITER iterations.  Endpoint zeros are
+    returned directly with 0 iterations.
     """
     lo, hi = float(lo), float(hi)
-    if not xtol > 0.0:
-        raise DomainError(f"xtol must be positive, got {xtol!r}")
+    check_tol(xtol, "xtol")
     rtol = max(rtol, RTOL_FLOOR)
 
     def value(x):

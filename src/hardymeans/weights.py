@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .formatting import parse_kv
+from .formatting import fmt_real, parse_kv
 
 _KINDS = ("ones", "geometric", "powerlaw", "explicit")
 
@@ -146,13 +146,13 @@ class WeightSequence:
         return 0.0
 
     def spec_text(self) -> str:
-        """Canonical CLI specifier for this sequence."""
+        """Canonical CLI specifier, which parse_weights reads back exactly."""
         if self.kind == "ones":
             return "ones"
         if self.kind == "geometric":
-            return f"geometric:a={self.a:g}"
+            return f"geometric:a={fmt_real(self.a)}"
         if self.kind == "powerlaw":
-            return f"powerlaw:alpha={self.alpha:g}"
+            return f"powerlaw:alpha={fmt_real(self.alpha)}"
         return "explicit:<list of %d>" % len(self.values)
 
     def __repr__(self) -> str:

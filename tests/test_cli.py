@@ -66,6 +66,20 @@ def test_constant_flag_validation(capsys):
                "--eta", "0")[0] == 2                            # unknown family
 
 
+@pytest.mark.parametrize("argv", [
+    ("constant", "--family", "power:p=0.5", "--eta", "0.5", "--method",
+     "both"),
+    ("constant", "--family", "power:p=0.5", "--eta", "0", "--method", "root"),
+    ("solve", "--family", "power:p=0.5", "--eta", "0"),
+    ("homogenize", "--mean", "power:p=0.5", "--x", "1,4,9", "--lam", "1,1,1"),
+])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-12"])
+def test_tolerance_must_be_positive_and_finite(capsys, argv, tol):
+    # --tol inf printed a root of 4 against the closed 2.91 and exited 0
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2 and out == "" and "--tol" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert cli.main([]) == 2
@@ -231,6 +245,19 @@ def test_sweep_writes_grid_csv(capsys, tmp_path):
     assert float(v9) == pytest.approx(gini_constant(0.5, -0.5, 0.9))
 
 
+def test_sweep_csv_bytes(capsys, tmp_path):
+    code, out, _ = run(capsys, "sweep", "--family", "power:p=-1",
+                       "--eta", "0:0.5:0.25")
+    assert code == 0
+    assert out == "eta,value\n0,2\n0.25,1.75\n0.5,1.5\n"
+    target = tmp_path / "g.csv"
+    assert run(capsys, "sweep", "--family", "gini:p=0.5,q=-0.5", "--eta",
+               "0:0.5:0.25", "--out", str(target))[0] == 0
+    assert target.read_bytes() == (b"eta,value\n0,2.9999999999999996\n"
+                                   b"0.25,2.6160254037844384\n"
+                                   b"0.5,2.2071067811865475\n")
+
+
 def test_sweep_grid_validation(capsys):
     assert run(capsys, "sweep", "--family", "power:p=0.5",
                "--eta", "0:0.9")[0] == 2
@@ -259,6 +286,21 @@ def test_homogenize_prints_ladder(capsys):
     final_t, final_v = lines[-1].split(",")
     assert final_t == "0"
     assert float(final_v) == pytest.approx(2.25, abs=1e-8)
+
+
+def test_homogenize_csv_bytes(capsys):
+    code, out, _ = run(capsys, "homogenize", "--mean", "power:p=0.5",
+                       "--x", "1,4", "--lam", "1,1")
+    assert code == 0
+    ts = ["0.25", "0.0625", "0.015625", "0.00390625", "0.0009765625",
+          "0.000244140625", "6.103515625e-05", "1.52587890625e-05",
+          "3.814697265625e-06", "9.5367431640625e-07",
+          "2.384185791015625e-07", "5.9604644775390625e-08",
+          "1.4901161193847656e-08", "3.7252902984619141e-09",
+          "9.3132257461547852e-10", "2.3283064365386963e-10",
+          "5.8207660913467407e-11", "1.4551915228366852e-11",
+          "3.637978807091713e-12", "9.0949470177292824e-13", "0"]
+    assert out == "t,value\n" + "".join(f"{t},2.25\n" for t in ts)
 
 
 def test_homogenize_argument_validation(capsys):

@@ -154,6 +154,25 @@ def test_tail_inf_reads_second_half():
     assert trace.tail_inf() == 0.5
 
 
+def test_verify_report_weights_parse_back():
+    w = parse_weights("geometric:a=1.0000001")
+    report = verify_inequality(Power(0.5), w, C_of(0.5, w.eta()), trials=5)
+    assert parse_weights(report.weights).a == w.a
+
+
+def test_trace_csv_bytes(tmp_path):
+    trace = EmpiricalTrace(ns=np.array([1, 2, 10, 1000]),
+                           values=np.array([0.1, 1 / 3, 1e300, math.inf]),
+                           label="probe")
+    want = ("n,value\n1,0.10000000000000001\n2,0.33333333333333331\n"
+            "10,1.0000000000000001e+300\n1000,inf\n")
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    assert buf.getvalue() == want
+    trace.to_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
 def test_trace_csv_format():
     trace = est_lower_bound(Power(0.5), ONES, 1.0, 50, grid=10)
     buf = io.StringIO()

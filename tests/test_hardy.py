@@ -184,8 +184,48 @@ def test_gini_constant_near_zero_exponents_matches_high_precision(p, q, eta):
 @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 0.9])
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8])
 def test_gini_zero_exponent_collapses_to_power(p, eta):
-    assert gini_constant(p, 0.0, eta) == pytest.approx(C_of(p, eta),
-                                                       rel=1e-15, abs=0.0)
+    assert gini_constant(p, 0.0, eta) == C_of(p, eta)
+
+
+# the power constant is the q = 0 case of the Gini constant, bit for bit
+ORDER_GRID = [-1e6, -5.0, -1.0, -1e-9, -0.0, 0.0, 1e-12, 1e-9, 0.5, 0.95,
+              0.999999]
+
+
+@pytest.mark.parametrize("r", ORDER_GRID)
+@pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-6, 0.5, 0.9, 0.999999])
+def test_power_constant_is_the_gini_q_zero_case_bit_for_bit(r, eta):
+    assert C_of(r, eta) == gini_constant(r, 0.0, eta)
+    assert Power(r).closed_constant(eta) == C_of(r, eta)
+    if eta == 0.0:
+        assert classical_C(r) == C_of(r, 0.0)
+
+
+@pytest.mark.parametrize("p, expected", [(-math.inf, 1.0), (1.0, math.inf),
+                                         (2.0, math.inf)])
+def test_power_constant_edges(p, expected):
+    assert classical_C(p) == expected
+    for eta in (0.0, 0.5):
+        assert Power(p).closed_constant(eta) == expected
+    with pytest.raises(DomainError):
+        C_of(p, 0.0)
+
+
+def test_power_constant_rejects_nan_order():
+    with pytest.raises(DomainError):
+        classical_C(math.nan)
+    with pytest.raises(DomainError):
+        Power(math.nan).closed_constant(0.5)
+
+
+@pytest.mark.parametrize("r", ORDER_GRID)
+def test_subnormal_eta_gives_the_eta_zero_constant(r):
+    # (1 - eta) / eta overflows below the smallest normal eta: C_of gave
+    # inf, gini_constant NaN, and orders above 1/2 a bare ValueError
+    for eta in (5e-324, 1e-320, 2.2250738585072e-308):
+        assert C_of(r, eta) == C_of(r, 0.0)
+        assert gini_constant(0.0, r, eta) == C_of(r, 0.0)
+    assert gini_constant(0.5, -0.5, 5e-324) == gini_constant(0.5, -0.5, 0.0)
 
 
 @pytest.mark.parametrize("p, q, eta", [
@@ -277,6 +317,13 @@ def test_series_domain(x, q):
         F_eval(log_gen(), x, q)
 
 
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-12, math.nan])
+def test_series_rejects_a_tolerance_not_positive_and_finite(tol):
+    # an infinite tol closed the tail after the first terms
+    with pytest.raises(DomainError):
+        F_eval(log_gen(), 0.5, 0.5, tol=tol)
+
+
 # -- characteristic equation -------------------------------------------------
 
 
@@ -341,6 +388,15 @@ def test_characteristic_rejects_nonconcave_profile():
 def test_characteristic_eta_domain(eta):
     with pytest.raises(DomainError):
         solve_cef(log_gen(), eta)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_characteristic_rejects_a_tolerance_not_positive_and_finite(tol, eta):
+    # tol = inf stopped Brent at the bracket end: a root of 4 at eta = 0.5,
+    # where the constant is 2.91
+    with pytest.raises(DomainError):
+        solve_cef(dev_power(0.5), eta, tol=tol)
 
 
 # closed form vs root solve, power profiles (the module's central claim)

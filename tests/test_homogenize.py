@@ -89,6 +89,13 @@ def test_invalid_input_raises_before_the_ladder(x, lam):
         homogenize(Power(0.5), x, lam)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_ladder_tolerance_must_be_positive_and_finite(tol):
+    # tol = nan gave converged=False with spread 0.0
+    with pytest.raises(DomainError):
+        homogenize(Power(0.5), (1.0, 4.0, 9.0), (1.0, 1.0, 1.0), tol=tol)
+
+
 def test_ladder_stops_at_a_library_error_and_passes_other_faults_on():
     from dataclasses import dataclass
 
@@ -187,6 +194,13 @@ def test_trace_of_scaled_log_kernel():
     star = normalize_kernel(ratio_kernel(log_gen()))
     assert h_of_kernel(star, math.e) == pytest.approx(1.0, abs=1e-10)
     assert h_of_kernel(star, 4.0) == pytest.approx(math.log(4.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8])
+def test_trace_tolerance_must_be_positive_and_finite(tol):
+    # tol = inf accepted the first three extrapolants of any ladder
+    with pytest.raises(DomainError):
+        h_of_kernel(wiggle_kernel(), 3.0, tol=tol)
 
 
 def test_trace_of_normalized_power_gap():

@@ -16,7 +16,8 @@ from hardymeans.errors import (BracketError, DomainError, HardyMeansError,
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    dev_gini, dev_power, difference_kernel,
                                    exp_gen, log_gen, power_gap_kernel,
-                                   power_gen, ratio_kernel)
+                                   power_gen, ratio_kernel,
+                                   scaled_ratio_kernel)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic, gini_mean, homogeneous_devmean,
                               parse_mean, power_mean, prefix_values,
@@ -138,6 +139,28 @@ def test_quasideviation_small_cases():
         assert quasideviation_mean(x, [1.0, 0.5], power_gap_kernel(2.0)) \
             == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13,
                              abs=0.0)
+
+
+@pytest.mark.parametrize("kernel, p", [
+    (ratio_kernel(log_gen()), 0.0), (scaled_ratio_kernel(log_gen()), 0.0),
+    (ratio_kernel(dev_power(0.5)), 0.5),
+    (scaled_ratio_kernel(dev_power(0.5)), 0.5),
+    (power_gap_kernel(0.5), 0.5), (difference_kernel(), 1.0),
+], ids=["ratio-log", "scaled-ratio-log", "ratio-pow", "scaled-ratio-pow",
+        "power-gap", "difference"])
+@pytest.mark.parametrize("e", [200, 300])
+def test_raw_kernels_at_extreme_samples_warn_nothing(kernel, p, e):
+    # x / y overflows inside Brent, but no RuntimeWarning leaks (the test
+    # filter would make it an error): each call gives the power mean the
+    # kernel generates, or a typed error
+    for x in ([10.0 ** -e, 10.0 ** e], [10.0 ** e, 10.0 ** -e],
+              [10.0 ** -e, 3 * 10.0 ** -e], [10.0 ** e, 10.0 ** e / 3]):
+        try:
+            got = quasideviation_mean(x, ONES2, kernel)
+        except HardyMeansError:
+            continue
+        assert got == pytest.approx(power_mean(x, ONES2, p), rel=1e-12,
+                                    abs=0.0)
 
 
 def test_quasideviation_rejects_sign_violating_kernel():

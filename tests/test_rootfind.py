@@ -71,6 +71,13 @@ def test_xtol_controls_accuracy():
     assert abs(res.root - math.pi) < 1e-13
 
 
+@pytest.mark.parametrize("xtol", [math.inf, math.nan, 0.0, -1.0])
+def test_xtol_must_be_positive_and_finite(xtol):
+    # xtol = inf returned the bracket end 2.0 after one iteration
+    with pytest.raises(DomainError):
+        bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=xtol)
+
+
 def test_expand_bracket_finds_decreasing_crossing():
     lo, hi, flo, fhi = expand_bracket_up(lambda c: 10.0 - c)
     assert lo < 10.0 <= hi

@@ -150,3 +150,12 @@ def test_spec_text_round_trips():
         again = parse_weights(w.spec_text())
         assert again.kind == w.kind
         assert again.a == w.a and again.alpha == w.alpha
+
+
+@pytest.mark.parametrize("v", [1.0000001, 0.123456789, 1 + 2 ** -40])
+def test_spec_text_keeps_every_bit(v):
+    # ":g" printed geometric:a=1.0000001 as geometric:a=1, which
+    # parse_weights rejects, and alpha=0.123456789 as 0.123457
+    if v > 1.0:
+        assert parse_weights(WeightSequence.geometric(v).spec_text()).a == v
+    assert parse_weights(WeightSequence.power_law(v).spec_text()).alpha == v
