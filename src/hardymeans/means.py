@@ -519,62 +519,84 @@ def _shifted_sums(t, k, values, idx):
     compensated sum (:func:`compensated_cumsum`) s of the terms over
     e**c 2**j, with s at least e**-_HEADROOM and at most N e**_HEADROOM:
     two sums compare as (c - c') + (j - j') log 2 plus the log of s / s'.
-    Where |t| and every term stay within e**_HEADROOM, all rows go with
-    shift (0, 0) (:func:`_one_pass_sums`); else each row goes alone
-    (:func:`_segmented_sums`), with the same bits up to its first shift.
-    An overflowing term times v_i makes that mean inf or NaN from i on.
-    """
+    All rows run in passes of at most _CHUNK columns, each continuing the
+    carries of the one before, so the bits are those of one pass.  A row's
+    shift starts at (0, 0) and moves, cutting the pass, to the first term
+    that passes it by e**_HEADROOM, whereupon the row's carries are
+    rescaled (:func:`_exp_diff`).  An overflowing term times v_i makes
+    that mean inf or NaN from i on."""
     rows = np.atleast_2d(t)
     vals = [np.atleast_2d(v) for v in values]
+    n, stop = len(rows), int(idx.max()) + 1
+    # each row's shift, and the value of t + k log 2 that moves it
+    c, j = np.zeros(n), np.zeros(n, int)
+    top, floor = c + _HEADROOM, _HEADROOM
+    shifts = order = None  # the shifts at idx, once some shift moves
+    scaled, k_top, hi = k.any(), k.max() * _LN2, rows.max()
+    # exp(t) 2**k is _exp_diff(t, 0, k), bit for bit, where |t| < 700
+    plain = -700.0 < rows.min() and hi < 700.0
+    carries = [(0.0, 0.0)] * (1 + len(vals))
     with np.errstate(over="ignore", invalid="ignore"):
-        if (rows.min() >= -_HEADROOM and rows.max() + k.max() * _LN2
-                <= _HEADROOM):
-            sums, means = _one_pass_sums(rows, k, vals, idx)
-            c, j = np.zeros((len(rows), 1)), np.zeros((len(rows), 1), int)
-        else:
-            parts = [_segmented_sums(
-                row, k, [v if len(rows) == 1 else v[r:r + 1] for v in vals],
-                idx) for r, row in enumerate(rows)]
-            c, j, sums = (np.array([part[i] for part in parts])
-                          for i in range(3))
-            means = [np.concatenate([part[3][m] for part in parts])
-                     for m in range(len(vals))]
+        for first in range(0, stop, _CHUNK):
+            tc, kc = rows[:, first:stop][:, :_CHUNK], k[first:stop][:_CHUNK]
+            pos, cut = 0, kc.size
+            if hi + k_top > floor and tc.max() + k_top > floor:
+                # each row's next move in the chunk; the running maximum
+                # is, at a move, the term that the shift moves to
+                run = np.maximum.accumulate(tc + kc * _LN2, axis=1)
+                nxt = np.where(run[:, -1] > top,
+                               (run > top[:, None]).argmax(axis=1), cut)
+                cut = nxt.min()
+            while pos < kc.size:
+                if pos == cut:  # the shifts of the rows r move here
+                    r = np.flatnonzero(nxt == pos)
+                    scale = np.where(nxt == pos, _exp_diff(
+                        c, tc[:, pos], j - kc[pos]), 1.0)
+                    carries = [(a * scale, b * scale) for a, b in carries]
+                    c[r], j[r] = tc[r, pos], kc[pos]
+                    top[r] = run[r, pos] + _HEADROOM
+                    for i in r:
+                        nxt[i] = run[i].searchsorted(top[i], side="right")
+                    cut, floor = nxt.min(), top.min()
+                    shifts = shifts or [np.zeros((n, idx.size)),
+                                        np.zeros((n, idx.size), int)]
+                e = tc[:, pos:cut]
+                if shifts is None and plain:
+                    e = np.exp(e)
+                    if scaled:
+                        np.ldexp(e, kc[pos:cut], out=e)
+                else:
+                    e = _exp_diff(e, c[:, None], kc[pos:cut] - j[:, None])
+                cols = slice(first + pos, first + cut)
+                sums = []
+                for m, v in enumerate([None] + vals):
+                    s, carries[m] = compensated_cumsum(
+                        e if v is None else e * v[:, cols], carries[m])
+                    sums.append(s)
+                if cols.start == 0:
+                    # every requested column; those past this pass are
+                    # overwritten by the passes that hold them
+                    picked = [s[:, np.minimum(idx, cut - 1)] for s in sums]
+                else:
+                    if order is None:  # idx sorted, for the later passes
+                        order = np.argsort(idx, kind="stable")
+                        ordered = idx[order]
+                    # the requested columns of this pass
+                    here, end = ordered.searchsorted([cols.start, cols.stop])
+                    sel, at = order[here:end], ordered[here:end] - cols.start
+                    for p, s in zip(picked, sums):
+                        p[:, sel] = s[:, at]
+                    for p, s in zip(shifts or (), (c, j)):
+                        p[:, sel] = s[:, None]
+                pos = cut
+        sums = picked[0]
+        means = [p / sums for p in picked[1:]]
+    c, j = shifts or (np.zeros((n, 1)), np.zeros((n, 1), int))
     if np.ndim(t) == 1:
         c, j, sums = c[0], j[0], sums[0]
         means = [m[0] if np.ndim(v) == 1 else m
                  for v, m in zip(values, means)]
     return (c, j), sums, means
-
-
-def _one_pass_sums(rows, k, vals, idx):
-    """The sums and means of :func:`_shifted_sums` with shift (0, 0), in
-    passes over _CHUNK columns up to the last requested one, each read at
-    the requested columns it holds.  A pass continues the compensated sums
-    of the one before (:func:`compensated_cumsum`'s carry), so the bits
-    are those of one pass over the whole row."""
-    stop = int(idx.max()) + 1
-    scaled = k.any()
-    col = idx % _CHUNK
-    carries = [(0.0, 0.0)] * (1 + len(vals))
-    picked = [None] * (1 + len(vals))
-    for c, first in enumerate(range(0, stop, _CHUNK)):
-        cols = slice(first, min(first + _CHUNK, stop))
-        e = np.exp(rows[:, cols])
-        if scaled:
-            np.ldexp(e, k[cols], out=e)
-        for m, v in enumerate([None] + vals):
-            s, carries[m] = compensated_cumsum(
-                e if v is None else e * v[:, cols], carries[m])
-            if c == 0:
-                # every requested column: the first pass is _CHUNK wide
-                # when there are more, and each of those overwrites the
-                # columns it holds
-                picked[m] = s[:, col]
-            else:
-                here = idx // _CHUNK == c
-                picked[m][:, here] = s[:, col[here]]
-    sums = picked[0]
-    return sums, [p / sums for p in picked[1:]]
 
 
 def _exp_diff(a, b, k):
@@ -587,36 +609,6 @@ def _exp_diff(a, b, k):
     d, move = _fold(d)
     e = np.ldexp(np.exp(d), k + move)
     return np.fmax(e + e * lo, 0.0)
-
-
-def _segmented_sums(row, k, vals, idx):
-    """_shifted_sums of one row of t.  The shift (c, j) starts at (0, 0),
-    the first term; it moves to the term of the running maximum of
-    t + k log 2, and the carried sums are rescaled, when that maximum
-    passes the shift's by _HEADROOM, so no term exceeds e**_HEADROOM and
-    the Python loop is over segments.  A row that needs no move gives the
-    bits of the one-pass path."""
-    n = row.size
-    top = np.maximum.accumulate(row + k * _LN2)
-    s0, shift_c, shift_j = np.empty(n), np.empty(n), np.empty(n, int)
-    sums = [np.empty(v.shape) for v in vals]
-    carries = [(0.0, 0.0)] * (1 + len(vals))
-    i, c, j = 0, 0.0, 0
-    while i < n:
-        end = int(np.searchsorted(top, top[i] + _HEADROOM, side="right"))
-        e = _exp_diff(row[i:end], c, k[i:end] - j)
-        s0[i:end], carries[0] = compensated_cumsum(e, carries[0])
-        for m, (v, s) in enumerate(zip(vals, sums), 1):
-            s[..., i:end], carries[m] = compensated_cumsum(
-                e * v[..., i:end], carries[m])
-        shift_c[i:end], shift_j[i:end] = c, j
-        if end < n:
-            scale = _exp_diff(c, row[end], j - k[end])
-            carries = [(a * scale, b * scale) for a, b in carries]
-            c, j = row[end], k[end]
-        i = end
-    s0 = s0[idx]
-    return shift_c[idx], shift_j[idx], s0, [s[..., idx] / s0 for s in sums]
 
 
 def _prefix_gini(x, lam, p, q, idx):
