@@ -241,7 +241,7 @@ def power_gap_kernel(r: float) -> QuasideviationKernel:
     if r <= 0.0:
         raise DomainError("power gap kernel needs r > 0")
     return QuasideviationKernel(
-        fn=lambda x, y: np.asarray(x, dtype=float) ** r - float(y) ** r,
+        fn=lambda x, y: np.asarray(x, dtype=float) ** r - np.float64(y) ** r,
         d2_diag=lambda y: -r * np.asarray(y, dtype=float) ** (r - 1.0),
         family=("power-gap", r), label=f"x^{r:g} - y^{r:g}")
 

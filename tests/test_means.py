@@ -145,9 +145,10 @@ def test_quasideviation_small_cases():
     (ratio_kernel(log_gen()), 0.0), (scaled_ratio_kernel(log_gen()), 0.0),
     (ratio_kernel(dev_power(0.5)), 0.5),
     (scaled_ratio_kernel(dev_power(0.5)), 0.5),
-    (power_gap_kernel(0.5), 0.5), (difference_kernel(), 1.0),
+    (power_gap_kernel(0.5), 0.5), (power_gap_kernel(2.0), 2.0),
+    (difference_kernel(), 1.0),
 ], ids=["ratio-log", "scaled-ratio-log", "ratio-pow", "scaled-ratio-pow",
-        "power-gap", "difference"])
+        "power-gap", "power-gap-2", "difference"])
 @pytest.mark.parametrize("e", [200, 300])
 def test_raw_kernels_at_extreme_samples_warn_nothing(kernel, p, e):
     # x / y overflows inside Brent, but no RuntimeWarning leaks (the test
@@ -471,6 +472,99 @@ def test_verify_solves_only_the_trials_own_prefixes(monkeypatch):
                for r, length in enumerate(lengths)
                for n in range(1, length + 1))
     assert sum(calls) == want
+
+
+# -- shifted prefix sums ------------------------------------------------------
+
+
+def _shifted_sums_batch(n, seed):
+    """Rows of log terms t whose shifts move several times (a climb to
+    +5000), that fall to e**-5000 (a shift of (0, 0) throughout, terms
+    that underflow), that stay small and that carry zero weights (-inf),
+    with growing weight exponents k and positive values v."""
+    rng = np.random.default_rng(seed)
+    ramp = np.linspace(0.0, 1.0, n)
+    t = np.stack([5000.0 * ramp ** 2 + rng.normal(0.0, 20.0, n),
+                  -5000.0 * ramp + rng.normal(0.0, 20.0, n),
+                  rng.normal(0.0, 3.0, n),
+                  np.where(rng.random(n) < 0.3, -np.inf,
+                           700.0 * np.sin(9.0 * ramp))])
+    t[:, 0] = 0.0
+    k = np.arange(n) // 3
+    v = rng.uniform(0.5, 2.0, t.shape)
+    return t, k, v
+
+
+def _exact_sums(t, k, v, idx):
+    """mpmath prefix sums of e**t 2**k, and the weighted means of v, at
+    the columns idx."""
+    with mpmath.workdps(40):
+        terms = [mpmath.exp(mpmath.mpf(float(a))) * mpmath.mpf(2) ** int(b)
+                 for a, b in zip(t, k)]
+        sums = np.cumsum(np.array(terms, dtype=object))
+        dots = np.cumsum(np.array([w * mpmath.mpf(float(x))
+                                   for w, x in zip(terms, v)], dtype=object))
+        return sums[idx], dots[idx] / sums[idx]
+
+
+def test_shifted_sums_match_mpmath_and_move_each_row_alone():
+    t, k, v = _shifted_sums_batch(300, 5)
+    idx = np.array([299, 0, 150, 37, 150, 298, 1, 200, 200, 64])
+    (c, j), s, (m,) = means._shifted_sums(t, k, [v], idx)
+    c, j = np.broadcast_to(c, s.shape), np.broadcast_to(j, s.shape)
+    assert np.unique(c[0]).size >= 4 and not c[1:3].any()
+    with mpmath.workdps(40):
+        for r in range(len(t)):
+            sums, want = _exact_sums(t[r], k, v[r], idx)
+            for i in range(idx.size):
+                log_s = (mpmath.mpf(float(c[r, i])) + int(j[r, i])
+                         * mpmath.log(2) + mpmath.log(float(s[r, i])))
+                log_want = mpmath.log(sums[i])
+                assert abs(log_s - log_want) <= 1e-14 * max(1, abs(log_want))
+                assert abs(m[r, i] - want[i]) <= 1e-14 * want[i]
+    # each row alone, and as a 1-d call, gives the bits of the batch
+    for r in range(len(t)):
+        for rows, vals in ((t[r:r + 1], v[r:r + 1]), (t[r], v[r])):
+            (c1, j1), s1, (m1,) = means._shifted_sums(rows, k, [vals], idx)
+            for got, want in ((c1, c), (j1, j), (s1, s), (m1, m)):
+                got = np.broadcast_to(got, s1.shape).reshape(-1)
+                assert np.array_equal(got, want[r])
+
+
+def test_shifted_sums_of_a_shared_row_take_per_row_values():
+    t, k, v = _shifted_sums_batch(300, 6)
+    idx = np.array([5, 299, 5, 120, 0])
+    for shared in t:
+        (c, j), s, (m,) = means._shifted_sums(shared, k, [v], idx)
+        assert s.shape == idx.shape and m.shape == v[:, idx].shape
+        for r in range(len(v)):
+            (c1, j1), s1, (m1,) = means._shifted_sums(shared, k, [v[r]],
+                                                        idx)
+            assert np.array_equal(s1, s) and np.array_equal(m1, m[r])
+            assert np.array_equal(np.broadcast_to(c1, s.shape),
+                                  np.broadcast_to(c, s.shape))
+            _, want = _exact_sums(shared, k, v[r], idx)
+            for got, w in zip(m[r], want):
+                assert abs(got - w) <= 1e-14 * w
+
+
+@pytest.mark.parametrize("n", [300, 2 * means._CHUNK + 77])
+def test_shifted_sums_at_idx_are_the_full_prefixes_read_at_idx(n):
+    t, k, v = _shifted_sums_batch(n, 7)
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, n, 40)
+    idx[:3] = [n - 1, 0, n - 1]
+    (c, j), s, means_at = means._shifted_sums(t, k, [v, 1.0 / v], idx)
+    every = np.arange(n)
+    (c_all, j_all), s_all, means_all = means._shifted_sums(
+        t, k, [v, 1.0 / v], every)
+    assert np.array_equal(np.broadcast_to(c, s.shape),
+                          np.broadcast_to(c_all, s_all.shape)[:, idx])
+    assert np.array_equal(np.broadcast_to(j, s.shape),
+                          np.broadcast_to(j_all, s_all.shape)[:, idx])
+    assert np.array_equal(s, s_all[:, idx])
+    for m, m_all in zip(means_at, means_all):
+        assert np.array_equal(m, m_all[:, idx])
 
 
 # -- one evaluation path --------------------------------------------------
