@@ -207,13 +207,19 @@ def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,
     lengths up to N.  For the families with a sharp constant these
     values increase toward it, so :meth:`EmpiricalTrace.tail_inf` is a
     certified-from-below estimate up to floating-point error.
+
+    A homogeneous mean is taken at the level frexp(y)[0] in [1/2, 1)
+    instead of y: that rescale by a power of two is exact, so subnormal
+    witness samples cost no digits.  The ratio M / level lies in
+    [1/Lambda_N, 1/Lambda_1] and is taken first, so no level overflows.
     """
     N, grid = check_int(N, "N"), check_int(grid, "grid")
     lam = w.lam_array(N)
-    xs, prefixes = _witness(w, y, N, lam)
+    level = math.frexp(y)[0] if spec.homogeneous else y
+    xs, prefixes = _witness(w, level, N, lam)
     ns = np.unique(np.round(np.geomspace(1, N, num=min(grid, N))).astype(int))
     means = prefix_values(spec, xs, lam, ns=ns)
-    values = prefixes[ns - 1] / y * means
+    values = prefixes[ns - 1] * (means / level)
     return EmpiricalTrace(
         ns=ns, values=values, label=f"est[{_spec_label(spec)}]",
         meta={"weights": w.spec_text(), "y": y, "N": N})

@@ -203,6 +203,16 @@ def test_est_reports_gap_to_closed_form_on_stderr(capsys):
     assert code == 0 and err.endswith("; closed-form constant inf\n")
 
 
+def test_est_at_a_tiny_level_prints_a_finite_trace(capsys):
+    code, out, _ = run(capsys, "est", "--mean", "power:p=0.5",
+                       "--weights", "powerlaw:alpha=3", "--N", "2000",
+                       "--y", "1e-300")
+    assert code == 0
+    values = [float(row.split(",")[1])
+              for row in out.strip().splitlines()[1:]]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 def test_est_writes_file(capsys, tmp_path):
     target = tmp_path / "trace.csv"
     code, out, _ = run(capsys, "est", "--mean", "power:p=0.5",

@@ -105,6 +105,16 @@ def test_witness_trace_diverges_for_arithmetic_mean():
     assert trace.values[-1] > 5.0
 
 
+def test_witness_trace_at_a_tiny_level_matches_level_one():
+    # x_n = 1e-300 / Lambda_n is subnormal; the trace does not depend on y
+    w = parse_weights("powerlaw:alpha=3")
+    tiny = est_lower_bound(Power(0.5), w, 1e-300, 2000)
+    unit = est_lower_bound(Power(0.5), w, 1.0, 2000)
+    assert np.all(np.isfinite(tiny.values))
+    np.testing.assert_allclose(tiny.values, unit.values, rtol=1e-14, atol=0)
+    assert tiny.meta["y"] == 1e-300
+
+
 def test_witness_trace_input_validation():
     with pytest.raises(DomainError):
         est_lower_bound(Power(0.5), ONES, 0.0, 100)
