@@ -10,16 +10,17 @@ bit, whatever else is requested, and ``evaluate`` asks for the last
 prefix only.  Power and Gini means, and the weighted means of
 quasiarithmetic generators, are shifted compensated prefix sums, so wide
 dynamic ranges, large exponents and weights past float range neither
-overflow nor lose digits; the sums run over cache-sized chunks of
-columns up to the last requested prefix, and are read at the requested
-prefixes only.  Homogeneous deviation means are bracketed roots, every
-(row, prefix) pair one lane of a Newton solve started at its prefix's
-osculating power mean; raw deviation kernels take one Brent root per
-prefix.  The running extremes of the samples, which bound every mean,
-are also taken at the requested prefixes only.  A batch of sample
-rows that share one weight vector is evaluated in one pass, and a
-batch's rows may hold sequences of their own lengths, whose padded
-prefixes the root-solving families skip.
+overflow nor lose digits; one loop runs every row of a batch over
+cache-sized chunks of columns up to the last requested prefix, each row
+with its own shift, which moves where the row's terms grow past e**600,
+and the sums are read at the requested prefixes only.  Homogeneous
+deviation means are bracketed roots, every (row, prefix) pair one lane
+of a Newton solve started at its prefix's osculating power mean; raw
+deviation kernels take one Brent root per prefix.  The running extremes
+of the samples, which bound every mean, are also taken at the requested
+prefixes only.  A batch of sample rows that share one weight vector is
+evaluated in one pass, and a batch's rows may hold sequences of their
+own lengths, whose padded prefixes the root-solving families skip.
 
 Each family is a :class:`MeanSpec` subclass that also carries its sharp
 constant, by closed form and by characteristic root (computed in
@@ -49,8 +50,8 @@ _P_EXTREME = 1e15
 # Largest exponent of a term of the shifted prefix sums: a million terms
 # of e**600 stay far below overflow.
 _HEADROOM = 600.0
-# Columns per pass of the one-pass prefix sums, whose working arrays then
-# stay in cache.
+# Most columns per pass of the shifted prefix sums, whose working arrays
+# then stay in cache.
 _CHUNK = 2 ** 15
 # Widest log spread of the samples of a homogeneous deviation prefix: the
 # ratios x / y of its root, within e**709, stay in float range.
@@ -550,8 +551,8 @@ def _shifted_sums(t, k, values, idx):
             while pos < kc.size:
                 if pos == cut:  # the shifts of the rows r move here
                     r = np.flatnonzero(nxt == pos)
-                    scale = np.where(nxt == pos, _exp_diff(
-                        c, tc[:, pos], j - kc[pos]), 1.0)
+                    scale = np.ones(n)
+                    scale[r] = _exp_diff(c[r], tc[r, pos], j[r] - kc[pos])
                     carries = [(a * scale, b * scale) for a, b in carries]
                     c[r], j[r] = tc[r, pos], kc[pos]
                     top[r] = run[r, pos] + _HEADROOM
