@@ -254,15 +254,14 @@ def genA_partial(phi, w: WeightSequence, n: int) -> float:
 def genA_limit(p: float, eta: float) -> float:
     """Limit of the partial sums for phi(u) = u**-p, p < 1.
 
-    1/(1-p) at eta = 0 and eta / (1 - (1-eta)**(1-p)) for eta > 0.
+    eta / (1 - (1-eta)**(1-p)), the reciprocal of hardy's d_p / eta
+    (1/(1-p) at eta = 0); eta itself at p = -inf.
     """
     p = float(p)
     if math.isnan(p) or p >= 1.0:
         raise DomainError(f"probe order must be < 1, got {p!r}")
     hardy._check_eta(eta)
-    if eta == 0.0:
-        return 1.0 / (1.0 - p)
-    return eta / -math.expm1((1.0 - p) * math.log1p(-eta))
+    return eta if p == -math.inf else 1.0 / hardy._d_over_eta(p, eta)
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,9 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
             t = np.log(u)
             return np.exp((r - 2.0) * t) * (r * (r - 1.0) * t + 2.0 * r - 1.0)
 
+        # u**r ln u has the sign of u - 1 for every r
         return GeneratorFunction(fn=fn, d1=d1, d2=d2, concave=False,
-                                 sign_like=r == 0.0,
+                                 sign_like=True,
                                  recip_integrable=r < 1.0,
                                  family=("gini", r, r),
                                  label=f"u^{r:g} ln u")

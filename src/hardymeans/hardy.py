@@ -9,14 +9,20 @@ over positive sequences.  When the weight ratio lambda_n / Lambda_n
 converges to eta in [0, 1), the sharp constant for the power family of
 order r < 1 is
 
-    C(r, eta) = (eta / (1 - (1-eta)**(1-r))) ** (1/r)      eta > 0, r != 0
-                (1-eta) ** (1 - 1/eta)                     eta > 0, r = 0
-                (1-r) ** (-1/r)                            eta = 0, r != 0
-                e                                          eta = 0, r = 0,
+    C(r, eta) = (eta / d_r) ** (1/r),      d_s = 1 - (1-eta)**(1-s),
 
-the q = 0 case of the two-exponent (Gini) constant, whose formula only
-gini_constant states.  The same constants arise as the root c of a
-characteristic equation built from the mean's generator profile f:
+with the limits (1-r)**(-1/r) at eta = 0, where d_s/eta = 1 - s,
+(1-eta)**(1 - 1/eta) at r = 0, and e at both.  It is the q = 0 case of
+the two-exponent (Gini) constant
+
+    C(p, q, eta) = ((d_q/eta) / (d_p/eta)) ** (1/(p-q)),
+
+and d_s/eta is stated once, in _d_over_eta and its log
+_log_d_over_eta, which gini_constant and empirical.genA_limit (the
+probe-sum limit eta/d_p) read, on all of 0 <= eta < 1.
+
+The same constants arise as the root c of a characteristic equation
+built from the mean's generator profile f:
 
     integral_0^c f(1/x) dx = 0                (eta = 0)
     F(1/c, 1-eta) = 0                         (eta > 0)
@@ -56,8 +62,6 @@ def classical_C(p: float) -> float:
 def power_constant(p: float, eta: float) -> float:
     """Sharp weighted constant of the power mean of any order p: C_of,
     and the edges 1 at p = -inf and +inf from p = 1 on."""
-    if math.isnan(p):
-        raise DomainError("order must not be NaN")
     if p == -math.inf:
         return 1.0
     if p >= 1.0:
@@ -66,36 +70,57 @@ def power_constant(p: float, eta: float) -> float:
 
 
 def C_of(r: float, eta: float) -> float:
-    """Sharp weighted constant C(r, eta) for the power family, r < 1:
-    gini_constant(r, 0, eta), bit for bit.
-
-    For eta > 0, with L = log(1 - eta), the denominator is
-    1 - (1-eta)**(1-r) = eta * (1 - ((1-eta)/eta) * expm1(-r L)), so
-
-        log C = -log1p(-((1-eta)/eta) * expm1(-r L)) / r,
-
-    in which r -> 0 and eta -> 0 are approached without cancellation:
-    the argument of log1p is O(r), not a difference of two logarithms
-    that both tend to log eta.  For r > 1/2 that argument nears -1, and
-    (log eta - log(1 - (1-eta)**(1-r))) / r is the accurate form instead.
-    """
-    _check_eta(eta)
-    if math.isnan(r) or r >= 1.0 or math.isinf(r):
-        raise DomainError(f"closed form needs finite order r < 1, got {r!r}")
+    """Sharp weighted constant C(r, eta) = (eta / d_r) ** (1/r) for the
+    power family, r < 1: gini_constant(r, 0, eta), bit for bit, which
+    reads d_r / eta from _log_d_over_eta, its one statement."""
     return gini_constant(r, 0.0, eta)
 
 
-def _log_d_over_eta(s: float, eta: float) -> float:
-    """log(d_s / eta) for d_s = 1 - q**(1-s), q = 1 - eta in (0, 1), in
-    the form that is accurate for this s (see C_of)."""
+# below it, expm1(x)/x is 1 + x/2 to within an ulp
+_SERIES = 2.0 ** -26
+
+
+def _log_q(eta: float) -> tuple[float, float]:
+    """L = log(1 - eta) and ell = -L/eta, which is 1 at eta = 0."""
     log_q = math.log1p(-eta)
-    if s <= 0.5:
-        return math.log1p(-(1.0 - eta) / eta * math.expm1(-s * log_q))
-    return math.log(-math.expm1((1.0 - s) * log_q)) - math.log(eta)
+    return log_q, (-log_q / eta if eta else 1.0)
+
+
+def _d_over_eta(s: float, eta: float) -> float:
+    """d_s / eta for d_s = 1 - (1-eta)**(1-s), s < 1 and eta in [0, 1).
+
+    With y = (1-s) L, it is -expm1(y)/eta = (1-s) ell expm1(y)/y, and the
+    second form, with 1 + y/2 for expm1(y)/y, neither under- nor
+    overflows as y -> 0; at eta = 0 it is 1 - s.
+    """
+    log_q, ell = _log_q(eta)
+    y = (1.0 - s) * log_q
+    if abs(y) < _SERIES:
+        return (1.0 - s) * ell * (1.0 + 0.5 * y)
+    return -math.expm1(y) / eta
+
+
+def _log_d_over_eta(s: float, eta: float) -> float:
+    """log(d_s / eta), in the form that keeps the digits of s.
+
+    For s <= 1/2, with x = -s L, d_s/eta = 1 - t for
+    t = (1-eta)/eta expm1(x) = (1-eta) s ell expm1(x)/x, so log1p(-t) is
+    O(s) without cancellation as s -> 0 or eta -> 0; dividing by eta
+    last keeps it finite at a subnormal eta.  For s > 1/2, t nears 1, and
+    the log of _d_over_eta is the accurate form instead.
+    """
+    if s > 0.5:
+        return math.log(_d_over_eta(s, eta))
+    log_q, ell = _log_q(eta)
+    x = -s * log_q
+    t = ((1.0 - eta) * s * ell * (1.0 + 0.5 * x) if abs(x) < _SERIES
+         else (1.0 - eta) * math.expm1(x) / eta)
+    return math.log1p(-t)
 
 
 def gini_constant(p: float, q: float, eta: float) -> float:
-    """Sharp weighted constant for the Gini family on its finite band.
+    """Sharp weighted constant for the Gini family on its finite band,
+    C(p, q, eta) = exp((log(d_q/eta) - log(d_p/eta)) / (p - q)).
 
     Requires min(p, q) <= 0 <= max(p, q) < 1; outside that band no
     finite sharp constant is available.  This is the one statement of
@@ -104,21 +129,16 @@ def gini_constant(p: float, q: float, eta: float) -> float:
     """
     _check_eta(eta)
     if not (math.isfinite(p) and math.isfinite(q)):
-        raise DomainError("Gini exponents must be finite")
+        raise DomainError(f"exponents must be finite, got ({p!r}, {q!r})")
     if not (min(p, q) <= 0.0 <= max(p, q) < 1.0):
         raise DomainError(
             f"(p, q) = ({p:g}, {q:g}) outside the band min <= 0 <= max < 1")
-    if eta < 2.0 ** -1022:
-        # a subnormal eta, where (1 - eta) / eta overflows, moves the
-        # constant by far less than an ulp from its value at eta = 0
-        eta = 0.0
-    if p == q:
-        # inside the band this forces p = q = 0: the geometric mean
-        if eta == 0.0:
-            return math.e
-        return math.exp((1.0 - 1.0 / eta) * math.log1p(-eta))
-    if eta == 0.0:
-        return math.exp((math.log1p(-q) - math.log1p(-p)) / (p - q))
+    if abs(p - q) < 2.0 ** -1022:
+        # p = q forces p = q = 0 in the band, the geometric mean, with
+        # log C = -d/ds log(d_s/eta) at s = 0 = (1 - eta) ell; exponents
+        # a subnormal apart are within far less than an ulp of it, where
+        # the quotient below would divide two subnormal numbers
+        return math.exp((1.0 - eta) * _log_q(eta)[1])
     # log d_q - log d_p, with the common log eta cancelled exactly
     return math.exp((_log_d_over_eta(q, eta) - _log_d_over_eta(p, eta))
                     / (p - q))

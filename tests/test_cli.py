@@ -56,6 +56,21 @@ def test_constant_both_methods_agree(capsys):
     assert doc["abs_diff"] <= 1e-8
 
 
+def test_constant_at_the_edges_of_eta(capsys):
+    # s * eta underflowed: the closed route printed 1 at the first cell
+    # and ended in a bare ValueError (log of 0) at the second
+    code, out, _ = run(capsys, "constant", "--family", "power:p=1e-300",
+                       "--eta", "1e-30", "--method", "closed")
+    assert code == 0
+    assert parse_json(out)["value"] == pytest.approx(math.e, rel=1e-15,
+                                                     abs=0.0)
+    code, out, _ = run(capsys, "constant", "--family",
+                       "power:p=0.9999999999999999", "--eta",
+                       "2.2250738585072014e-308", "--method", "closed")
+    assert code == 0
+    assert math.isfinite(parse_json(out)["value"])
+
+
 def test_constant_flag_validation(capsys):
     assert run(capsys, "constant")[0] == 2                      # no family
     assert run(capsys, "constant", "--family", "power:p=0.5",
@@ -268,6 +283,20 @@ def test_sweep_csv_bytes(capsys, tmp_path):
                                    b"0.5,2.2071067811865475\n")
 
 
+def test_sweep_root_route_matches_the_closed_route(capsys):
+    rows = {}
+    for method in ("closed", "root"):
+        code, out, _ = run(capsys, "sweep", "--family", "gini:p=0.5,q=-0.5",
+                           "--eta", "0:0.5:0.25", "--method", method)
+        assert code == 0
+        rows[method] = [line.split(",")
+                        for line in out.strip().splitlines()[1:]]
+    assert len(rows["root"]) == 3
+    for (eta_c, closed), (eta_r, root) in zip(rows["closed"], rows["root"]):
+        assert eta_c == eta_r
+        assert abs(float(root) - float(closed)) <= 1e-12
+
+
 def test_sweep_grid_validation(capsys):
     assert run(capsys, "sweep", "--family", "power:p=0.5",
                "--eta", "0:0.9")[0] == 2
@@ -331,6 +360,15 @@ def test_config_fills_missing_flags(capsys, tmp_path):
     code, out, _ = run(capsys, "constant", "--config", str(cfg))
     assert code == 0
     assert parse_json(out)["eta"] == 0.5
+
+
+def test_config_flag_with_an_equals_sign(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta=0.5\nfamily=gini:p=0.5,q=-0.5\n")
+    spaced = run(capsys, "constant", "--config", str(cfg))
+    joined = run(capsys, "constant", f"--config={cfg}")
+    assert spaced[0] == 0 and joined == spaced
+    assert parse_json(joined[1])["eta"] == 0.5
 
 
 def test_explicit_flags_beat_config(capsys, tmp_path):

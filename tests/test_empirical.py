@@ -18,10 +18,10 @@ from hardymeans.empirical import (EmpiricalTrace, PowerProbe, VerifyReport,
                                   hardy_ratio, make_sequence,
                                   verify_inequality)
 from hardymeans.errors import DomainError, UsageError, ViolationFound
-from hardymeans.generators import difference_kernel, log_gen
+from hardymeans.generators import difference_kernel, dev_power, log_gen
 from hardymeans.hardy import C_of, gini_constant
-from hardymeans.means import (Deviation, Gini, Power, QuasiArithmetic,
-                              parse_mean, prefix_values)
+from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
+                              QuasiArithmetic, parse_mean, prefix_values)
 from hardymeans.rootfind import RTOL_FLOOR
 from hardymeans.weights import WeightSequence, parse_weights
 
@@ -262,6 +262,40 @@ def test_partial_sum_rejects_bad_phi_values():
         genA_partial(PowerProbe(0.5), ONES, 0)
 
 
+# an explicit list, repeated past its end by its last value
+EXPLICIT = WeightSequence.explicit([3.0, 0.5, 2.0, 1e-3, 7.0, 1.0])
+
+
+def _mp_lam(w, k):
+    if w.kind == "powerlaw":
+        return mpmath.mpf(k) ** mpmath.mpf(w.alpha)
+    return mpmath.mpf(w.values[min(k, len(w.values)) - 1])
+
+
+@pytest.mark.parametrize("w", [WeightSequence.power_law(1.0),
+                               WeightSequence.power_law(3.0), EXPLICIT],
+                         ids=lambda w: w.spec_text())
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("p", [0.5, -1.0, 0.9])
+def test_partial_sum_on_powerlaw_and_explicit_weights_matches_mpmath(w, n,
+                                                                     p):
+    with mpmath.workdps(40):
+        lam = [_mp_lam(w, k) for k in range(1, n + 1)]
+        total = mpmath.fsum(lam)
+        want, prefix = mpmath.mpf(0), mpmath.mpf(0)
+        for lam_k in lam:
+            prefix += lam_k
+            want += lam_k / total * (prefix / total) ** -p
+        want = float(want)
+
+    def phi(u):
+        return np.asarray(u, dtype=float) ** -p
+
+    assert genA_partial(PowerProbe(p), w, n) == pytest.approx(
+        want, rel=1e-13, abs=0.0)
+    assert genA_partial(phi, w, n) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_limit_values():
     assert genA_limit(0.5, 0.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
     assert genA_limit(0.0, 0.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
@@ -384,6 +418,19 @@ def test_fuzzing_skips_envelope_for_asymmetric_means():
                                math.inf, trials=10, seed=1, N=20)
     assert report.ones_constant is None
     assert math.isnan(report.to_dict()["ones_constant"])
+
+
+def test_fuzzing_takes_the_envelope_from_the_root_route_without_a_closed_form():
+    # relabelled, the u**0.5 profile has no closed form, so the unweighted
+    # envelope comes from solve_cef; the fuzzing is the named profile's
+    named = HomogeneousDeviation(dev_power(0.5))
+    custom = HomogeneousDeviation(replace(dev_power(0.5), family=("custom",)))
+    constant = C_of(0.5, GEO2.eta())
+    got = verify_inequality(custom, GEO2, constant, trials=50, seed=1)
+    want = verify_inequality(named, GEO2, constant, trials=50, seed=1)
+    assert got.ones_constant == pytest.approx(4.0, rel=1e-12, abs=0.0)
+    assert want.ones_constant == 4.0
+    assert replace(got, mean=want.mean, ones_constant=4.0) == want
 
 
 def test_fuzzing_input_validation():

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from hardymeans.generators import (dev_gini, dev_power, difference_kernel,
                                    power_gen, ratio_kernel,
                                    scaled_ratio_kernel, validate_generator,
                                    validate_kernel)
+from hardymeans.means import Gini, parse_mean, prefix_values
 
 
 def _scalar(fn, x):
@@ -57,6 +59,27 @@ def test_dev_gini_diagonal_limit():
     u = math.e ** 2
     assert abs(_scalar(f.fn, u) - 2.0 * math.e) < 1e-12  # u**0.5 * ln u
     assert dev_gini(0.0, 0.0).family == ("log",)
+
+
+@pytest.mark.parametrize("r", [0.3, -0.5])
+def test_dev_gini_diagonal_profile_generates_the_gini_mean(r):
+    # u**r ln u has the sign of u - 1 for every r: the diagonal profile
+    # was declared sign-like at r = 0 only, so its deviation mean raised
+    f = dev_gini(r, r)
+    assert f.sign_like and not f.concave
+    with mpmath.workdps(30):
+        for u in (0.1, 1.3, 42.0):
+            def g(v):
+                return v ** r * mpmath.log(v)
+            for d, order in ((f.d1, 1), (f.d2, 2)):
+                want = float(mpmath.diff(g, mpmath.mpf(u), order))
+                assert _scalar(d, u) == pytest.approx(want, rel=1e-13)
+    rng = np.random.default_rng(5)
+    x = np.exp(rng.uniform(-3.0, 3.0, 20))
+    lam = rng.uniform(0.1, 2.0, 20)
+    got = prefix_values(parse_mean(f"devmean:f=gini:{r},{r}"), x, lam)
+    want = prefix_values(Gini(r, r), x, lam)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_dev_gini_band_flags():

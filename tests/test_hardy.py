@@ -1,12 +1,16 @@
 """Closed-form constants, the series F, and the characteristic equation."""
 
+import functools
 import math
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hardymeans.empirical import genA_limit
 from hardymeans.errors import (DomainError, LimitNotDetected,
                                NoConvergenceError, NotIntegrableError,
                                PGeqOne, TailBoundFailure, ZeroDerivativeError)
@@ -241,6 +245,116 @@ def test_subnormal_eta_gives_the_eta_zero_constant(r):
 def test_gini_constant_domain(p, q, eta):
     with pytest.raises(DomainError):
         gini_constant(p, q, eta)
+
+
+# -- d_s / eta on all of 0 <= eta < 1 ----------------------------------------
+#
+# gini_constant and genA_limit both read d_s/eta = (1 - (1-eta)**(1-s))/eta
+# from one statement.  The references take 700 digits: 1 + 1e-300 and
+# (1 - 5e-324)**(1 - 1e-300) round to 1 at fewer.
+
+
+@functools.lru_cache(maxsize=4096)
+def mp_log_d_over_eta(s, eta):
+    """log(d_s / eta) to 700 digits, as an mpf."""
+    with mpmath.workdps(700):
+        s, eta = mpmath.mpf(s), mpmath.mpf(eta)
+        if eta == 0:
+            return mpmath.log(1 - s)
+        return mpmath.log(-mpmath.expm1((1 - s) * mpmath.log1p(-eta)) / eta)
+
+
+def mp_rel_err(got, p, q, eta):
+    """Relative error of gini_constant's value `got` at (p, q, eta)."""
+    with mpmath.workdps(700):
+        if p == q:
+            e = mpmath.mpf(eta)
+            ell = 1 if eta == 0 else -mpmath.log1p(-e) / e
+            log_c = (1 - e) * ell
+        else:
+            log_c = ((mp_log_d_over_eta(q, eta) - mp_log_d_over_eta(p, eta))
+                     / (mpmath.mpf(p) - mpmath.mpf(q)))
+        want = mpmath.exp(log_c)
+        return float(abs(got - want) / want)
+
+
+def mp_probe_limit_rel_err(got, p, eta):
+    """Relative error of genA_limit's value `got`: eta / d_p, and eta
+    itself at p = -inf."""
+    with mpmath.workdps(700):
+        if p == -math.inf:
+            want = mpmath.mpf(eta)
+        else:
+            want = mpmath.exp(-mp_log_d_over_eta(p, eta))
+        if want == 0:
+            return 0.0 if got == 0.0 else math.inf
+        return float(abs(got - want) / want)
+
+
+G_ETA = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-305, 1e-300,
+         1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9,
+         1.0 - 2.0 ** -53]
+G_P = [0.0, 1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 0.1, 0.5, 0.9,
+       0.999999, 1.0 - 2.0 ** -53]
+G_Q = [0.0, -1e-300, -1e-100, -1e-12, -1e-9, -0.5, -1.0, -5.0, -1e6,
+       -1e100, -1e300, -1e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("eta", G_ETA)
+def test_closed_constant_and_probe_limit_on_the_eta_grid(eta):
+    # where s * eta underflows, the closed form gave exactly 1.0 or raised
+    # a bare ValueError (log of 0), and genA_limit divided by zero
+    bad = []
+    for p in G_P:
+        for q in G_Q:
+            got = gini_constant(p, q, eta)
+            err = mp_rel_err(got, p, q, eta)
+            if not err <= 1e-13:
+                bad.append(f"C({p!r}, {q!r}) = {got!r}: {err:.1e}")
+    for p in sorted(set(G_P + G_Q)) + [0.4999999999999999, -math.inf]:
+        got = genA_limit(p, eta)
+        err = mp_probe_limit_rel_err(got, p, eta)
+        if not err <= 1e-15:
+            bad.append(f"genA_limit({p!r}) = {got!r}: {err:.1e}")
+    assert not bad, f"eta = {eta!r}: " + "; ".join(bad)
+
+
+def _decades(lo, hi):
+    """m * 10**-k, m in [1, 10), k in [lo, hi]: log-uniform on decades."""
+    return st.builds(lambda m, k: m * 10.0 ** -k,
+                     st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(lo, hi))
+
+
+# the decades near 0, down to the subnormals, and the values just below 1
+_NEAR_ZERO = st.one_of(_decades(1, 323), st.sampled_from([0.0, 5e-324]))
+_NEAR_ONE = st.builds(lambda m, k: 1.0 - m * 2.0 ** -k,
+                      st.floats(1.0, 2.0, exclude_max=True),
+                      st.integers(1, 53))
+# eta and the exponent in [0, 1), and the exponent in [-1e300, 0]: half
+# of each on the edges
+_BELOW_ONE = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                       st.one_of(_NEAR_ZERO, _NEAR_ONE))
+_NONPOSITIVE = st.one_of(st.floats(0.0, 1e300), _NEAR_ZERO).map(lambda v: -v)
+
+
+@st.composite
+def _band_pairs(draw):
+    """(p, q) with p in [-1e300, 1) and q in the band: one exponent
+    <= 0 <= the other < 1."""
+    pair = (draw(_BELOW_ONE), draw(_NONPOSITIVE))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_pairs(), _BELOW_ONE)
+def test_closed_constant_and_probe_limit_match_mpmath(pq, eta):
+    p, q = pq
+    got = gini_constant(p, q, eta)
+    assert mp_rel_err(got, p, q, eta) <= 1e-13, (p, q, eta, got)
+    for s in pq:
+        got = genA_limit(s, eta)
+        assert mp_probe_limit_rel_err(got, s, eta) <= 1e-15, (s, eta, got)
 
 
 # -- the series F(x, q) ------------------------------------------------------

@@ -1027,3 +1027,13 @@ def test_minimal_family_needs_only_evaluate():
         constant_root(spec, 0.5)
     with pytest.raises(UsageError):
         spec.canonical()
+
+
+def test_custom_deviation_profile_has_a_closed_constant_only_at_inf():
+    # a profile that names no family: +inf when its reciprocal profile is
+    # not integrable, and otherwise a pointer to the root route
+    f = replace(dev_power(0.5), family=("custom",))
+    spec = HomogeneousDeviation(replace(f, recip_integrable=False))
+    assert spec.closed_constant(0.5) == math.inf
+    with pytest.raises(DomainError, match="use the root route"):
+        HomogeneousDeviation(f).closed_constant(0.5)
