@@ -1,4 +1,5 @@
-"""Digests of the shifted prefix sums and of everything built on them.
+"""Digests of the shifted prefix sums, of everything built on them, and of
+the sharp constants.
 
     PYTHONPATH=src python3 scripts/means_digest.py
 
@@ -14,7 +15,10 @@ lines mean the same bits.  The groups are
 - ``prefix_values``: 11 mean families x 4 weight vectors x N in
   {50, 900, 3000} on wide log-uniform samples;
 - ``verify``: 12 ``verify_inequality`` reports;
-- ``est``: 12 ``est_lower_bound`` traces.
+- ``est``: 12 ``est_lower_bound`` traces;
+- ``constants``: the closed and the root constant of every cell of the
+  benchmark's ``constants`` workload, its fault cells included
+  (``perfbench/workloads.py``).
 
 An input that raises a HardyMeansError contributes the error's class
 name and message.
@@ -24,12 +28,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from hardymeans import (HardyMeansError, est_lower_bound, parse_mean,
-                        parse_weights, prefix_values, verify_inequality)
+from hardymeans import (HardyMeansError, constant_closed, constant_root,
+                        est_lower_bound, parse_mean, parse_weights,
+                        prefix_values, verify_inequality)
 from hardymeans.means import _shifted_sums
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CONSTANT_ETAS, CONSTANT_FAMILIES, FAULT_CELLS  # noqa: E402
 
 FAMILIES = ["power:p=0.5", "power:p=0", "power:p=-100", "power:p=1e7",
             "gini:p=0.5,q=-0.5", "gini:p=60,q=-60", "gini:p=2,q=2",
@@ -123,15 +133,28 @@ def est_group(h):
                 feed(h, trace.ns, trace.values)
 
 
+def constants_group(h):
+    cells = [(f, eta) for f in CONSTANT_FAMILIES for eta in CONSTANT_ETAS]
+    cells += [(f, eta) for f, eta, _ in FAULT_CELLS]
+    for family, eta in cells:
+        spec = parse_mean(family)
+        for route in (constant_closed,
+                      lambda s, e: constant_root(s, e).value):
+            value = guarded(h, lambda: route(spec, eta))
+            if value is not None:
+                h.update(repr(value).encode())
+
+
 def main():
     total = hashlib.sha256()
-    for group in (shifted_sums, prefix_groups, verify_group, est_group):
+    for group in (shifted_sums, prefix_groups, verify_group, est_group,
+                  constants_group):
         h = hashlib.sha256()
         with np.errstate(all="ignore"):
             group(h)
-        print(f"{group.__name__:14s} {h.hexdigest()}")
+        print(f"{group.__name__:15s} {h.hexdigest()}")
         total.update(h.digest())
-    print(f"{'all':14s} {total.hexdigest()}")
+    print(f"{'all':15s} {total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -237,7 +237,7 @@ def _cmd_est(args, parser) -> int:
     trace = empirical.est_lower_bound(spec, w, args.y, args.N)
     trace.to_csv(args.out or sys.stdout)
     tail = trace.tail_inf()
-    summary = f"tail inf over n >= {trace.ns[-1] // 2}: {tail:.9g}"
+    summary = f"tail inf over n >= {trace.tail_start}: {tail:.9g}"
     try:
         target = hardy.constant_closed(spec, w.eta())
         summary += f"; closed-form constant {target:.9g}"

@@ -63,10 +63,16 @@ class PowerProbe:
 
     p: float
 
+    def exponent(self, log_u):
+        """log phi(u) = -p log u; 0 at u = 1 for p = -inf too."""
+        with np.errstate(invalid="ignore"):
+            e = -self.p * log_u
+        return np.where(log_u == 0.0, 0.0, e) if math.isinf(self.p) else e
+
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
-            return np.exp(-self.p * np.log(u))
+            return np.exp(self.exponent(np.log(u)))
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,15 @@ class EmpiricalTrace:
     label: str
     meta: dict = field(default_factory=dict)
 
+    @property
+    def tail_start(self) -> int:
+        """The least n >= ns[-1] / 2: the second half of the n-range."""
+        return -(-int(self.ns[-1]) // 2)
+
     def tail_inf(self) -> float:
-        """Infimum over the second half of the n-range: a conservative
-        finite proxy for the liminf the sharpness statements are about."""
-        cut = self.ns[-1] / 2
-        return float(self.values[self.ns >= cut].min())
+        """Infimum over n >= tail_start: a conservative finite proxy for
+        the liminf the sharpness statements are about."""
+        return float(self.values[self.ns >= self.tail_start].min())
 
     def to_csv(self, target) -> None:
         """Write rows ``n,value`` (17 significant digits) to a path or
@@ -240,7 +250,7 @@ def genA_partial(phi, w: WeightSequence, n: int) -> float:
     log_prefix = np.logaddexp.accumulate(log_lam)
     if isinstance(phi, PowerProbe):
         exponents = (log_lam - log_prefix[-1]
-                     - phi.p * (log_prefix - log_prefix[-1]))
+                     + phi.exponent(log_prefix - log_prefix[-1]))
         return float(np.exp(exponents).sum())
     weight = np.exp(log_lam - log_prefix[-1])
     ratio = np.exp(log_prefix - log_prefix[-1])

@@ -25,8 +25,14 @@ import numpy as np
 
 from .errors import DomainError
 
-# Parameters closer to zero than this snap to the exact log branch.
+# Parameters of power_gen closer to zero than this snap to the exact log
+# branch: its x**p transform loses digits near p = 0.
 P_SNAP = 1e-12
+# Profile exponents, and exponent gaps, below this, the smallest normal
+# float, snap to their limit, where quotients by them would lose digits;
+# above it a profile keeps its own exponents, which both routes to the
+# sharp constant (hardy) read.
+PROFILE_SNAP = 2.0 ** -1022
 
 
 @dataclass(frozen=True)
@@ -59,13 +65,14 @@ class GeneratorFunction:
 
 
 def dev_power(p: float) -> GeneratorFunction:
-    """Normalized power profile u -> (u**p - 1)/p, with ln at p = 0.
+    """Normalized power profile u -> (u**p - 1)/p, with ln for
+    |p| < PROFILE_SNAP.
 
     The homogeneous deviation mean it generates is the p-th power mean.
     Concave for p <= 1; its reciprocal profile is integrable iff p < 1.
     """
     p = float(p)
-    if abs(p) < P_SNAP:
+    if abs(p) < PROFILE_SNAP:
         return log_gen()
 
     def fn(u):
@@ -88,17 +95,20 @@ def dev_power(p: float) -> GeneratorFunction:
 
 
 def dev_gini(p: float, q: float) -> GeneratorFunction:
-    """Two-exponent profile u -> (u**p - u**q)/(p - q).
+    """Two-exponent profile u -> (u**p - u**q)/(p - q), which generates
+    the Gini mean with exponents (p, q).
 
-    Generates the Gini mean with exponents (p, q).  For p = q the limit
-    profile u**p * ln u is used; (0, 0) is plain ln.  Declared concave on
-    the band min(p,q) <= 0 <= max(p,q) <= 1, which covers the region
-    where a finite sharp constant exists.
+    With t = ln u and E = expm1((p - q) t)/(p - q) it is e**(q t) E, with
+    d1 = e**((q-1) t) (p E + 1) and d2 = e**((q-2) t) (p (p-1) E + p + q - 1),
+    accurate as p -> q (:func:`_power_gap`).  Exponents less than
+    PROFILE_SNAP apart take the limit profile u**p ln u, and (0, 0) is
+    ln.  Declared concave on the band min(p,q) <= 0 <= max(p,q) <= 1,
+    which covers the region where a finite sharp constant exists.
     """
     p, q = float(p), float(q)
-    if abs(p - q) < P_SNAP:
+    if abs(p - q) < PROFILE_SNAP:
         r = 0.5 * (p + q)
-        if abs(r) < P_SNAP:
+        if abs(r) < PROFILE_SNAP:
             return log_gen()
 
         def fn(u):
@@ -123,22 +133,21 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
                                  family=("gini", r, r),
                                  label=f"u^{r:g} ln u")
 
+    d = p - q
+
     def fn(u):
-        u = np.asarray(u, dtype=float)
-        t = np.log(u)
+        t = np.log(np.asarray(u, dtype=float))
         # e^{pt} - e^{qt} factored to avoid cancellation near u = 1
-        return np.exp(q * t) * np.expm1((p - q) * t) / (p - q)
+        return np.exp(q * t) * np.expm1(d * t) / d
 
     def d1(u):
-        u = np.asarray(u, dtype=float)
-        t = np.log(u)
-        return (p * np.exp((p - 1.0) * t) - q * np.exp((q - 1.0) * t)) / (p - q)
+        t = np.log(np.asarray(u, dtype=float))
+        return _power_gap(t, d, p - 1.0, q - 1.0, p, q, 1.0)
 
     def d2(u):
-        u = np.asarray(u, dtype=float)
-        t = np.log(u)
-        return (p * (p - 1.0) * np.exp((p - 2.0) * t)
-                - q * (q - 1.0) * np.exp((q - 2.0) * t)) / (p - q)
+        t = np.log(np.asarray(u, dtype=float))
+        return _power_gap(t, d, p - 2.0, q - 2.0, p * (p - 1.0),
+                          q * (q - 1.0), (p - 1.0) + q)
 
     lo, hi = min(p, q), max(p, q)
     return GeneratorFunction(fn=fn, d1=d1, d2=d2,
@@ -146,6 +155,18 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
                              recip_integrable=hi < 1.0,
                              family=("gini", p, q),
                              label=f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
+
+
+def _power_gap(t, d, s, r, a, b, lead):
+    """(a e**(s t) - b e**(r t)) / d for s - r = d and lead = (a - b) / d:
+    e**(r t) (a expm1(d t) / d + lead) where |d t| < 1/2, and elsewhere
+    the two terms, each dropped where its coefficient is 0, which then
+    cancel only near a zero of the value and stay in float range where
+    e**(r t) alone does not.  The form not taken may overflow, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.exp(r * t) * (a * np.expm1(d * t) / d + lead)
+        far = sum(c / d * np.exp(e * t) for c, e in ((a, s), (-b, r)) if c)
+    return np.where(np.abs(d * t) < 0.5, near, far)
 
 
 def log_gen() -> GeneratorFunction:

@@ -32,6 +32,9 @@ routes: the closed forms, a rigorously tail-bounded evaluator for F,
 and root solvers for the characteristic equation, plus the chi-based
 limit detector that maps quasiarithmetic generators onto the power
 scale.
+
+Both routes read one profile f per mean (means.MeanSpec.profile):
+solve_cef solves it, and profile_constant reads its family's closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import (DomainError, LimitNotDetected, NoConvergenceError,
                      NotIntegrableError, PGeqOne, TailBoundFailure,
                      ZeroDerivativeError, DerivativeUnavailableError)
-from .generators import GeneratorFunction
+from .generators import PROFILE_SNAP, GeneratorFunction
 from .quadrature import tanh_sinh
 from .rootfind import bracketed_root, check_tol, expand_bracket_up
 
@@ -133,7 +136,7 @@ def gini_constant(p: float, q: float, eta: float) -> float:
     if not (min(p, q) <= 0.0 <= max(p, q) < 1.0):
         raise DomainError(
             f"(p, q) = ({p:g}, {q:g}) outside the band min <= 0 <= max < 1")
-    if abs(p - q) < 2.0 ** -1022:
+    if abs(p - q) < PROFILE_SNAP:
         # p = q forces p = q = 0 in the band, the geometric mean, with
         # log C = -d/ds log(d_s/eta) at s = 0 = (1 - eta) ell; exponents
         # a subnormal apart are within far less than an ulp of it, where
@@ -385,21 +388,20 @@ def detect_order(g: GeneratorFunction) -> float:
         f"chi values {chis} never stabilized within {_PROBE_TOL:g}")
 
 
-def qa_constant(g: GeneratorFunction, eta: float) -> HardyConstantResult:
-    """Sharp constant for the quasiarithmetic mean with generator g.
+def qa_order(g: GeneratorFunction) -> float:
+    """The power order detect_order(g) of a quasiarithmetic generator;
+    PGeqOne when it is >= 1, where the constant is +inf."""
+    p = detect_order(g)
+    if p >= 1.0:
+        raise PGeqOne(f"detected order {p:.9g} >= 1: constant is +inf", p=p)
+    return p
 
-    Detects p = lim chi(x) as x -> 0+ over the probe ladder and returns
-    the power-family constant C(p, eta).  LimitNotDetected when the
-    ladder never stabilizes; PGeqOne when the detected order is >= 1
-    (the constant is then +inf, by the classical table).
-    """
+
+def qa_constant(g: GeneratorFunction, eta: float) -> HardyConstantResult:
+    """Sharp constant C(p, eta) of the quasiarithmetic mean with
+    generator g, for p = qa_order(g) (LimitNotDetected, PGeqOne)."""
     _check_eta(eta)
-    detected = detect_order(g)
-    if detected >= 1.0:
-        raise PGeqOne(
-            f"detected order {detected:.9g} >= 1: constant is +inf",
-            p=detected)
-    value = C_of(detected, eta)
+    value = C_of(qa_order(g), eta)
     return HardyConstantResult(value=value, method="closed", residual=0.0,
                                bracket=(value, value), eta=eta)
 
@@ -407,27 +409,33 @@ def qa_constant(g: GeneratorFunction, eta: float) -> HardyConstantResult:
 # -- family dispatch -------------------------------------------------------
 
 
+def profile_constant(f: GeneratorFunction, eta: float) -> float:
+    """Closed-form sharp constant for the profile f, by its family:
+    power_constant for log and power, gini_constant for Gini, +inf for
+    another profile with a non-integrable reciprocal; else DomainError."""
+    kind, *params = f.family
+    if kind in ("log", "power"):
+        return power_constant(params[0] if params else 0.0, eta)
+    if kind == "gini":
+        return gini_constant(*params, eta)
+    if not f.recip_integrable:
+        return math.inf
+    raise DomainError(
+        f"no closed form for profile {f.label!r}; use the root route")
+
+
 def constant_closed(spec, eta: float) -> float:
     """Closed-form sharp constant of the mean `spec` (a means.MeanSpec)
-    at weight limit eta: its closed_constant method.
-
-    Power orders >= 1 (and the exp-like quasiarithmetic generators that
-    detect to them) give +inf, an explicit marker rather than an
-    overflow.  Deviation kernels have no direct closed form here:
-    normalize and take the kernel trace first.
-    """
+    at weight limit eta: profile_constant of spec.profile(), or +inf
+    where profile() raises PGeqOne.  Raw deviation kernels have no
+    profile here: normalize and take the kernel trace first."""
     _check_eta(eta)
     return spec.closed_constant(eta)
 
 
 def constant_root(spec, eta: float,
                   tol: float = 1e-12) -> HardyConstantResult:
-    """Characteristic-equation route to the same constants: the
-    root_constant method of `spec` (a means.MeanSpec).
-
-    Power and Gini families solve with their generator profiles;
-    quasiarithmetic generators first detect their power order.  Used to
-    cross-check the closed forms.
-    """
+    """Characteristic-equation route to the same constants, which
+    cross-checks the closed forms: solve_cef of spec.profile()."""
     _check_eta(eta)
     return spec.root_constant(eta, tol)

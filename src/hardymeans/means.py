@@ -22,9 +22,10 @@ prefixes only.  A batch of sample rows that share one weight vector is
 evaluated in one pass, and a batch's rows may hold sequences of their
 own lengths, whose padded prefixes the root-solving families skip.
 
-Each family is a :class:`MeanSpec` subclass that also carries its sharp
-constant, by closed form and by characteristic root (computed in
-:mod:`~hardymeans.hardy`), and its specifier text.
+Each family is a :class:`MeanSpec` subclass that also carries the
+deviation profile that fixes its sharp constant, from which the base
+class takes the constant by closed form and by characteristic root
+(computed in :mod:`~hardymeans.hardy`), and its specifier text.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (BracketError, DomainError, InversionError, PGeqOne,
 from .formatting import fmt_real, parse_kv
 from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
                          dev_power, exp_gen, log_gen, power_gen)
-from .hardy import (HardyConstantResult, detect_order, gini_constant,
-                    power_constant, qa_constant, solve_cef)
+from .hardy import (HardyConstantResult, profile_constant, qa_order,
+                    solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
 from .weights import check_int, compensated_cumsum, unit_scaled
 
@@ -199,14 +200,16 @@ class MeanSpec:
     """A weighted mean family with its parameters.
 
     Everything that depends on the family lives on its subclass: prefix
-    evaluation, the closed and root routes to the sharp constant,
-    specifier text, and the structural facts ``homogeneous``
-    (M(t x) = t M(x)) and ``symmetric_monotone`` (symmetric,
-    nondecreasing in each sample).  A family computes its values in
-    ``prefix`` alone, and ``evaluate`` is the last prefix.  A new family
-    overrides what it has: ``prefix``, or only ``evaluate``, which the
-    base prefix path then calls once per prefix.  The base supplies
-    False for both facts and raises for the rest.
+    evaluation, the ``profile`` that fixes the sharp constant, specifier
+    text, and the structural facts ``homogeneous`` (M(t x) = t M(x)) and
+    ``symmetric_monotone`` (symmetric, nondecreasing in each sample).  A
+    family computes its values in ``prefix`` alone, and ``evaluate`` is
+    the last prefix.  A new family overrides what it has: ``prefix``, or
+    only ``evaluate``, which the base prefix path then calls once per
+    prefix.  The base states both routes to the constant once, from the
+    profile: ``closed_constant`` reads its closed form and
+    ``root_constant`` solves its characteristic equation.  The base
+    supplies False for both facts and raises for the rest.
     """
 
     homogeneous = False
@@ -248,14 +251,25 @@ class MeanSpec:
         return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
                         dtype=float)
 
-    def closed_constant(self, eta: float) -> float:
-        """Closed-form sharp constant at weight limit eta (already checked
-        to lie in [0, 1))."""
+    def profile(self) -> GeneratorFunction:
+        """The homogeneous deviation profile that fixes the sharp constant
+        (which depends on eta and on the mean near zero alone): dev_power
+        or dev_gini of the exponents, dev_power of a generator's detected
+        order, f itself; PGeqOne where that constant is +inf."""
         raise DomainError(f"unknown mean spec {self!r}")
 
+    def closed_constant(self, eta: float) -> float:
+        """profile_constant of the profile at eta (already checked to lie
+        in [0, 1)), or +inf where the profile raises PGeqOne."""
+        try:
+            f = self.profile()
+        except PGeqOne:
+            return math.inf
+        return profile_constant(f, eta)
+
     def root_constant(self, eta: float, tol: float) -> HardyConstantResult:
-        """The sharp constant as a root of the characteristic equation."""
-        raise DomainError(f"no root route for {self!r}")
+        """The root of the profile's characteristic equation."""
+        return solve_cef(self.profile(), eta, tol=tol)
 
     def canonical(self) -> str:
         """Canonical specifier text; parse_mean(s.canonical()) equals s."""
@@ -278,11 +292,8 @@ class Power(MeanSpec):
             return hi if p > 0.0 else lo
         return _prefix_gini(x, lam, p, 0.0, idx)
 
-    def closed_constant(self, eta):
-        return power_constant(self.p, eta)
-
-    def root_constant(self, eta, tol):
-        return solve_cef(dev_power(self.p), eta, tol=tol)
+    def profile(self):
+        return dev_power(self.p)
 
     def canonical(self):
         return f"power:p={fmt_real(self.p)}"
@@ -304,11 +315,8 @@ class Gini(MeanSpec):
             raise DomainError("Gini exponents must be finite")
         return _prefix_gini(x, lam, self.p, self.q, idx)
 
-    def closed_constant(self, eta):
-        return gini_constant(self.p, self.q, eta)
-
-    def root_constant(self, eta, tol):
-        return solve_cef(dev_gini(self.p, self.q), eta, tol=tol)
+    def profile(self):
+        return dev_gini(self.p, self.q)
 
     def canonical(self):
         return f"gini:p={fmt_real(self.p)},q={fmt_real(self.q)}"
@@ -327,18 +335,8 @@ class QuasiArithmetic(MeanSpec):
     def prefix(self, x, lam, idx, lengths=None):
         return _prefix_qa(x, lam, self.g, idx, lengths)
 
-    def closed_constant(self, eta):
-        try:
-            return qa_constant(self.g, eta).value
-        except PGeqOne:
-            return math.inf
-
-    def root_constant(self, eta, tol):
-        p = detect_order(self.g)
-        if p >= 1.0:
-            raise PGeqOne(
-                f"detected order {p:.9g} >= 1: constant is +inf", p=p)
-        return solve_cef(dev_power(p), eta, tol=tol)
+    def profile(self):
+        return dev_power(qa_order(self.g))
 
     def canonical(self):
         return "qa:g=" + _generator_text(_QA_GENERATORS, self.g)
@@ -353,13 +351,18 @@ class Deviation(MeanSpec):
         return self.kernel.family[0] in ("difference", "power-gap", "ratio",
                                          "scaled-ratio")
 
-    def prefix(self, x, lam, idx, lengths=None):
-        if x.ndim > 1:
-            return super().prefix(x, lam, idx, lengths)
-        return _prefix_deviation(x, lam, self.kernel.fn, idx,
-                                 self.homogeneous)
+    def evaluate(self, x, lam):
+        """One Brent root on the positive-weight samples, their weights
+        scaled by unit_scaled; a kernel that overflows ends in a root or
+        a typed error, with no warning."""
+        x, lam = check_xlam(x, lam)
+        xs, ws = x[lam > 0.0], lam[lam > 0.0]
+        with np.errstate(all="ignore"):
+            return _solve_deviation(xs, unit_scaled(ws), float(xs.min()),
+                                    float(xs.max()), self.kernel.fn,
+                                    self.homogeneous)
 
-    def closed_constant(self, eta):
+    def profile(self):
         raise DomainError(
             "no direct constant for a raw kernel: normalize_kernel, take "
             "h_of_kernel, and solve with that profile")
@@ -378,29 +381,8 @@ class HomogeneousDeviation(MeanSpec):
     def prefix(self, x, lam, idx, lengths=None):
         return _prefix_devmean_newton(x, lam, self.f, idx, lengths)
 
-    def _classical(self) -> Optional[MeanSpec]:
-        """The power or Gini mean this is, for the log, power and Gini
-        profiles (which generate exactly those means), or None."""
-        fam = self.f.family
-        if fam == ("log",):
-            return Power(0.0)
-        if fam[0] == "power":
-            return Power(fam[1])
-        if fam[0] == "gini":
-            return Gini(fam[1], fam[2])
-        return None
-
-    def closed_constant(self, eta):
-        same = self._classical()
-        if same is not None:
-            return same.closed_constant(eta)
-        if not self.f.recip_integrable:
-            return math.inf
-        raise DomainError(
-            f"no closed form for profile {self.f.label!r}; use the root route")
-
-    def root_constant(self, eta, tol):
-        return solve_cef(self.f, eta, tol=tol)
+    def profile(self):
+        return self.f
 
     def canonical(self):
         return "devmean:f=" + _generator_text(_DEV_GENERATORS, self.f)
@@ -714,23 +696,6 @@ def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
     c = solve(1.0, math.log(lo), math.log(hi), 1e-6, hlo, hhi)
     t = 2.0 * (1e-6 + RTOL_FLOOR * abs(math.log(c)))
     return solve(c, -t, t, RTOL_FLOOR)
-
-
-def _prefix_deviation(x, lam, efn, idx, homogeneous):
-    """Brent root per prefix, on the leading count[i] positive-weight
-    samples and their weights scaled by :func:`unit_scaled`; a kernel
-    that overflows ends in a root or a typed error, with no warning."""
-    lo, hi = _running_extremes(x, lam, idx)
-    support = lam > 0.0
-    count = np.cumsum(support)
-    xs, ws = x[support], lam[support]
-    out = np.empty(idx.size)
-    with np.errstate(all="ignore"):
-        for j, k in enumerate(count[idx]):
-            out[j] = _solve_deviation(xs[:k], unit_scaled(ws[:k]),
-                                      float(lo[j]), float(hi[j]), efn,
-                                      homogeneous)
-    return out
 
 
 def _prefix_devmean_newton(x, lam, f, idx, lengths=None):

@@ -237,7 +237,29 @@ def test_est_writes_file(capsys, tmp_path):
     assert target.read_text().startswith("n,value\n")
 
 
+@pytest.mark.parametrize("N, start", [(1, 1), (100, 50), (101, 51)])
+def test_est_summary_names_the_cut_of_its_tail_inf(capsys, N, start):
+    # tail_inf reads n >= N / 2; at N = 101 the grid holds n = 50, which
+    # is below that cut and below the infimum
+    code, out, err = run(capsys, "est", "--mean", "power:p=0.5",
+                         "--weights", "ones", "--N", str(N))
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    tail = min(float(v) for n, v in rows if 2 * int(n) >= N)
+    assert err.startswith(f"tail inf over n >= {start}: {tail:.9g};")
+
+
 # -- gena --------------------------------------------------------------------
+
+
+def test_gena_at_minus_inf_sums_the_last_weight_ratio(capsys):
+    code, out, err = run(capsys, "gena", "--p=-inf", "--weights",
+                         "geometric:a=2", "--N", "10")
+    assert code == 0 and err == ""
+    doc = parse_json(out)
+    assert doc["partial"] == pytest.approx(2.0 ** 9 / (2.0 ** 10 - 1.0),
+                                           rel=1e-15, abs=0.0)
+    assert doc["limit"] == 0.5
 
 
 def test_gena_reports_partial_and_limit(capsys):

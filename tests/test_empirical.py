@@ -245,6 +245,23 @@ def test_partial_sum_keeps_its_digits_on_geometric_weights_at_depth():
     assert want == pytest.approx(1.0 + 0.5 ** 0.5, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("spec", ["ones", "geometric:a=2",
+                                  "powerlaw:alpha=1"])
+def test_partial_sum_at_minus_inf_is_the_last_weight_ratio(spec):
+    # u**inf is 0 below u = 1 and 1 at it, so the sum is lam_n / Lam_n,
+    # whose limit genA_limit gives as eta; -p log u alone is inf * 0 there
+    probe = PowerProbe(-math.inf)
+    assert probe(1.0) == 1.0 and probe(0.5) == 0.0
+    w = parse_weights(spec)
+    for n in (1, 10, 1000):
+        lam = w.lam_array(n)
+        got = genA_partial(probe, w, n)
+        assert got == pytest.approx(lam[-1] / math.fsum(lam), rel=1e-13,
+                                    abs=0.0)
+    assert genA_partial(probe, w, 10 ** 5) == pytest.approx(
+        genA_limit(-math.inf, w.eta()), rel=1e-4, abs=1e-4)
+
+
 def test_partial_sum_generic_callable_agrees_with_probe():
     def phi(u):
         return np.sqrt(1.0 / np.asarray(u, dtype=float))

@@ -27,8 +27,13 @@ def test_dev_power_values_and_derivatives():
 
 
 def test_dev_power_zero_is_log():
+    # only exponents below the smallest normal float snap to log; above
+    # it (u**p - 1)/p is exact, and tiny p keep their own profile
     assert dev_power(0.0).family == ("log",)
-    assert dev_power(1e-15).family == ("log",)  # parameter snap
+    assert dev_power(5e-324).family == ("log",)
+    assert dev_power(-1e-310).family == ("log",)
+    assert dev_power(2.0 ** -1022).family == ("power", 2.0 ** -1022)
+    assert dev_power(1e-15).family == ("power", 1e-15)
 
 
 def test_dev_power_flags_track_order():
@@ -80,6 +85,34 @@ def test_dev_gini_diagonal_profile_generates_the_gini_mean(r):
     got = prefix_values(parse_mean(f"devmean:f=gini:{r},{r}"), x, lam)
     want = prefix_values(Gini(r, r), x, lam)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p, q", [
+    # p - q of 2e-12 and 1e-14, where the differences of two powers of u
+    # lose digits
+    (0.3, 0.3 - 2e-12), (0.3, 0.3 - 1e-14), (0.5, 0.5 - 2e-12),
+    (-0.5, -0.5 - 2e-12), (1e-12, -1e-12), (1e-14, 0.0),
+    # ordinary pairs, where p E + 1 would cancel or e**((q-1) t) leave
+    # float range far from u = 1
+    (0.5, -0.5), (0.25, -0.75), (0.5, 0.0), (-0.5, 0.5), (0.0, -1.0),
+    (0.5, -1e-10)])
+def test_dev_gini_values_and_derivatives_match_mpmath(p, q):
+    f = dev_gini(p, q)
+    us = np.concatenate([np.geomspace(1e-300, 1e300, 61),
+                         [1.0 - 1e-9, 1.0 + 1e-9]])
+    with mpmath.workdps(50):
+        mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+        for u in us:
+            mu = mpmath.mpf(u)
+            # e**(s ln u) carries the rounding of ln u, eps |s ln u|
+            tol = 1e-13 * max(1.0, abs(math.log(u)) / 230.0)
+            for fn, a, b, k in ((f.fn, 1, 1, 0), (f.d1, mp, mq, 1),
+                                (f.d2, mp * (mp - 1), mq * (mq - 1), 2)):
+                want = (a * mu ** (mp - k) - b * mu ** (mq - k)) / (mp - mq)
+                if not 1e-300 < abs(want) < 1e300:
+                    continue
+                got = _scalar(fn, u)
+                assert abs(got - want) <= tol * abs(want), (fn, u)
 
 
 def test_dev_gini_band_flags():

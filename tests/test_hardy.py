@@ -632,7 +632,8 @@ def test_dispatch_root_route_rejects_order_one():
 
 
 @pytest.mark.parametrize("p", [-math.inf, -2.0, -0.5, 0.0, 1e-9, 0.3, 0.5,
-                               0.9, 1.0, 2.0])
+                               0.9, 1.0, 2.0, 9e-13, -9e-13, 1e-13, 1e-300,
+                               5e-324])
 def test_power_profile_shares_the_power_constant(p):
     # the homogeneous deviation mean of dev_power(p) is the power mean
     for eta in (0.0, 0.1, 0.5, 0.9):
@@ -643,7 +644,9 @@ def test_power_profile_shares_the_power_constant(p):
 
 @pytest.mark.parametrize("p,q", [(0.5, -0.5), (0.0, -1.0), (0.3, 0.0),
                                  (-0.5, 0.9), (0.999, -0.5), (1e-9, -1e-9),
-                                 (0.0, 0.0), (0.25, 0.25), (1.5, -1.0)])
+                                 (0.0, 0.0), (0.25, 0.25), (1.5, -1.0),
+                                 (9e-13, 0.0), (5e-13, -4e-13),
+                                 (1e-300, -1e-300)])
 def test_gini_profile_shares_the_gini_constant(p, q):
     # the homogeneous deviation mean of dev_gini(p, q) is the Gini mean;
     # off the band both routes raise
@@ -656,6 +659,14 @@ def test_gini_profile_shares_the_gini_constant(p, q):
             continue
         assert constant_closed(HomogeneousDeviation(dev_gini(p, q)),
                                eta) == want
+
+
+@pytest.mark.parametrize("p", [9e-13, -9e-13])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_routes_agree_at_tiny_power_orders(p, eta):
+    # both routes read dev_power(p), which keeps p from 2**-1022 on
+    closed = constant_closed(Power(p), eta)
+    assert abs(constant_root(Power(p), eta).value - closed) <= 1e-12
 
 
 def test_importing_hardy_loads_no_means():
