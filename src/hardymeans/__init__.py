@@ -60,13 +60,8 @@ from .means import (
     MeanSpec,
     Power,
     QuasiArithmetic,
-    gini_mean,
-    homogeneous_devmean,
     parse_mean,
-    power_mean,
     prefix_values,
-    quasiarithmetic_mean,
-    quasideviation_mean,
 )
 from .homogenize import (
     HomogenizationEstimate,
@@ -79,12 +74,10 @@ from .hardy import (
     F_eval,
     HardyConstantResult,
     chi_f,
-    classical_C,
     constant_closed,
     constant_root,
     detect_order,
     gini_constant,
-    qa_constant,
     solve_cef,
 )
 from .empirical import (
@@ -95,7 +88,6 @@ from .empirical import (
     genA_limit,
     genA_partial,
     hardy_ratio,
-    make_sequence,
     verify_inequality,
 )
 
@@ -134,7 +126,6 @@ __all__ = [
     "WeightSequence",
     "ZeroDerivativeError",
     "chi_f",
-    "classical_C",
     "constant_closed",
     "constant_root",
     "detect_order",
@@ -146,23 +137,16 @@ __all__ = [
     "genA_limit",
     "genA_partial",
     "gini_constant",
-    "gini_mean",
     "h_of_kernel",
     "hardy_ratio",
-    "homogeneous_devmean",
     "homogenize",
     "log_gen",
-    "make_sequence",
     "normalize_kernel",
     "parse_mean",
     "parse_weights",
     "power_gap_kernel",
     "power_gen",
-    "power_mean",
     "prefix_values",
-    "qa_constant",
-    "quasiarithmetic_mean",
-    "quasideviation_mean",
     "ratio_kernel",
     "scaled_ratio_kernel",
     "solve_cef",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: constant, solve, verify, est, gena, sweep, homogenize.
+Subcommands: constant, verify, est, gena, sweep, homogenize.
 Results print as a single JSON object (or CSV where a table is the
 natural shape) on stdout; computational failures print a JSON error
 object on stderr and exit 1; usage problems exit 2.  Reals carry 17
@@ -60,11 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="0", help="weight ratio limit in [0, 1)")
     p.add_argument("--method", choices=("closed", "root", "both"),
                    default="closed")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
-
-    p = command("solve", "root of the characteristic equation")
-    p.add_argument("--family", required=True)
-    p.add_argument("--eta", default="0")
     p.add_argument("--tol", type=_tolerance, default=1e-12)
 
     p = command("verify", "fuzz the inequality at a constant")
@@ -205,11 +200,6 @@ def _cmd_constant(args, parser) -> int:
     return 0
 
 
-def _cmd_solve(args, parser) -> int:
-    args.method = "root"
-    return _cmd_constant(args, parser)
-
-
 def _cmd_verify(args, parser) -> int:
     spec = parse_mean(args.mean)
     w = parse_weights(args.weights)
@@ -292,9 +282,8 @@ def _cmd_homogenize(args, parser) -> int:
 
 
 _HANDLERS = {
-    "constant": _cmd_constant, "solve": _cmd_solve, "verify": _cmd_verify,
-    "est": _cmd_est, "gena": _cmd_gena, "sweep": _cmd_sweep,
-    "homogenize": _cmd_homogenize,
+    "constant": _cmd_constant, "verify": _cmd_verify, "est": _cmd_est,
+    "gena": _cmd_gena, "sweep": _cmd_sweep, "homogenize": _cmd_homogenize,
 }
 
 

@@ -35,13 +35,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from . import hardy
-from .errors import DomainError, HardyMeansError, UsageError, ViolationFound
-from .formatting import parse_kv, render_csv
+from .errors import DomainError, HardyMeansError, ViolationFound
+from .formatting import render_csv
 from .means import (MeanSpec, check_samples, check_weights, check_xlam,
                     prefix_values)
 from .weights import WeightSequence, check_int, unit_scaled
@@ -112,36 +112,6 @@ def _spec_label(spec: MeanSpec) -> str:
         return repr(spec)
 
 
-def make_sequence(rule: Union[str, Sequence[float], np.ndarray],
-                  w: WeightSequence, N: int) -> np.ndarray:
-    """Materialize a positive test sequence of length N.
-
-    String forms: ``constant:c=<v>``, ``witness:y=<v>`` (the extremal
-    sequence y / Lambda_n), ``random:seed=<s>`` (s an integer >= 0, or
-    an integral float form such as ``1e3``; log-uniform on [1e-3, 1e3]),
-    ``file:<path>`` (one value per line).  Anything
-    array-like passes through with a length check.
-    """
-    if not isinstance(rule, str):
-        x = np.asarray(rule, dtype=float)
-        if x.size != N:
-            raise DomainError(f"sequence length {x.size} != N = {N}")
-        return x
-    head, _, rest = rule.partition(":")
-    if head == "constant":
-        return np.full(N, parse_kv(rest, "c", float))
-    if head == "witness":
-        return _witness(w, parse_kv(rest, "y", float), N)[0]
-    if head == "random":
-        rng = np.random.default_rng(parse_kv(rest, "seed", _parse_seed))
-        return 10.0 ** rng.uniform(-3.0, 3.0, N)
-    if head == "file":
-        with open(rest) as fh:
-            vals = [float(line) for line in fh if line.strip()]
-        return make_sequence(vals, w, N)
-    raise UsageError(f"unknown sequence rule {rule!r}")
-
-
 def _witness(w: WeightSequence, y: float, N: int, lam=None) -> tuple:
     """The witness sequence y / Lambda_n, n = 1..N, and the prefix sums
     Lambda_n; lam is w.lam_array(N) when the caller holds it."""
@@ -153,33 +123,17 @@ def _witness(w: WeightSequence, y: float, N: int, lam=None) -> tuple:
     return y / prefixes, prefixes
 
 
-def _parse_seed(text: str) -> int:
-    """A nonnegative integer seed, read exactly as an integer; a float
-    form is accepted only when its value is integral."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = float(text)
-    return check_int(seed, "seed", least=0)
+def hardy_ratio(spec: MeanSpec, w: WeightSequence, x) -> float:
+    """Ratio of the weighted mean sum to the weighted sum for the sequence
+    x, an array whose length is N.
 
-
-def hardy_ratio(spec: MeanSpec, w: WeightSequence, x,
-                N: Optional[int] = None) -> float:
-    """Ratio of the weighted mean sum to the weighted sum for sequence x.
-
-    x may be an array or a sequence rule (see :func:`make_sequence`).
     The sequence is validated, then evaluated as a batch of one row, by
     the same code that evaluates the fuzzing trials: closed mean families
     take all prefixes in one vectorized pass, deviation families one
     Newton root per prefix, which is quadratic in N overall.
     """
-    if N is None:
-        if isinstance(x, str):
-            raise DomainError("N is required when x is given as a rule")
-        N = int(np.asarray(x).size)
-    xs = make_sequence(x, w, N)
-    xs, lam = check_xlam(xs, _weights(w, N))
-    return float(_ratios(spec, xs[np.newaxis], np.array([N]), lam)[0])
+    xs, lam = check_xlam(x, _weights(w, np.size(x)))
+    return float(_ratios(spec, xs[np.newaxis], np.array([xs.size]), lam)[0])
 
 
 def _weights(w: WeightSequence, N: int) -> np.ndarray:

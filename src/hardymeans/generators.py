@@ -33,6 +33,10 @@ P_SNAP = 1e-12
 # above it a profile keeps its own exponents, which both routes to the
 # sharp constant (hardy) read.
 PROFILE_SNAP = 2.0 ** -1022
+# Below this exponent or gap d, d ln u is subnormal for some float u near
+# 1, and (e**(d ln u) - 1)/d rounds to ln u for every float u: the
+# profiles take ln u there.  From it on, d ln u is normal or zero.
+LINEAR_GAP = 2.0 ** -969
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ def dev_power(p: float) -> GeneratorFunction:
         return log_gen()
 
     def fn(u):
-        u = np.asarray(u, dtype=float)
-        return np.expm1(p * np.log(u)) / p
+        t = np.log(np.asarray(u, dtype=float))
+        return t if abs(p) < LINEAR_GAP else np.expm1(p * t) / p
 
     def d1(u):
         u = np.asarray(u, dtype=float)
@@ -138,6 +142,8 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
     def fn(u):
         t = np.log(np.asarray(u, dtype=float))
         # e^{pt} - e^{qt} factored to avoid cancellation near u = 1
+        if abs(d) < LINEAR_GAP:
+            return np.exp(q * t) * t
         return np.exp(q * t) * np.expm1(d * t) / d
 
     def d1(u):
@@ -159,12 +165,14 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
 
 def _power_gap(t, d, s, r, a, b, lead):
     """(a e**(s t) - b e**(r t)) / d for s - r = d and lead = (a - b) / d:
-    e**(r t) (a expm1(d t) / d + lead) where |d t| < 1/2, and elsewhere
-    the two terms, each dropped where its coefficient is 0, which then
-    cancel only near a zero of the value and stay in float range where
-    e**(r t) alone does not.  The form not taken may overflow, silently."""
+    e**(r t) (a expm1(d t) / d + lead) where |d t| < 1/2, with t for
+    expm1(d t) / d when |d| < LINEAR_GAP, and elsewhere the two terms,
+    each dropped where its coefficient is 0, which then cancel only near a
+    zero of the value and stay in float range where e**(r t) alone does
+    not.  The form not taken may overflow, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
-        near = np.exp(r * t) * (a * np.expm1(d * t) / d + lead)
+        grown = a * t if abs(d) < LINEAR_GAP else a * np.expm1(d * t) / d
+        near = np.exp(r * t) * (grown + lead)
         far = sum(c / d * np.exp(e * t) for c, e in ((a, s), (-b, r)) if c)
     return np.where(np.abs(d * t) < 0.5, near, far)
 

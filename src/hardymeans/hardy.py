@@ -55,13 +55,6 @@ _BRACKET_CAP = 1e9
 _TERM_CAP = 10 ** 6
 
 
-def classical_C(p: float) -> float:
-    """Sharp unweighted constant for the power mean of order p:
-    1 at p = -inf, (1-p)**(-1/p) on (-inf, 0) and (0, 1), e at p = 0,
-    and +inf from p = 1 on (no finite constant exists)."""
-    return power_constant(p, 0.0)
-
-
 def power_constant(p: float, eta: float) -> float:
     """Sharp weighted constant of the power mean of any order p: C_of,
     and the edges 1 at p = -inf and +inf from p = 1 on."""
@@ -256,12 +249,10 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
 
 @dataclass(frozen=True)
 class HardyConstantResult:
-    """A computed sharp constant with provenance.
-
-    method is "closed" for table lookups, "root-integral" for the
-    eta = 0 characteristic equation and "root-series" for eta > 0.
-    residual is the characteristic function value at the root (0 for
-    closed forms); bracket is the interval handed to the root finder.
+    """A root-solved sharp constant with provenance (closed forms are
+    plain floats): method is "root-integral" for eta = 0 and "root-series"
+    for eta > 0, residual the characteristic function value at the root,
+    bracket the interval handed to the root finder.
     """
 
     value: float
@@ -395,15 +386,6 @@ def qa_order(g: GeneratorFunction) -> float:
     if p >= 1.0:
         raise PGeqOne(f"detected order {p:.9g} >= 1: constant is +inf", p=p)
     return p
-
-
-def qa_constant(g: GeneratorFunction, eta: float) -> HardyConstantResult:
-    """Sharp constant C(p, eta) of the quasiarithmetic mean with
-    generator g, for p = qa_order(g) (LimitNotDetected, PGeqOne)."""
-    _check_eta(eta)
-    value = C_of(qa_order(g), eta)
-    return HardyConstantResult(value=value, method="closed", residual=0.0,
-                               bracket=(value, value), eta=eta)
 
 
 # -- family dispatch -------------------------------------------------------

@@ -39,8 +39,9 @@ import numpy as np
 from .errors import (BracketError, DomainError, InversionError, PGeqOne,
                      UsageError)
 from .formatting import fmt_real, parse_kv
-from .generators import (GeneratorFunction, QuasideviationKernel, dev_gini,
-                         dev_power, exp_gen, log_gen, power_gen)
+from .generators import (PROFILE_SNAP, GeneratorFunction,
+                         QuasideviationKernel, dev_gini, dev_power, exp_gen,
+                         log_gen, power_gen)
 from .hardy import (HardyConstantResult, profile_constant, qa_order,
                     solve_cef)
 from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
@@ -97,50 +98,6 @@ def check_weights(lam: np.ndarray) -> None:
         raise DomainError("weights must be nonnegative finite reals")
     if not (lam > 0.0).any():
         raise DomainError("weights must have positive total")
-
-
-def power_mean(x, lam, p: float) -> float:
-    """Weighted power mean of order p; p = 0 is the geometric mean and
-    p = +/-inf the weighted max/min."""
-    return Power(float(p)).evaluate(x, lam)
-
-
-def gini_mean(x, lam, p: float, q: float) -> float:
-    """Weighted Gini mean with exponent pair (p, q).
-
-    For p != q this is (sum lam x**p / sum lam x**q) ** (1/(p-q)); the
-    diagonal p = q is the continuous limit.  Gini(p, 0) is power_mean(p),
-    bit for bit.
-    """
-    return Gini(float(p), float(q)).evaluate(x, lam)
-
-
-def quasiarithmetic_mean(x, lam, g: GeneratorFunction) -> float:
-    """Weighted quasiarithmetic mean with strictly monotone generator g.
-
-    Uses g's analytic inverse when present, otherwise inverts by
-    bracketed root finding between min x and max x.
-    """
-    return QuasiArithmetic(g).evaluate(x, lam)
-
-
-def quasideviation_mean(x, lam, kernel: QuasideviationKernel) -> float:
-    """Root y of sum(lam_i * E(x_i, y)) = 0 on [min x, max x].
-
-    The sign property of E makes the endpoint values straddle zero; a
-    violated straddle raises BracketError (the kernel is then not a
-    quasideviation on this sample).
-    """
-    return Deviation(kernel).evaluate(x, lam)
-
-
-def homogeneous_devmean(x, lam, f: GeneratorFunction) -> float:
-    """Deviation mean with ratio kernel E(x, y) = f(x/y).
-
-    Requires f to declare the sign property sign f(u) = sign (u - 1);
-    the result is then positively homogeneous in x.
-    """
-    return HomogeneousDeviation(f).evaluate(x, lam)
 
 
 def _require_sign_like(f: GeneratorFunction) -> None:
@@ -278,6 +235,9 @@ class MeanSpec:
 
 @dataclass(frozen=True)
 class Power(MeanSpec):
+    """Weighted power mean of order p; p = 0 is the geometric mean and
+    p = +/-inf the weighted max/min."""
+
     p: float
 
     homogeneous = True
@@ -301,6 +261,9 @@ class Power(MeanSpec):
 
 @dataclass(frozen=True)
 class Gini(MeanSpec):
+    """Weighted Gini mean (sum lam x**p / sum lam x**q) ** (1/(p-q)), and
+    its limit at p = q; Gini(p, 0) is Power(p), bit for bit, for |p| < 1e15."""
+
     p: float
     q: float
 
@@ -324,6 +287,9 @@ class Gini(MeanSpec):
 
 @dataclass(frozen=True)
 class QuasiArithmetic(MeanSpec):
+    """Weighted quasiarithmetic mean of a strictly monotone generator g:
+    by g's inverse when present, else by a bracketed root in [min x, max x]."""
+
     g: GeneratorFunction
 
     symmetric_monotone = True
@@ -352,9 +318,10 @@ class Deviation(MeanSpec):
                                          "scaled-ratio")
 
     def evaluate(self, x, lam):
-        """One Brent root on the positive-weight samples, their weights
-        scaled by unit_scaled; a kernel that overflows ends in a root or
-        a typed error, with no warning."""
+        """Root y in [min x, max x] of sum(lam_i * E(x_i, y)) = 0, by Brent
+        on the positive-weight samples with unit_scaled weights.  End values
+        that do not straddle zero (no sign property here) raise BracketError;
+        a kernel that overflows ends in a root or a typed error, silently."""
         x, lam = check_xlam(x, lam)
         xs, ws = x[lam > 0.0], lam[lam > 0.0]
         with np.errstate(all="ignore"):
@@ -370,6 +337,9 @@ class Deviation(MeanSpec):
 
 @dataclass(frozen=True)
 class HomogeneousDeviation(MeanSpec):
+    """Deviation mean of the kernel f(x/y), for f that declares the sign
+    property sign f(u) = sign(u - 1) (DomainError otherwise)."""
+
     f: GeneratorFunction
 
     homogeneous = True
@@ -608,8 +578,10 @@ def _gini_exponent(r, log_lam, p, q, idx):
     up to a common shift; the mean is symmetric in (p, q), which are
     ordered so that p >= q, and Power(p) is Gini(p, 0).
 
-    With weights lam e**(q r), e is the weighted mean of r when p = q.
-    Otherwise it is log1p(m) / (p - q) for the weighted mean m of
+    With weights lam e**(p r), e is the weighted mean of r when p - q is
+    below PROFILE_SNAP, the smallest normal float, as the profiles snap:
+    there it is within far less than an ulp of the mean of r, where
+    expm1((p - q) r) would keep few digits.  Otherwise it is log1p(m) / (p - q) for the weighted mean m of
     expm1((p - q) r) when p - q < 1/2: the form of
     :func:`~hardymeans.hardy.C_of`, which has no cancellation as
     p - q -> 0.  For p - q >= 1/2, and wherever m < -1/2 (1 + m is then
@@ -623,7 +595,7 @@ def _gini_exponent(r, log_lam, p, q, idx):
     # log(lam x**s / (lam[0] x[0]**s)) less k log 2; the weights' own row
     # when s = 0
     t_p, t_q = (log_w + s * r if s else log_w for s in (p, q))
-    if d == 0.0:
+    if d < PROFILE_SNAP:
         _, _, (e,) = _shifted_sums(t_p, k, [r], idx)
     else:
         with np.errstate(over="ignore"):

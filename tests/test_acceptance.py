@@ -29,11 +29,11 @@ from hardymeans.errors import DomainError, ViolationFound
 from hardymeans.generators import (dev_gini, dev_power, difference_kernel,
                                    log_gen, power_gap_kernel, ratio_kernel,
                                    scaled_ratio_kernel)
-from hardymeans.hardy import C_of, F_eval, classical_C, gini_constant, solve_cef
+from hardymeans.hardy import (C_of, F_eval, gini_constant, power_constant,
+                              solve_cef)
 from hardymeans.homogenize import h_of_kernel, homogenize, normalize_kernel
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
-                              QuasiArithmetic, gini_mean, power_mean,
-                              quasideviation_mean)
+                              QuasiArithmetic)
 from hardymeans.quadrature import tanh_sinh
 from hardymeans.rootfind import bracketed_root
 from hardymeans.weights import WeightSequence
@@ -79,8 +79,8 @@ def test_closed_form_table():
     for p in (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0):
         if p == -math.inf or p >= 1.0:
             want = 1.0 if p == -math.inf else math.inf
-            if classical_C(p) != want:
-                failures.append(f"classical_C({p:g}) != {want:g}")
+            if power_constant(p, 0.0) != want:
+                failures.append(f"power_constant({p:g}, 0) != {want:g}")
             for eta in ETA_GRID:
                 try:
                     C_of(p, eta)
@@ -95,10 +95,10 @@ def test_closed_form_table():
             worst = max(worst, err)
             if err > 1e-12:
                 failures.append(f"C_of({p:g}, {eta:g}) = {got!r}, want {want!r}")
-        err = abs(classical_C(p) - _table_value(p, 0.0))
+        err = abs(power_constant(p, 0.0) - _table_value(p, 0.0))
         worst = max(worst, err)
         if err > 1e-12:
-            failures.append(f"classical_C({p:g}) off by {err:.1e}")
+            failures.append(f"power_constant({p:g}, 0) off by {err:.1e}")
     for got, want in ((C_of(0.5, 0.0), 4.0), (C_of(0.0, 0.5), 2.0),
                       (C_of(0.0, 0.0), math.e)):
         if abs(got - want) > 1e-12 * want:
@@ -266,15 +266,15 @@ def test_quasideviation_reproduces_classical_means():
         gp = float(rng.uniform(0.05, 0.9))
         gq = float(rng.uniform(-2.0, -0.05))
 
-        want = power_mean(x, lam, p)
-        got = quasideviation_mean(x, lam, ratio_kernel(dev_power(p)))
+        want = Power(p).evaluate(x, lam)
+        got = Deviation(ratio_kernel(dev_power(p))).evaluate(x, lam)
         err = abs(got - want) / abs(want)
         worst_mean = max(worst_mean, err)
         if err > 1e-10:
             failures.append(f"trial {trial}: power p={p:.3f} rel err {err:.1e}")
 
-        want = gini_mean(x, lam, gp, gq)
-        got = quasideviation_mean(x, lam, ratio_kernel(dev_gini(gp, gq)))
+        want = Gini(gp, gq).evaluate(x, lam)
+        got = Deviation(ratio_kernel(dev_gini(gp, gq))).evaluate(x, lam)
         err = abs(got - want) / abs(want)
         worst_mean = max(worst_mean, err)
         if err > 1e-10:
@@ -282,8 +282,9 @@ def test_quasideviation_reproduces_classical_means():
                 f"trial {trial}: gini ({gp:.3f},{gq:.3f}) rel err {err:.1e}")
 
         # G_{p,q}^{p-q} = P_p^p / P_q^q
-        lhs = gini_mean(x, lam, gp, gq) ** (gp - gq)
-        rhs = (power_mean(x, lam, gp) ** gp) / (power_mean(x, lam, gq) ** gq)
+        lhs = Gini(gp, gq).evaluate(x, lam) ** (gp - gq)
+        rhs = (Power(gp).evaluate(x, lam) ** gp
+               / Power(gq).evaluate(x, lam) ** gq)
         err = abs(lhs - rhs) / abs(rhs)
         worst_ident = max(worst_ident, err)
         if err > 1e-12:

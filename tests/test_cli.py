@@ -85,7 +85,6 @@ def test_constant_flag_validation(capsys):
     ("constant", "--family", "power:p=0.5", "--eta", "0.5", "--method",
      "both"),
     ("constant", "--family", "power:p=0.5", "--eta", "0", "--method", "root"),
-    ("solve", "--family", "power:p=0.5", "--eta", "0"),
     ("homogenize", "--mean", "power:p=0.5", "--x", "1,4,9", "--lam", "1,1,1"),
 ])
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-12"])
@@ -100,12 +99,18 @@ def test_unknown_command_is_usage_error(capsys):
     assert cli.main([]) == 2
 
 
-# -- solve -------------------------------------------------------------------
+def test_solve_is_not_a_command(capsys):
+    # the root route is constant --method root
+    code, out, err = run(capsys, "solve", "--family", "power:p=0.5")
+    assert code == 2 and out == "" and "solve" in err
+
+
+# -- constant --method root --------------------------------------------------
 
 
 def test_solve_weighted_log_profile(capsys):
-    code, out, _ = run(capsys, "solve", "--family", "devmean:f=log",
-                       "--eta", "0.5")
+    code, out, _ = run(capsys, "constant", "--family", "devmean:f=log",
+                       "--eta", "0.5", "--method", "root")
     assert code == 0
     doc = parse_json(out)
     assert doc["value"] == pytest.approx(2.0, rel=1e-9)
@@ -114,8 +119,8 @@ def test_solve_weighted_log_profile(capsys):
 
 
 def test_solve_order_one_fails_computationally(capsys):
-    code, out, err = run(capsys, "solve", "--family", "power:p=1",
-                         "--eta", "0")
+    code, out, err = run(capsys, "constant", "--family", "power:p=1",
+                         "--eta", "0", "--method", "root")
     assert code == 1 and out == ""
     doc = parse_json(err)
     assert doc["error"] == "NotIntegrableError"
@@ -123,6 +128,19 @@ def test_solve_order_one_fails_computationally(capsys):
 
 
 # -- verify ------------------------------------------------------------------
+
+
+def test_verify_at_a_subnormal_power_order_is_the_geometric_mean(capsys):
+    # the prefix means at p = 5e-324 were up to 51% off, and max_ratio
+    # read 1.6043199230781047 at trial 144
+    docs = []
+    for mean in ("power:p=5e-324", "power:p=0"):
+        code, out, _ = run(capsys, "verify", "--mean", mean, "--weights",
+                           "ones", "--trials", "200")
+        assert code == 0
+        docs.append(parse_json(out))
+    assert docs[0]["max_ratio"] == docs[1]["max_ratio"]
+    assert docs[0]["max_ratio_trial"] == docs[1]["max_ratio_trial"]
 
 
 def test_verify_auto_constant_passes(capsys):

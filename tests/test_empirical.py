@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hardymeans import empirical, hardy
 from hardymeans.empirical import (EmpiricalTrace, PowerProbe, VerifyReport,
                                   est_lower_bound, genA_limit, genA_partial,
-                                  hardy_ratio, make_sequence,
-                                  verify_inequality)
-from hardymeans.errors import DomainError, UsageError, ViolationFound
-from hardymeans.generators import difference_kernel, dev_power, log_gen
+                                  hardy_ratio, verify_inequality)
+from hardymeans.errors import DomainError, ViolationFound
+from hardymeans.generators import (difference_kernel, dev_power, exp_gen,
+                                   log_gen)
 from hardymeans.hardy import C_of, gini_constant
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic, parse_mean, prefix_values)
@@ -33,13 +33,13 @@ GEO2 = WeightSequence.geometric(2.0)
 
 
 def test_ratio_of_constants_is_one():
-    assert hardy_ratio(Power(1.0), ONES, "constant:c=1", 10) == pytest.approx(
+    assert hardy_ratio(Power(1.0), ONES, np.ones(10)) == pytest.approx(
         1.0, rel=1e-14, abs=0.0)
 
 
 def test_ratio_of_reciprocals_stays_below_e():
     # x_n = 1/n is the witness sequence for ones weights
-    ratio = hardy_ratio(Power(0.0), ONES, "witness:y=1", 10 ** 5)
+    ratio = hardy_ratio(Power(0.0), ONES, 1.0 / np.arange(1, 10 ** 5 + 1))
     assert ratio <= math.e
     assert ratio > 1.0
 
@@ -50,16 +50,18 @@ def test_ratio_matches_direct_summation_at_witness():
     root_sums = np.cumsum(k ** -0.5)
     means = (root_sums / k) ** 2
     direct = means.sum() / (1.0 / k).sum()
-    got = hardy_ratio(Power(0.5), ONES, "witness:y=1", N)
+    got = hardy_ratio(Power(0.5), ONES, 1.0 / k)
     assert got == pytest.approx(direct, rel=1e-10)
     # the per-prefix estimate (Lambda_n) M_n is the quantity that closes
     # in on the constant at this depth, not the ratio of the two sums
     assert N * means[-1] == pytest.approx(4.0, rel=0.02)
 
 
-def test_ratio_requires_length_for_rules():
-    with pytest.raises(DomainError):
-        hardy_ratio(Power(0.5), ONES, "constant:c=1")
+def test_ratio_needs_a_nonempty_1d_sequence():
+    # N is the length of x
+    for x in (np.array([]), np.ones((2, 3))):
+        with pytest.raises(DomainError):
+            hardy_ratio(Power(0.5), ONES, x)
 
 
 def test_ratio_rejects_nonpositive_samples():
@@ -126,8 +128,10 @@ def test_witness_trace_input_validation():
         with pytest.raises(DomainError, match="prefix sums leave float range"):
             est_lower_bound(Power(0.0), WeightSequence.geometric(2.0), 1.0,
                             1100)
+        # a mean that is not homogeneous takes the witness at y itself
         with pytest.raises(DomainError, match="prefix sums leave float range"):
-            make_sequence("witness:y=1", WeightSequence.geometric(2.0), 1100)
+            est_lower_bound(QuasiArithmetic(exp_gen()),
+                            WeightSequence.geometric(2.0), 1.0, 1100)
 
 
 @pytest.mark.parametrize("call,match", [
@@ -144,8 +148,9 @@ def test_witness_trace_input_validation():
      "seed must"),
     (lambda: prefix_values(Power(0.5), [1.0, 2.0, 3.0], np.ones(3),
                            ns=[2.5]), "prefix length must"),
-    (lambda: make_sequence("witness:y=nan", ONES, 5), "witness level"),
-    (lambda: make_sequence("witness:y=inf", ONES, 5), "witness level"),
+    (lambda: est_lower_bound(Power(0.5), ONES, math.nan, 5), "witness level"),
+    (lambda: est_lower_bound(QuasiArithmetic(exp_gen()), ONES, math.inf, 5),
+     "witness level"),
 ], ids=["est-N", "est-grid-negative", "est-grid-zero", "genA-n",
         "verify-trials", "verify-N", "verify-seed", "prefix-ns",
         "witness-nan", "witness-inf"])
@@ -329,58 +334,6 @@ def test_limit_values():
 def test_limit_domain(p, eta):
     with pytest.raises(DomainError):
         genA_limit(p, eta)
-
-
-# -- make_sequence -----------------------------------------------------------
-
-
-def test_sequence_rules(tmp_path):
-    assert np.all(make_sequence("constant:c=2.5", ONES, 4) == 2.5)
-    np.testing.assert_allclose(make_sequence("witness:y=2", GEO2, 3),
-                               [2.0 / 1.0, 2.0 / 3.0, 2.0 / 7.0])
-    a = make_sequence("random:seed=11", ONES, 64)
-    b = make_sequence("random:seed=11", ONES, 64)
-    c = make_sequence("random:seed=12", ONES, 64)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert np.all((a >= 1e-3) & (a <= 1e3))
-
-    path = tmp_path / "xs.txt"
-    path.write_text("1.5\n\n2.5\n3.5\n")
-    np.testing.assert_array_equal(
-        make_sequence(f"file:{path}", ONES, 3), [1.5, 2.5, 3.5])
-
-    np.testing.assert_array_equal(
-        make_sequence([1.0, 2.0], ONES, 2), [1.0, 2.0])
-
-
-def test_sequence_rule_validation():
-    with pytest.raises(DomainError):
-        make_sequence([1.0, 2.0], ONES, 3)
-    with pytest.raises(UsageError):
-        make_sequence("cantor:q=3", ONES, 5)
-    with pytest.raises(UsageError):
-        make_sequence("constant:k=1", ONES, 5)
-    with pytest.raises(DomainError):
-        make_sequence("witness:y=0", ONES, 5)
-    # a non-integral or negative seed is refused, not rounded
-    for seed in ("-1", "nan", "inf", "1.5", "0.5", "1e-3", "-1.0", "-1e3"):
-        with pytest.raises(DomainError):
-            make_sequence(f"random:seed={seed}", ONES, 5)
-
-
-def test_random_rule_seed_is_an_exact_integer():
-    def row(seed):
-        return make_sequence(f"random:seed={seed}", ONES, 3)
-
-    # seeds past 2**53 stay distinct, and each is NumPy's own integer seed
-    big = 2 ** 53 + 1
-    assert not np.array_equal(row(big), row(big - 1))
-    np.testing.assert_array_equal(
-        row(big), 10.0 ** np.random.default_rng(big).uniform(-3.0, 3.0, 3))
-    # an integral float form is that integer
-    np.testing.assert_array_equal(row("1e3"), row(1000))
-    np.testing.assert_array_equal(row("7.0"), row(7))
 
 
 # -- verify_inequality -------------------------------------------------------

@@ -115,6 +115,47 @@ def test_dev_gini_values_and_derivatives_match_mpmath(p, q):
                 assert abs(got - want) <= tol * abs(want), (fn, u)
 
 
+# Exponents and gaps from the smallest normal float up to 2**-969, where
+# d ln u is subnormal for u near 1, and a few past it
+TINY_GAPS = [2.0 ** -1022, 3e-308, 1e-305, 2.0 ** -970, 2.0 ** -969, 1e-290]
+NEAR_ONE = [1.0 - 2.0 ** -53, 1.0 - 1e-15, 1.0 + 2.0 ** -52, 1.0 + 1e-12,
+            1.0 - 1e-9, 0.5, 2.0, 1e-100, 1e100]
+
+
+@pytest.mark.parametrize("d", TINY_GAPS + [-x for x in TINY_GAPS])
+def test_profiles_at_tiny_exponent_gaps_match_mpmath(d):
+    # (e**(d t) - 1)/d took expm1 of a subnormal d t: dev_power(3e-308) was
+    # 0.48 off at u = 1 - 1e-15; below 2**-969 it is t to within an ulp
+    pairs = [(d, 0.0), (0.0, -d), (2.0 ** -1000 + d, 2.0 ** -1000)]
+    with mpmath.workdps(80):
+        for u in NEAR_ONE:
+            t = mpmath.log(mpmath.mpf(u))
+            tol = 1e-15 * max(1.0, abs(math.log(u)))
+            e = mpmath.expm1(mpmath.mpf(d) * t) / mpmath.mpf(d)
+            assert abs(_scalar(dev_power(d).fn, u) - e) <= tol * abs(e), u
+            for p, q in pairs:
+                f = dev_gini(p, q)
+                mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+                e = mpmath.expm1((mp - mq) * t) / (mp - mq)
+                for fn, want in (
+                        (f.fn, mpmath.exp(mq * t) * e),
+                        (f.d1, mpmath.exp((mq - 1) * t) * (mp * e + 1)),
+                        (f.d2, mpmath.exp((mq - 2) * t)
+                         * (mp * (mp - 1) * e + mp + mq - 1))):
+                    got = _scalar(fn, u)
+                    assert abs(got - want) <= tol * abs(want), (p, q, u)
+
+
+@pytest.mark.parametrize("d", [2.0 ** -969, -(2.0 ** -969), 1e-290, 0.5])
+def test_profiles_from_2_to_the_minus_969_keep_expm1(d):
+    u = np.geomspace(1e-300, 1e300, 41)
+    t = np.log(u)
+    assert np.array_equal(dev_power(d).fn(u), np.expm1(d * t) / d)
+    q = 0.25 if abs(d) == 0.5 else 0.0
+    assert np.array_equal(dev_gini(q + d, q).fn(u),
+                          np.exp(q * t) * np.expm1(d * t) / d)
+
+
 def test_dev_gini_band_flags():
     assert dev_gini(0.5, -2.0).concave
     assert not dev_gini(0.5, 0.25).concave  # both positive: off the band

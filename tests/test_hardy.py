@@ -17,9 +17,9 @@ from hardymeans.errors import (DomainError, LimitNotDetected,
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gen)
-from hardymeans.hardy import (C_of, F_eval, chi_f, classical_C,
-                              constant_closed, constant_root, detect_order,
-                              gini_constant, qa_constant, solve_cef)
+from hardymeans.hardy import (C_of, F_eval, chi_f, constant_closed,
+                              constant_root, detect_order, gini_constant,
+                              power_constant, qa_order, solve_cef)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic)
 from hardymeans.quadrature import tanh_sinh
@@ -72,12 +72,13 @@ def mp_gini_constant(p, q, eta):
     (math.inf, math.inf),
 ])
 def test_classical_table(p, expected):
-    assert classical_C(p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert power_constant(p, 0.0) == pytest.approx(expected, rel=1e-14,
+                                                   abs=0.0)
 
 
 def test_classical_rejects_nan():
     with pytest.raises(DomainError):
-        classical_C(math.nan)
+        power_constant(math.nan, 0.0)
 
 
 # -- weighted closed form ----------------------------------------------------
@@ -202,13 +203,13 @@ def test_power_constant_is_the_gini_q_zero_case_bit_for_bit(r, eta):
     assert C_of(r, eta) == gini_constant(r, 0.0, eta)
     assert Power(r).closed_constant(eta) == C_of(r, eta)
     if eta == 0.0:
-        assert classical_C(r) == C_of(r, 0.0)
+        assert power_constant(r, 0.0) == C_of(r, 0.0)
 
 
 @pytest.mark.parametrize("p, expected", [(-math.inf, 1.0), (1.0, math.inf),
                                          (2.0, math.inf)])
 def test_power_constant_edges(p, expected):
-    assert classical_C(p) == expected
+    assert power_constant(p, 0.0) == expected
     for eta in (0.0, 0.5):
         assert Power(p).closed_constant(eta) == expected
     with pytest.raises(DomainError):
@@ -217,7 +218,7 @@ def test_power_constant_edges(p, expected):
 
 def test_power_constant_rejects_nan_order():
     with pytest.raises(DomainError):
-        classical_C(math.nan)
+        power_constant(math.nan, 0.0)
     with pytest.raises(DomainError):
         Power(math.nan).closed_constant(0.5)
 
@@ -444,7 +445,7 @@ def test_series_rejects_a_tolerance_not_positive_and_finite(tol):
 def test_characteristic_log_reproduces_e():
     res = solve_cef(log_gen(), 0.0)
     assert res.value == pytest.approx(math.e, rel=1e-10)
-    assert res.value == pytest.approx(classical_C(0.0), rel=1e-10)
+    assert res.value == pytest.approx(power_constant(0.0, 0.0), rel=1e-10)
     assert res.method == "root-integral"
 
 
@@ -573,21 +574,21 @@ def test_order_detection_rejects_oscillation():
 
 
 def test_qa_constant_cube_root():
-    res = qa_constant(power_gen(1.0 / 3.0), 0.0)
-    assert res.value == pytest.approx(3.375, rel=1e-9)
-    assert res.method == "closed"
-    assert res.residual == 0.0
+    value = constant_closed(QuasiArithmetic(power_gen(1.0 / 3.0)), 0.0)
+    assert value == pytest.approx(3.375, rel=1e-9)
 
 
 def test_qa_constant_log_weighted():
-    assert qa_constant(log_gen(), 0.5).value == pytest.approx(2.0, rel=1e-9)
+    assert constant_closed(QuasiArithmetic(log_gen()), 0.5) == pytest.approx(
+        2.0, rel=1e-9)
 
 
 def test_qa_constant_exponential_detects_order_one():
     # chi of exp is x + 1, limit 1 at 0+: no finite constant
     with pytest.raises(PGeqOne) as excinfo:
-        qa_constant(exp_gen(), 0.0)
+        qa_order(exp_gen())
     assert excinfo.value.p == pytest.approx(1.0, abs=1e-6)
+    assert constant_closed(QuasiArithmetic(exp_gen()), 0.0) == math.inf
 
 
 # -- family dispatch ---------------------------------------------------------

@@ -19,9 +19,7 @@ from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    power_gen, ratio_kernel,
                                    scaled_ratio_kernel)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
-                              QuasiArithmetic, gini_mean, homogeneous_devmean,
-                              parse_mean, power_mean, prefix_values,
-                              quasiarithmetic_mean, quasideviation_mean)
+                              QuasiArithmetic, parse_mean, prefix_values)
 from hardymeans.rootfind import newton_lanes
 from hardymeans.weights import WeightSequence
 
@@ -33,24 +31,25 @@ X14 = np.array([1.0, 4.0])
 
 
 def test_power_mean_small_cases():
-    assert power_mean(X14, ONES2, 0.0) == pytest.approx(2.0, abs=1e-14)
-    assert power_mean(X14, ONES2, 0.5) == pytest.approx(2.25, abs=1e-14)
-    assert power_mean([1.0, 2.0], [2.0, 1.0], 1.0) == pytest.approx(4.0 / 3.0)
+    assert Power(0.0).evaluate(X14, ONES2) == pytest.approx(2.0, abs=1e-14)
+    assert Power(0.5).evaluate(X14, ONES2) == pytest.approx(2.25, abs=1e-14)
+    assert Power(1.0).evaluate([1.0, 2.0], [2.0, 1.0]) == pytest.approx(
+        4.0 / 3.0)
 
 
 def test_power_mean_limits():
     x = [0.5, 3.0, 2.0]
     lam = [1.0, 1.0, 2.0]
-    assert power_mean(x, lam, math.inf) == 3.0
-    assert power_mean(x, lam, -math.inf) == 0.5
-    assert power_mean(x, lam, 1e16) == 3.0  # beyond the overflow threshold
-    assert power_mean(x, lam, -1e16) == 0.5
+    assert Power(math.inf).evaluate(x, lam) == 3.0
+    assert Power(-math.inf).evaluate(x, lam) == 0.5
+    assert Power(1e16).evaluate(x, lam) == 3.0  # beyond the overflow threshold
+    assert Power(-1e16).evaluate(x, lam) == 0.5
 
 
 def test_power_mean_wide_dynamic_range():
     # naive x**p at p = 0.9 would overflow for x ~ 1e300
     x = np.array([1e-300, 1e300])
-    val = power_mean(x, ONES2, 0.9)
+    val = Power(0.9).evaluate(x, ONES2)
     assert np.isfinite(val)
     # dominated by the large sample: (x2**0.9 / 2)**(1/0.9)
     want = math.exp((0.9 * math.log(1e300) - math.log(2.0)) / 0.9)
@@ -58,17 +57,19 @@ def test_power_mean_wide_dynamic_range():
 
 
 def test_gini_mean_small_cases():
-    assert gini_mean([1.0, 2.0], [2.0, 1.0], 1.0, 0.0) == pytest.approx(4.0 / 3.0)
-    assert gini_mean(X14, ONES2, 0.0, 0.0) == pytest.approx(2.0)
+    assert Gini(1.0, 0.0).evaluate([1.0, 2.0], [2.0, 1.0]) == pytest.approx(
+        4.0 / 3.0)
+    assert Gini(0.0, 0.0).evaluate(X14, ONES2) == pytest.approx(2.0)
     # (sum x**1/2) / (sum x**-1/2) = 3 / 1.5
-    assert gini_mean(X14, ONES2, 0.5, -0.5) == pytest.approx(2.0, abs=1e-14)
+    assert Gini(0.5, -0.5).evaluate(X14, ONES2) == pytest.approx(2.0,
+                                                                 abs=1e-14)
 
 
 def test_gini_mean_is_symmetric_in_pq():
     x = np.array([0.3, 5.0, 2.0])
     lam = np.array([1.0, 2.0, 0.5])
-    assert gini_mean(x, lam, 0.7, -1.3) == pytest.approx(
-        gini_mean(x, lam, -1.3, 0.7), rel=1e-15, abs=0.0)
+    assert Gini(0.7, -1.3).evaluate(x, lam) == pytest.approx(
+        Gini(-1.3, 0.7).evaluate(x, lam), rel=1e-15, abs=0.0)
 
 
 def test_gini_diagonal_oracle():
@@ -77,22 +78,24 @@ def test_gini_diagonal_oracle():
     lam = np.array([1.0, 3.0, 0.25])
     w = lam * x ** 2.0
     want = math.exp(float(np.dot(w, np.log(x)) / w.sum()))
-    assert gini_mean(x, lam, 2.0, 2.0) == pytest.approx(want, rel=1e-14,
-                                                        abs=0.0)
+    assert Gini(2.0, 2.0).evaluate(x, lam) == pytest.approx(want, rel=1e-14,
+                                                            abs=0.0)
 
 
 def test_quasiarithmetic_small_cases():
-    assert quasiarithmetic_mean(X14, ONES2, log_gen()) == pytest.approx(2.0)
+    assert QuasiArithmetic(log_gen()).evaluate(X14, ONES2) == pytest.approx(
+        2.0)
     # identity generator: weighted arithmetic mean
-    assert quasiarithmetic_mean([1.0, 2.0], [2.0, 1.0],
-                                power_gen(1.0)) == pytest.approx(4.0 / 3.0)
-    assert quasiarithmetic_mean(X14, ONES2, power_gen(0.5)) == pytest.approx(
-        power_mean(X14, ONES2, 0.5), rel=1e-14, abs=0.0)
+    assert QuasiArithmetic(power_gen(1.0)).evaluate(
+        [1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 3.0)
+    assert QuasiArithmetic(power_gen(0.5)).evaluate(
+        X14, ONES2) == pytest.approx(Power(0.5).evaluate(X14, ONES2),
+                                     rel=1e-14, abs=0.0)
 
 
 def test_quasiarithmetic_without_inverse_roots():
     g = replace(power_gen(0.5), inverse=None)
-    got = quasiarithmetic_mean(X14, ONES2, g)
+    got = QuasiArithmetic(g).evaluate(X14, ONES2)
     assert got == pytest.approx(2.25, rel=1e-10)
 
 
@@ -104,7 +107,7 @@ def test_quasiarithmetic_nonmonotone_generator_fails_to_invert():
     # (x-2)^2 on (1,2,3) averages to 2/3, below the value at both endpoints,
     # so no bracket exists on [min x, max x]
     with pytest.raises(InversionError):
-        quasiarithmetic_mean([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], g)
+        QuasiArithmetic(g).evaluate([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
 
 def test_quasiarithmetic_tiny_unbracketed_values_fail_to_invert():
@@ -116,16 +119,16 @@ def test_quasiarithmetic_tiny_unbracketed_values_fail_to_invert():
         fn=lambda x: 1e-200 * (np.asarray(x, dtype=float) - 2.0) ** 2,
         label="1e-200 (x-2)^2")
     with pytest.raises(InversionError):
-        quasiarithmetic_mean([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], g)
+        QuasiArithmetic(g).evaluate([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
 
 def test_quasideviation_small_cases():
-    assert quasideviation_mean([1.0, 3.0], ONES2,
-                               difference_kernel()) == pytest.approx(2.0)
-    assert quasideviation_mean([1.0, 2.0], [2.0, 1.0],
-                               difference_kernel()) == pytest.approx(4.0 / 3.0)
-    assert quasideviation_mean(X14, ONES2,
-                               ratio_kernel(log_gen())) == pytest.approx(2.0)
+    assert Deviation(difference_kernel()).evaluate(
+        [1.0, 3.0], ONES2) == pytest.approx(2.0)
+    assert Deviation(difference_kernel()).evaluate(
+        [1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 3.0)
+    assert Deviation(ratio_kernel(log_gen())).evaluate(
+        X14, ONES2) == pytest.approx(2.0)
     # kernels at scales where Brent's secant step, or the kernel values
     # themselves, under- or overflow in y; the custom difference kernel is
     # not declared homogeneous
@@ -133,10 +136,10 @@ def test_quasideviation_small_cases():
     for scale in (1e-160, 1e-300, 1e290):
         x = [scale, scale / 10.0]
         for kernel in (difference_kernel(), custom):
-            assert quasideviation_mean(x, [1.0, 0.5], kernel) \
+            assert Deviation(kernel).evaluate(x, [1.0, 0.5]) \
                 == pytest.approx(0.7 * scale, rel=1e-13, abs=0.0)
         # (x**2 - y**2 = 0): y**2 = (1 + 0.005) / 1.5 scale**2
-        assert quasideviation_mean(x, [1.0, 0.5], power_gap_kernel(2.0)) \
+        assert Deviation(power_gap_kernel(2.0)).evaluate(x, [1.0, 0.5]) \
             == pytest.approx(math.sqrt(1.005 / 1.5) * scale, rel=1e-13,
                              abs=0.0)
 
@@ -157,10 +160,10 @@ def test_raw_kernels_at_extreme_samples_warn_nothing(kernel, p, e):
     for x in ([10.0 ** -e, 10.0 ** e], [10.0 ** e, 10.0 ** -e],
               [10.0 ** -e, 3 * 10.0 ** -e], [10.0 ** e, 10.0 ** e / 3]):
         try:
-            got = quasideviation_mean(x, ONES2, kernel)
+            got = Deviation(kernel).evaluate(x, ONES2)
         except HardyMeansError:
             continue
-        assert got == pytest.approx(power_mean(x, ONES2, p), rel=1e-12,
+        assert got == pytest.approx(Power(p).evaluate(x, ONES2), rel=1e-12,
                                     abs=0.0)
 
 
@@ -168,22 +171,22 @@ def test_quasideviation_rejects_sign_violating_kernel():
     from hardymeans.generators import QuasideviationKernel
     bogus = QuasideviationKernel(fn=lambda x, y: np.asarray(x) + y)
     with pytest.raises(BracketError):
-        quasideviation_mean(X14, ONES2, bogus)
+        Deviation(bogus).evaluate(X14, ONES2)
 
 
 def test_homogeneous_devmean_small_cases():
-    assert homogeneous_devmean(X14, ONES2, dev_power(0.5)) == pytest.approx(
-        2.25, rel=1e-12)
-    assert homogeneous_devmean(X14, ONES2, log_gen()) == pytest.approx(
-        2.0, rel=1e-12)
+    assert HomogeneousDeviation(dev_power(0.5)).evaluate(
+        X14, ONES2) == pytest.approx(2.25, rel=1e-12)
+    assert HomogeneousDeviation(log_gen()).evaluate(
+        X14, ONES2) == pytest.approx(2.0, rel=1e-12)
     # f = (u**-1/2 - u**1/2)/(-1) is the Gini(1/2,-1/2) profile
-    assert homogeneous_devmean(X14, ONES2, dev_gini(-0.5, 0.5)) == pytest.approx(
-        2.0, rel=1e-12)
+    assert HomogeneousDeviation(dev_gini(-0.5, 0.5)).evaluate(
+        X14, ONES2) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_homogeneous_devmean_needs_sign_property():
     with pytest.raises(DomainError):
-        homogeneous_devmean(X14, ONES2, power_gen(0.5))
+        HomogeneousDeviation(power_gen(0.5)).evaluate(X14, ONES2)
 
 
 # -- input validation -------------------------------------------------------
@@ -200,21 +203,21 @@ def test_homogeneous_devmean_needs_sign_property():
 ])
 def test_rejects_bad_inputs(x, lam):
     with pytest.raises(DomainError):
-        power_mean(x, lam, 1.0)
+        Power(1.0).evaluate(x, lam)
 
 
 def test_rejects_bad_orders():
     with pytest.raises(DomainError):
-        power_mean(X14, ONES2, math.nan)
+        Power(math.nan).evaluate(X14, ONES2)
     with pytest.raises(DomainError):
-        gini_mean(X14, ONES2, math.inf, 0.0)
+        Gini(math.inf, 0.0).evaluate(X14, ONES2)
 
 
 def test_zero_weight_samples_are_ignored():
     x = np.array([1.0, 500.0, 4.0])
     lam = np.array([1.0, 0.0, 1.0])
-    assert power_mean(x, lam, 0.5) == power_mean(X14, ONES2, 0.5)
-    assert power_mean(x, lam, math.inf) == 4.0
+    assert Power(0.5).evaluate(x, lam) == Power(0.5).evaluate(X14, ONES2)
+    assert Power(math.inf).evaluate(x, lam) == 4.0
 
 
 # -- structural laws (randomized) ------------------------------------------
@@ -310,15 +313,15 @@ def test_monotone_in_each_sample(xlam, spec, idx, factor):
 @given(samples_and_weights(), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 0.9, 3.0]))
 def test_gini_p_zero_is_power_mean_bitwise(xlam, p):
     x, lam = xlam
-    assert gini_mean(x, lam, p, 0.0) == power_mean(x, lam, p)
+    assert Gini(p, 0.0).evaluate(x, lam) == Power(p).evaluate(x, lam)
 
 
 @settings(max_examples=60, deadline=None)
 @given(samples_and_weights(), st.sampled_from([-2.0, -0.5, 0.5, 2.0]))
 def test_quasiarithmetic_power_generator_matches_power_mean(xlam, p):
     x, lam = xlam
-    a = quasiarithmetic_mean(x, lam, power_gen(p))
-    b = power_mean(x, lam, p)
+    a = QuasiArithmetic(power_gen(p)).evaluate(x, lam)
+    b = Power(p).evaluate(x, lam)
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
@@ -329,9 +332,9 @@ def test_gini_factorization(xlam, pq):
     # G_{p,q} = P_p**(p/(p-q)) * P_q**(q/(q-p)) for p != q
     x, lam = xlam
     p, q = pq
-    g = gini_mean(x, lam, p, q)
-    want = (power_mean(x, lam, p) ** (p / (p - q))
-            * power_mean(x, lam, q) ** (q / (q - p)))
+    g = Gini(p, q).evaluate(x, lam)
+    want = (Power(p).evaluate(x, lam) ** (p / (p - q))
+            * Power(q).evaluate(x, lam) ** (q / (q - p)))
     assert abs(g - want) <= 1e-12 * abs(want)
 
 
@@ -640,7 +643,7 @@ def test_overflowing_generator_values_are_a_domain_error_on_both_paths():
     with pytest.raises(DomainError):
         prefix_values(spec, x, lam)
     # e**800 carries no weight: the mean of the rest
-    assert quasiarithmetic_mean(x, [1.0, 0.0], exp_gen()) == 1.0
+    assert QuasiArithmetic(exp_gen()).evaluate(x, [1.0, 0.0]) == 1.0
 
 
 @pytest.mark.parametrize("p", [1e-12, -1e-12, 1e-9, -1e-9, 5e-8, -5e-8,
@@ -658,7 +661,32 @@ def test_power_means_near_order_zero_keep_their_digits(p):
     got = prefix_values(Power(p), x, lam, ns=[2, 50, 200])
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * w
-    assert power_mean(x, lam, p) == got[-1]
+    assert Power(p).evaluate(x, lam) == got[-1]
+
+
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-320, 3e-310, -2e-308])
+def test_power_means_at_subnormal_orders_are_the_geometric_mean(p):
+    # expm1(p r) keeps few digits of a subnormal p r: the prefix means were
+    # up to 51% off, and the mean of (1, 4) was 1
+    rng = np.random.default_rng(13)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    for w in (WeightSequence.ones(), WeightSequence.power_law(1.0)):
+        lam = w.lam_array(200)
+        np.testing.assert_array_equal(prefix_values(Power(p), x, lam),
+                                      prefix_values(Power(0.0), x, lam))
+    assert Power(p).evaluate(X14, ONES2) == 2.0
+
+
+@pytest.mark.parametrize("r, s", [(1e-320, 2e-320), (0.0, 1e-320),
+                                  (-3e-310, -2e-310),
+                                  (2.0 ** -1022, 2.0 ** -1022 + 5e-324)])
+def test_gini_means_a_subnormal_gap_apart_are_the_diagonal_mean(r, s):
+    rng = np.random.default_rng(13)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+    lam = rng.uniform(0.1, 1.0, 200)
+    want = prefix_values(Gini(s, s), x, lam)
+    for p, q in ((r, s), (s, r)):
+        np.testing.assert_array_equal(prefix_values(Gini(p, q), x, lam), want)
 
 
 @pytest.mark.parametrize("spec", [
