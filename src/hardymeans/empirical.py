@@ -42,8 +42,8 @@ import numpy as np
 from . import hardy
 from .errors import DomainError, HardyMeansError, ViolationFound
 from .formatting import render_csv
-from .means import (MeanSpec, check_samples, check_weights, check_xlam,
-                    prefix_values)
+from .means import (MeanSpec, check_samples, check_sequence, check_weights,
+                    check_xlam, prefix_values)
 from .weights import WeightSequence, check_int, unit_scaled
 
 _SLACK = 1e-9
@@ -132,7 +132,8 @@ def hardy_ratio(spec: MeanSpec, w: WeightSequence, x) -> float:
     take all prefixes in one vectorized pass, deviation families one
     Newton root per prefix, which is quadratic in N overall.
     """
-    xs, lam = check_xlam(x, _weights(w, np.size(x)))
+    x = check_sequence(x)
+    xs, lam = check_xlam(x, _weights(w, x.size))
     return float(_ratios(spec, xs[np.newaxis], np.array([xs.size]), lam)[0])
 
 

@@ -17,7 +17,6 @@ exist, plus the declared structural properties downstream code relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,13 +24,10 @@ import numpy as np
 
 from .errors import DomainError
 
-# Parameters of power_gen closer to zero than this snap to the exact log
-# branch: its x**p transform loses digits near p = 0.
-P_SNAP = 1e-12
 # Profile exponents, and exponent gaps, below this, the smallest normal
 # float, snap to their limit, where quotients by them would lose digits;
 # above it a profile keeps its own exponents, which both routes to the
-# sharp constant (hardy) read.
+# sharp constant (hardy) read.  power_gen snaps at it too.
 PROFILE_SNAP = 2.0 ** -1022
 # Below this exponent or gap d, d ln u is subnormal for some float u near
 # 1, and (e**(d ln u) - 1)/d rounds to ln u for every float u: the
@@ -104,39 +100,14 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
 
     With t = ln u and E = expm1((p - q) t)/(p - q) it is e**(q t) E, with
     d1 = e**((q-1) t) (p E + 1) and d2 = e**((q-2) t) (p (p-1) E + p + q - 1),
-    accurate as p -> q (:func:`_power_gap`).  Exponents less than
-    PROFILE_SNAP apart take the limit profile u**p ln u, and (0, 0) is
-    ln.  Declared concave on the band min(p,q) <= 0 <= max(p,q) <= 1,
-    which covers the region where a finite sharp constant exists.
+    accurate as p -> q (:func:`_power_gap`) and through p = q, where it is
+    the limit u**p ln u; a pair within PROFILE_SNAP of (0, 0) is ln.
+    Declared concave on the band min(p,q) <= 0 <= max(p,q) <= 1, which
+    covers the region where a finite sharp constant exists.
     """
     p, q = float(p), float(q)
-    if abs(p - q) < PROFILE_SNAP:
-        r = 0.5 * (p + q)
-        if abs(r) < PROFILE_SNAP:
-            return log_gen()
-
-        def fn(u):
-            u = np.asarray(u, dtype=float)
-            t = np.log(u)
-            return np.exp(r * t) * t
-
-        def d1(u):
-            u = np.asarray(u, dtype=float)
-            t = np.log(u)
-            return np.exp((r - 1.0) * t) * (r * t + 1.0)
-
-        def d2(u):
-            u = np.asarray(u, dtype=float)
-            t = np.log(u)
-            return np.exp((r - 2.0) * t) * (r * (r - 1.0) * t + 2.0 * r - 1.0)
-
-        # u**r ln u has the sign of u - 1 for every r
-        return GeneratorFunction(fn=fn, d1=d1, d2=d2, concave=False,
-                                 sign_like=True,
-                                 recip_integrable=r < 1.0,
-                                 family=("gini", r, r),
-                                 label=f"u^{r:g} ln u")
-
+    if abs(p - q) < PROFILE_SNAP and abs(0.5 * (p + q)) < PROFILE_SNAP:
+        return log_gen()
     d = p - q
 
     def fn(u):
@@ -156,11 +127,12 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
                           q * (q - 1.0), (p - 1.0) + q)
 
     lo, hi = min(p, q), max(p, q)
+    label = (f"u^{p:g} ln u" if d == 0.0
+             else f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
     return GeneratorFunction(fn=fn, d1=d1, d2=d2,
                              concave=lo <= 0.0 <= hi <= 1.0, sign_like=True,
                              recip_integrable=hi < 1.0,
-                             family=("gini", p, q),
-                             label=f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
+                             family=("gini", p, q), label=label)
 
 
 def _power_gap(t, d, s, r, a, b, lead):
@@ -169,10 +141,13 @@ def _power_gap(t, d, s, r, a, b, lead):
     expm1(d t) / d when |d| < LINEAR_GAP, and elsewhere the two terms,
     each dropped where its coefficient is 0, which then cancel only near a
     zero of the value and stay in float range where e**(r t) alone does
-    not.  The form not taken may overflow, silently."""
+    not; at d = 0 (a p = q profile) the near form is the value.  The form
+    not taken may overflow, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
         grown = a * t if abs(d) < LINEAR_GAP else a * np.expm1(d * t) / d
         near = np.exp(r * t) * (grown + lead)
+        if d == 0.0:
+            return near
         far = sum(c / d * np.exp(e * t) for c, e in ((a, s), (-b, r)) if c)
     return np.where(np.abs(d * t) < 0.5, near, far)
 
@@ -197,13 +172,14 @@ def log_gen() -> GeneratorFunction:
 
 
 def power_gen(p: float) -> GeneratorFunction:
-    """Monotone transform x -> x**p (ln at p = 0) with analytic inverse.
+    """Monotone transform x -> x**p, with analytic inverse, and ln for
+    |p| < PROFILE_SNAP.
 
     This is the quasiarithmetic role: it does not vanish at 1 for p != 0,
     so it is not a deviation profile.
     """
     p = float(p)
-    if abs(p) < P_SNAP:
+    if abs(p) < PROFILE_SNAP:
         return log_gen()
 
     def fn(x):

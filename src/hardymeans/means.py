@@ -8,16 +8,17 @@ A family computes its values in one place, ``MeanSpec.prefix``: the
 mean of prefix i depends on x[..., :i+1] and lam[:i+1] alone, bit for
 bit, whatever else is requested, and ``evaluate`` asks for the last
 prefix only.  Power and Gini means, and the weighted means of
-quasiarithmetic generators, are shifted compensated prefix sums, so wide
-dynamic ranges, large exponents and weights past float range neither
-overflow nor lose digits; one loop runs every row of a batch over
-cache-sized chunks of columns up to the last requested prefix, each row
-with its own shift, which moves where the row's terms grow past e**600,
-and the sums are read at the requested prefixes only.  Homogeneous
-deviation means are bracketed roots, every (row, prefix) pair one lane
-of a Newton solve started at its prefix's osculating power mean; raw
-deviation kernels take one Brent root per prefix.  The running extremes
-of the samples, which bound every mean, are also taken at the requested
+quasiarithmetic generators, are shifted compensated prefix sums (the
+generator x**p takes the power mean's own), so wide dynamic ranges,
+large exponents and weights past float range neither overflow nor lose
+digits; one loop runs every row of a batch over cache-sized chunks of
+columns up to the last requested prefix, each row with its own shift,
+which moves where the row's terms grow past e**600, and the sums are
+read at the requested prefixes only.  Homogeneous deviation means are
+bracketed roots, every (row, prefix) pair one lane of a Newton solve
+started at its prefix's osculating power mean; raw deviation kernels
+take one Brent root per (row, prefix) pair.  The running extremes of
+the samples, which bound every mean, are also taken at the requested
 prefixes only.  A batch of sample rows that share one weight vector is
 evaluated in one pass, and a batch's rows may hold sequences of their
 own lengths, whose padded prefixes the root-solving families skip.
@@ -74,15 +75,23 @@ def check_xlam(x, lam) -> tuple[np.ndarray, np.ndarray]:
     """x and lam as float arrays, after checking that they are nonempty,
     1-d, of one length, with positive finite samples and nonnegative
     finite weights of positive total; DomainError otherwise."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if x.ndim != 1 or lam.ndim != 1 or x.size == 0:
-        raise DomainError("x and lam must be nonempty 1-d arrays")
+    x, lam = check_sequence(x), check_sequence(lam, "weights")
     if x.shape != lam.shape:
         raise DomainError(f"length mismatch: {x.size} samples, {lam.size} weights")
     check_samples(x)
     check_weights(lam)
     return x, lam
+
+
+def check_sequence(a, what: str = "samples") -> np.ndarray:
+    """a as a nonempty 1-d float array; DomainError otherwise."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be real numbers: {exc}") from None
+    if a.ndim != 1 or a.size == 0:
+        raise DomainError(f"{what} must be a nonempty 1-d array")
+    return a
 
 
 def check_samples(x: np.ndarray) -> None:
@@ -100,14 +109,8 @@ def check_weights(lam: np.ndarray) -> None:
         raise DomainError("weights must have positive total")
 
 
-def _require_sign_like(f: GeneratorFunction) -> None:
-    if not f.sign_like:
-        raise DomainError("homogeneous deviation mean needs a sign-like "
-                          "generator (sign f(u) = sign(u-1))")
-
-
-def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
-                     efn, homogeneous: bool) -> float:
+def _solve_deviation(xs: np.ndarray, ws: np.ndarray, efn,
+                     homogeneous: bool) -> float:
     """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
     by Brent's method; ws > 0.
 
@@ -119,6 +122,7 @@ def _solve_deviation(xs: np.ndarray, ws: np.ndarray, lo: float, hi: float,
     sees its samples scaled by 2**-e, so that it is evaluated on values
     of order one.
     """
+    lo, hi = float(xs.min()), float(xs.max())
     if lo == hi:
         return lo
     e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
@@ -161,9 +165,8 @@ class MeanSpec:
     text, and the structural facts ``homogeneous`` (M(t x) = t M(x)) and
     ``symmetric_monotone`` (symmetric, nondecreasing in each sample).  A
     family computes its values in ``prefix`` alone, and ``evaluate`` is
-    the last prefix.  A new family overrides what it has: ``prefix``, or
-    only ``evaluate``, which the base prefix path then calls once per
-    prefix.  The base states both routes to the constant once, from the
+    the last prefix.  A new family states ``prefix`` and whatever else
+    it has.  The base states both routes to the constant once, from the
     profile: ``closed_constant`` reads its closed form and
     ``root_constant`` solves its characteristic equation.  The base
     supplies False for both facts and raises for the rest.
@@ -192,21 +195,9 @@ class MeanSpec:
         for bit, not on other rows or columns or idx; a prefix with no
         mean raises.  lengths, for a batch, holds the length of each
         row's own sequence: the entries of prefixes i >= lengths[row] are
-        then unspecified, and the root-solving families skip them.  This
-        generic path, for a family that defines only ``evaluate``, loops
-        over the rows and evaluates each prefix on its own.
+        then unspecified, and the root-solving families skip them.
         """
-        if x.ndim > 1:
-            own = np.broadcast_to(_own(idx, lengths), (len(x), idx.size))
-            out = np.full(own.shape, math.nan)
-            for r, row in enumerate(x):
-                if own[r].any():
-                    out[r, own[r]] = self.prefix(row, lam, idx[own[r]])
-            return out
-        if type(self).evaluate is MeanSpec.evaluate:
-            raise DomainError(f"unknown mean spec {self!r}")
-        return np.array([self.evaluate(x[:i + 1], lam[:i + 1]) for i in idx],
-                        dtype=float)
+        raise DomainError(f"unknown mean spec {self!r}")
 
     def profile(self) -> GeneratorFunction:
         """The homogeneous deviation profile that fixes the sharp constant
@@ -288,7 +279,8 @@ class Gini(MeanSpec):
 @dataclass(frozen=True)
 class QuasiArithmetic(MeanSpec):
     """Weighted quasiarithmetic mean of a strictly monotone generator g:
-    by g's inverse when present, else by a bracketed root in [min x, max x]."""
+    by g's inverse when present, else by a bracketed root in [min x, max x].
+    The generator x**p of power_gen gives Power(p), by Power's prefix."""
 
     g: GeneratorFunction
 
@@ -299,6 +291,8 @@ class QuasiArithmetic(MeanSpec):
         return self.g.family[0] in ("pow-map", "log")
 
     def prefix(self, x, lam, idx, lengths=None):
+        if self.g.family[0] == "pow-map":
+            return Power(self.g.family[1]).prefix(x, lam, idx)
         return _prefix_qa(x, lam, self.g, idx, lengths)
 
     def profile(self):
@@ -317,17 +311,22 @@ class Deviation(MeanSpec):
         return self.kernel.family[0] in ("difference", "power-gap", "ratio",
                                          "scaled-ratio")
 
-    def evaluate(self, x, lam):
-        """Root y in [min x, max x] of sum(lam_i * E(x_i, y)) = 0, by Brent
-        on the positive-weight samples with unit_scaled weights.  End values
-        that do not straddle zero (no sign property here) raise BracketError;
-        a kernel that overflows ends in a root or a typed error, silently."""
-        x, lam = check_xlam(x, lam)
-        xs, ws = x[lam > 0.0], lam[lam > 0.0]
+    def prefix(self, x, lam, idx, lengths=None):
+        """Root y in [min, max] of sum(lam_i E(x_i, y)) = 0 of each prefix
+        of a row's own (see MeanSpec.prefix), by Brent on its positive-weight
+        samples with unit_scaled weights.  End values that do not straddle
+        zero raise BracketError; a kernel that overflows ends in a root or
+        a typed error, silently."""
+        xs = np.compress(lam > 0.0, np.atleast_2d(x), axis=-1)
+        ws, ends = lam[lam > 0.0], np.cumsum(lam > 0.0)[idx]
+        own = np.broadcast_to(_own(idx, lengths), (len(xs), idx.size))
+        out = np.full(own.shape, math.nan)
         with np.errstate(all="ignore"):
-            return _solve_deviation(xs, unit_scaled(ws), float(xs.min()),
-                                    float(xs.max()), self.kernel.fn,
-                                    self.homogeneous)
+            for r, c in zip(*np.nonzero(own)):
+                out[r, c] = _solve_deviation(
+                    xs[r, :ends[c]], unit_scaled(ws[:ends[c]]),
+                    self.kernel.fn, self.homogeneous)
+        return out if x.ndim > 1 else out[0]
 
     def profile(self):
         raise DomainError(
@@ -692,7 +691,9 @@ def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
     equal extremes, or a zero of g at an extreme, takes that value; one
     that is not its row's own (see MeanSpec.prefix) makes no lane.
     """
-    _require_sign_like(f)
+    if not f.sign_like:
+        raise DomainError("homogeneous deviation mean needs a sign-like "
+                          "generator (sign f(u) = sign(u-1))")
     fn, d1 = f.fn, f.d1
     rows = np.atleast_2d(x)
     lo, hi = _running_extremes(rows, lam, idx)

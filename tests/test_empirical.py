@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardymeans import empirical, hardy
-from hardymeans.empirical import (EmpiricalTrace, PowerProbe, VerifyReport,
+from hardymeans.empirical import (EmpiricalTrace, PowerProbe,
                                   est_lower_bound, genA_limit, genA_partial,
                                   hardy_ratio, verify_inequality)
 from hardymeans.errors import DomainError, ViolationFound
@@ -58,9 +58,10 @@ def test_ratio_matches_direct_summation_at_witness():
 
 
 def test_ratio_needs_a_nonempty_1d_sequence():
-    # N is the length of x
-    for x in (np.array([]), np.ones((2, 3))):
-        with pytest.raises(DomainError):
+    # N is the length of x, whose samples are checked before the weights
+    # of that length are built; text is not a NumPy error
+    for x in (np.array([]), np.ones((2, 3)), "constant:c=1", ["a", "b"]):
+        with pytest.raises(DomainError, match="samples"):
             hardy_ratio(Power(0.5), ONES, x)
 
 

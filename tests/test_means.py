@@ -94,7 +94,8 @@ def test_quasiarithmetic_small_cases():
 
 
 def test_quasiarithmetic_without_inverse_roots():
-    g = replace(power_gen(0.5), inverse=None)
+    # a generator of no named family, so the mean is g's own, by Brent
+    g = replace(power_gen(0.5), inverse=None, family=("custom",))
     got = QuasiArithmetic(g).evaluate(X14, ONES2)
     assert got == pytest.approx(2.25, rel=1e-10)
 
@@ -200,6 +201,12 @@ def test_homogeneous_devmean_needs_sign_property():
     ([1.0, 2.0], [0.0, 0.0]),
     ([1.0, 2.0], [1.0]),
     ([1.0, math.nan], [1.0, 1.0]),
+    # not NumPy's bare ValueError or TypeError
+    (["a"], [1.0]),
+    ([1.0, 2.0], [1.0, "w"]),
+    ([[1.0], [1.0, 2.0]], [1.0, 1.0]),
+    ("constant:c=1", [1.0]),
+    ([1.0], [object()]),
 ])
 def test_rejects_bad_inputs(x, lam):
     with pytest.raises(DomainError):
@@ -323,6 +330,18 @@ def test_quasiarithmetic_power_generator_matches_power_mean(xlam, p):
     a = QuasiArithmetic(power_gen(p)).evaluate(x, lam)
     b = Power(p).evaluate(x, lam)
     assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 2e-12])
+def test_quasiarithmetic_power_generators_near_zero_match_mpmath(p):
+    # g^-1 of the mean of x**p cancels as p -> 0, Power(p)'s path does not
+    x = 10.0 ** np.random.default_rng(23).uniform(-3.0, 3.0, 20)
+    with mpmath.workdps(60):
+        pm = mpmath.mpf(p)
+        want = (mpmath.fsum(mpmath.mpf(float(v)) ** pm for v in x)
+                / len(x)) ** (1 / pm)
+        got = QuasiArithmetic(power_gen(p)).evaluate(x, np.ones(20))
+        assert abs(got - want) <= 1e-15 * want
 
 
 @settings(max_examples=60, deadline=None)
@@ -1029,7 +1048,7 @@ def test_family_table(spec, text, homogeneous, monotone, closed):
                                            rel=1e-11)
 
 
-def test_minimal_family_needs_only_evaluate():
+def test_minimal_family_needs_only_prefix():
     from dataclasses import dataclass
 
     from hardymeans.hardy import constant_closed, constant_root
@@ -1037,9 +1056,10 @@ def test_minimal_family_needs_only_evaluate():
 
     @dataclass(frozen=True)
     class Midrange(MeanSpec):
-        def evaluate(self, x, lam):
-            sup = np.asarray(x)[np.asarray(lam) > 0.0]
-            return 0.5 * float(sup.min() + sup.max())
+        def prefix(self, x, lam, idx, lengths=None):
+            sup = np.where(lam > 0.0, x, np.nan)
+            return 0.5 * (np.fmin.accumulate(sup, axis=-1)
+                          + np.fmax.accumulate(sup, axis=-1))[..., idx]
 
     spec = Midrange()
     x = np.array([3.0, 1.0, 7.0, 2.0])
@@ -1048,6 +1068,8 @@ def test_minimal_family_needs_only_evaluate():
                                   [3.0, 2.0, 2.0, 2.0])
     np.testing.assert_array_equal(prefix_values(spec, x, lam, ns=[4, 1]),
                                   [2.0, 3.0])
+    assert spec.evaluate(x, lam) == 2.0
+    assert spec.evaluate([7.0, 3.0], [0.0, 1.0]) == 3.0
     assert not spec.homogeneous and not spec.symmetric_monotone
     with pytest.raises(DomainError):
         constant_closed(spec, 0.5)
@@ -1055,6 +1077,15 @@ def test_minimal_family_needs_only_evaluate():
         constant_root(spec, 0.5)
     with pytest.raises(UsageError):
         spec.canonical()
+
+    @dataclass(frozen=True)
+    class Bare(MeanSpec):
+        pass
+
+    with pytest.raises(DomainError, match="unknown mean spec"):
+        prefix_values(Bare(), x, lam)
+    with pytest.raises(DomainError, match="unknown mean spec"):
+        Bare().evaluate(x, lam)
 
 
 def test_custom_deviation_profile_has_a_closed_constant_only_at_inf():
