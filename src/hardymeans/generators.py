@@ -216,12 +216,14 @@ def exp_gen() -> GeneratorFunction:
 class QuasideviationKernel:
     """Two-place kernel E(x, y) on (0, inf)^2 with sign(E) = sign(x - y).
 
-    ``d2_diag``, when supplied, is the analytic diagonal derivative
+    ``fn(x, y)`` works elementwise on arrays x and y that broadcast: a
+    mean solves many lanes, each with its own y, at once.  ``d2_diag``,
+    when supplied, is the analytic diagonal derivative
     y -> dE/dy (x, y)|_{x=y}; normalization falls back to central
     differences without it.
     """
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d2_diag: Optional[Callable] = None
     family: tuple = ("custom",)
     label: str = "custom"

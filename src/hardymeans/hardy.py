@@ -348,7 +348,7 @@ def chi_f(f: GeneratorFunction, x: float) -> float:
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise DerivativeUnavailableError(
             f"derivatives not finite at x={x:g}")
-    if d1 == 0.0 or abs(d1) < 5e-300:
+    if d1 == 0.0 or not math.isfinite(x * d2 / d1):
         raise ZeroDerivativeError(f"f'(x) vanished at x={x:g}")
     return x * d2 / d1 + 1.0
 

@@ -103,27 +103,28 @@ def homogenize(spec: MeanSpec, x, lam,
                                   extrapolants=extr, spread=spread)
 
 
-def _diag_derivative(E: QuasideviationKernel, y: float) -> float:
-    """dE/dy at (y, y), analytic when declared, else central differences."""
+def _diag_derivative(E: QuasideviationKernel, y) -> np.ndarray:
+    """dE/dy at (y, y), elementwise over y: analytic when declared, else
+    central differences."""
+    y = np.asarray(y, dtype=float)
     if E.d2_diag is not None:
-        return float(np.asarray(E.d2_diag(np.asarray(y, dtype=float))))
-    h = _FD_SCALE * max(1.0, abs(y))
-    up = float(np.asarray(E.fn(np.array([y]), y + h), dtype=float)[0])
-    dn = float(np.asarray(E.fn(np.array([y]), y - h), dtype=float)[0])
-    return (up - dn) / (2.0 * h)
+        return np.asarray(E.d2_diag(y), dtype=float)
+    h = _FD_SCALE * np.maximum(1.0, np.abs(y))
+    return (np.asarray(E.fn(y, y + h), dtype=float)
+            - np.asarray(E.fn(y, y - h), dtype=float)) / (2.0 * h)
 
 
 def normalize_kernel(E: QuasideviationKernel) -> QuasideviationKernel:
     """Rescale E to E*(x, y) = E(x, y) / (-dE/dy (y, y)).
 
-    The normalized kernel defines the same mean and has diagonal
-    derivative exactly -1, which makes normalization idempotent.  Raises
-    NotNormalizableError when the diagonal derivative fails to be
-    negative and finite on the probe grid, or when the spot-check of the
-    normalized kernel misses -1 by more than 1e-6.
+    The normalized kernel defines the same mean, takes an array y as E
+    does, and has diagonal derivative exactly -1, which makes
+    normalization idempotent.  Raises NotNormalizableError when the
+    diagonal derivative fails to be negative and finite on the probe
+    grid, or when the spot-check of the normalized kernel misses -1 by
+    more than 1e-6.
     """
-    for y in _PROBE_YS:
-        d = _diag_derivative(E, float(y))
+    for y, d in zip(_PROBE_YS, _diag_derivative(E, _PROBE_YS)):
         if not math.isfinite(d) or d >= 0.0:
             raise NotNormalizableError(
                 f"diagonal derivative {d:g} at y={y:g} is not negative")
@@ -135,11 +136,9 @@ def normalize_kernel(E: QuasideviationKernel) -> QuasideviationKernel:
         fn=fn, d2_diag=lambda y: -np.ones_like(np.asarray(y, dtype=float)),
         family=("normalized", E.family), label=f"normalized {E.label}")
 
-    for y in (_PROBE_YS[0], _PROBE_YS[len(_PROBE_YS) // 2], _PROBE_YS[-1]):
+    for y in _PROBE_YS[[0, len(_PROBE_YS) // 2, -1]]:
         h = _FD_SCALE * max(1.0, y)
-        up = float(np.asarray(star.fn(np.array([y]), y + h), dtype=float)[0])
-        dn = float(np.asarray(star.fn(np.array([y]), y - h), dtype=float)[0])
-        slope = (up - dn) / (2.0 * h)
+        slope = (star.fn(y, y + h) - star.fn(y, y - h)) / (2.0 * h)
         if abs(slope + 1.0) > 1e-6:
             raise NotNormalizableError(
                 f"normalized kernel slope {slope:.9g} at y={y:g} is not -1")
@@ -157,9 +156,7 @@ def h_of_kernel(E_star: QuasideviationKernel, x: float,
     x = float(x)
     check_tol(tol)
     ts = 4.0 ** -np.arange(1, _LADDER_DEPTH + 1)
-    vals = np.array([
-        float(np.asarray(E_star.fn(np.array([x * t]), t), dtype=float)[0]) / t
-        for t in ts])
+    vals = np.asarray(E_star.fn(x * ts, ts), dtype=float) / ts
     value, converged, extr, spread = _extrapolate(vals, tol)
     if not converged:
         raise NoConvergenceError(

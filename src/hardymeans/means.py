@@ -14,14 +14,14 @@ large exponents and weights past float range neither overflow nor lose
 digits; one loop runs every row of a batch over cache-sized chunks of
 columns up to the last requested prefix, each row with its own shift,
 which moves where the row's terms grow past e**600, and the sums are
-read at the requested prefixes only.  Homogeneous deviation means are
-bracketed roots, every (row, prefix) pair one lane of a Newton solve
-started at its prefix's osculating power mean; raw deviation kernels
-take one Brent root per (row, prefix) pair.  The running extremes of
-the samples, which bound every mean, are also taken at the requested
-prefixes only.  A batch of sample rows that share one weight vector is
-evaluated in one pass, and a batch's rows may hold sequences of their
-own lengths, whose padded prefixes the root-solving families skip.
+read at the requested prefixes only.  Every other mean is a root, of
+a homogeneous deviation profile, a raw deviation kernel or a generator
+without an inverse, and each (row, prefix) pair is one lane of one
+solver, safeguarded Newton in log y (:func:`_lane_roots`).  The running
+extremes of the samples, which bound every mean, are also taken at the
+requested prefixes only.  A batch of rows that share one weight vector
+is evaluated in one pass, and its rows may hold sequences of their own
+lengths, whose padded prefixes the root-solving families skip.
 
 Each family is a :class:`MeanSpec` subclass that also carries the
 deviation profile that fixes its sharp constant, from which the base
@@ -45,8 +45,8 @@ from .generators import (PROFILE_SNAP, GeneratorFunction,
                          log_gen, power_gen)
 from .hardy import (HardyConstantResult, profile_constant, qa_order,
                     solve_cef)
-from .rootfind import RTOL_FLOOR, bracketed_root, newton_lanes
-from .weights import check_int, compensated_cumsum, unit_scaled
+from .rootfind import RTOL_FLOOR, newton_lanes
+from .weights import check_int, compensated_cumsum
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
 _P_EXTREME = 1e15
@@ -59,11 +59,11 @@ _CHUNK = 2 ** 15
 # Widest log spread of the samples of a homogeneous deviation prefix: the
 # ratios x / y of its root, within e**709, stay in float range.
 _LOG_SPREAD_MAX = 709.0
-# Most lanes times widest prefix of one lane-wise Newton solve of the
-# homogeneous deviation means, which bounds its working set.
+# Most lanes times widest prefix of one chunk of the lane solver, which
+# bounds its working set.
 _LANE_CELLS = 2 ** 12
-# Step in t = log(y / x[0]) of the forward-difference slope of a
-# deviation profile without a declared derivative.
+# Step in t (a log of y) of the forward-difference slope of a lane
+# function without a declared derivative.
 _SLOPE_STEP = 2.0 ** -26
 _LN2 = math.log(2.0)
 # log 2 in two parts, the first with 21 trailing zero bits, so that k times
@@ -107,51 +107,6 @@ def check_weights(lam: np.ndarray) -> None:
         raise DomainError("weights must be nonnegative finite reals")
     if not (lam > 0.0).any():
         raise DomainError("weights must have positive total")
-
-
-def _solve_deviation(xs: np.ndarray, ws: np.ndarray, efn,
-                     homogeneous: bool) -> float:
-    """Root y in [lo, hi] = [min xs, max xs] of sum(ws * efn(xs, y)) = 0,
-    by Brent's method; ws > 0.
-
-    Brent runs on s = y / 2**e, with 2**e between lo and hi, and on the
-    sum scaled by the power of two that brings its larger end value near
-    one: both scalings are exact and leave the root where it is, and the
-    secant step f * ds no longer underflows at sample scales near
-    1e-160.  A homogeneous kernel (one whose mean is homogeneous) also
-    sees its samples scaled by 2**-e, so that it is evaluated on values
-    of order one.
-    """
-    lo, hi = float(xs.min()), float(xs.max())
-    if lo == hi:
-        return lo
-    e = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
-    if homogeneous:
-        xs = np.ldexp(xs, -e)
-
-    def total(s):
-        y = s if homogeneous else math.ldexp(s, e)
-        return float(np.dot(ws, np.asarray(efn(xs, y), dtype=float)))
-
-    slo, shi = math.ldexp(lo, -e), math.ldexp(hi, -e)
-    glo, ghi = total(slo), total(shi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    _check_sign_property(glo, ghi, lo, hi)
-    m = -math.frexp(max(glo, -ghi))[1]
-    s = bracketed_root(lambda s: math.ldexp(total(s), m), slo, shi,
-                       xtol=max(1e-13 * slo, 5e-324), rtol=RTOL_FLOOR,
-                       flo=math.ldexp(glo, m), fhi=math.ldexp(ghi, m)).root
-    return math.ldexp(s, e)
-
-
-def _check_sign_property(glo: float, ghi: float, lo: float, hi: float):
-    if glo < 0.0 or ghi > 0.0:
-        raise BracketError(
-            f"kernel violates the sign property on [{lo:g}, {hi:g}]: "
-            f"g(lo)={glo:g}, g(hi)={ghi:g}")
 
 
 # -- mean families ------------------------------------------------------
@@ -304,28 +259,45 @@ class QuasiArithmetic(MeanSpec):
 
 @dataclass(frozen=True)
 class Deviation(MeanSpec):
+    """Deviation mean of a raw kernel E: the root y of sum lam E(x, y) = 0."""
+
     kernel: QuasideviationKernel
 
     @property
     def homogeneous(self):
-        return self.kernel.family[0] in ("difference", "power-gap", "ratio",
-                                         "scaled-ratio")
+        family = self.kernel.family
+        while family[0] == "normalized":  # E / -dE/dy(y, y) has E's mean
+            family = family[1]
+        return family[0] in ("difference", "power-gap", "ratio",
+                             "scaled-ratio")
 
     def prefix(self, x, lam, idx, lengths=None):
-        """Root y in [min, max] of sum(lam_i E(x_i, y)) = 0 of each prefix
-        of a row's own (see MeanSpec.prefix), by Brent on its positive-weight
-        samples with unit_scaled weights.  End values that do not straddle
-        zero raise BracketError; a kernel that overflows ends in a root or
-        a typed error, silently."""
-        xs = np.compress(lam > 0.0, np.atleast_2d(x), axis=-1)
-        ws, ends = lam[lam > 0.0], np.cumsum(lam > 0.0)[idx]
-        own = np.broadcast_to(_own(idx, lengths), (len(xs), idx.size))
-        out = np.full(own.shape, math.nan)
-        with np.errstate(all="ignore"):
-            for r, c in zip(*np.nonzero(own)):
-                out[r, c] = _solve_deviation(
-                    xs[r, :ends[c]], unit_scaled(ws[:ends[c]]),
-                    self.kernel.fn, self.homogeneous)
+        """Each prefix of a row's own (see MeanSpec.prefix) is a lane of
+        :func:`_log_lanes`, in chunks (:func:`_prefix_lanes`); a
+        homogeneous kernel sees its samples and y scaled exactly by 2**-k,
+        2**k between the prefix's extremes, so its values are of order 1."""
+        fn, homogeneous = self.kernel.fn, self.homogeneous
+        rows = np.atleast_2d(x)
+        lo, hi = _running_extremes(rows, lam, idx)
+        xs = np.compress(lam > 0.0, rows, axis=-1)
+
+        def chunk(rr, cc, end, w):
+            lo_l, hi_l = lo[rr, cc], hi[rr, cc]
+            # 2**k between the extremes; k = 0 unless the kernel is homogeneous
+            k = (np.frexp(lo_l)[1] + np.frexp(hi_l)[1]) // 2 * homogeneous
+            with np.errstate(over="ignore"):  # an inf sum raises
+                x_l = np.ldexp(xs[rr, :end[-1] + 1], -k[:, None])
+
+            def sums(y, lanes):
+                n = end[lanes[-1]] + 1
+                v = fn(_take_rows(x_l, lanes)[:, :n],
+                       np.ldexp(y, -k[lanes])[:, np.newaxis])
+                return (_lane_sums(v, _take_rows(w, lanes)[:, :n], end[lanes]),
+                        None)
+
+            return _log_lanes(sums, lo_l, hi_l, BracketError)
+
+        out = _prefix_lanes(rows, lam, idx, lengths, lo, hi, lo != hi, chunk)
         return out if x.ndim > 1 else out[0]
 
     def profile(self):
@@ -416,16 +388,17 @@ def _running_extremes(x, lam, idx):
     return out
 
 
-def _log_ratios(x):
-    """r = log(x / x[..., 0]) along the last axis.
+def _log_ratios(x, base=None):
+    """r = log(x / base), base = x[..., :1] by default, along the last axis.
 
-    r is formed from the mantissas and exponents of x, so it is finite
-    for any spread and, for samples scaled alike by a power of two, does
-    not depend on the scale; r[..., 0] = 0 exactly."""
+    r is formed from the mantissas and exponents of x and base, so it is
+    finite for any spread and, for x and base scaled alike by a power of
+    two, does not depend on the scale; by default r[..., 0] = 0 exactly."""
     mx, ex = np.frexp(x)
-    mx /= mx[..., :1]
+    mb, eb = (mx[..., :1], ex[..., :1]) if base is None else np.frexp(base)
+    mx /= mb
     r = np.log(mx, out=mx)
-    ex -= ex[..., :1]
+    ex -= eb
     r += ex * _LN2
     return r
 
@@ -613,9 +586,10 @@ def _gini_exponent(r, log_lam, p, q, idx):
 
 
 def _prefix_qa(x, lam, g, idx, lengths=None):
-    """g^-1 of the weighted prefix means of g(x), by g's inverse or, for
-    a generator without one, by one Brent root per requested prefix of a
-    row's own (see MeanSpec.prefix)."""
+    """g^-1 of the weighted prefix means of g(x), by g's inverse or, for a
+    generator without one, by :func:`_log_lanes` on g(y) - target, every
+    requested prefix of a row's own (see MeanSpec.prefix) one lane; a
+    target that g does not reach on [lo, hi] raises InversionError."""
     with np.errstate(all="ignore"):
         vals = np.asarray(g.fn(x), dtype=float)
     vals = np.where(lam > 0.0, vals, 0.0)
@@ -627,46 +601,22 @@ def _prefix_qa(x, lam, g, idx, lengths=None):
     target = np.minimum(np.maximum(target, vlo), vhi)
     lo, hi = _running_extremes(x, lam, idx)
     if g.inverse is not None:
-        ys = np.asarray(g.inverse(target), dtype=float)
-    else:
-        ys = np.full(target.shape, math.nan)
-        own = np.broadcast_to(_own(idx, lengths), target.shape)
-        for k in zip(*np.nonzero(own)):
-            ys[k] = _invert(g, float(target[k]), float(lo[k]), float(hi[k]))
-    return np.minimum(np.maximum(ys, lo), hi)
+        return np.minimum(np.maximum(
+            np.asarray(g.inverse(target), dtype=float), lo), hi)
+    ys = lo.copy()
+    lanes = np.nonzero((lo != hi) & _own(idx, lengths))
+    lo, hi, target = lo[lanes], hi[lanes], target[lanes]
+    # oriented to fall through zero from lo to hi, as a kernel's sum does
+    with np.errstate(all="ignore"):
+        down = np.where(g.fn(hi) > g.fn(lo), -1.0, 1.0)
 
+    def h(y, k):
+        return (down[k] * (np.asarray(g.fn(y), dtype=float) - target[k]),
+                None if g.d1 is None else down[k] * y * g.d1(y))
 
-def _invert(g: GeneratorFunction, target: float, lo: float, hi: float
-            ) -> float:
-    """y in [lo, hi] with g(y) = target, by Brent's method on log y.
-
-    On log y the bracket [log lo, log hi] narrows in some 60 iterations
-    whatever its width, where bisection on y itself takes about 1900 from
-    1e300 to 1e-285.  A first solve finds log y to within 1e-6; a second
-    solves for t = log(y / c) about that estimate c, on a bracket twice
-    as wide as that tolerance, so the float spacing of log y (eps |log y|
-    relative in y, 1.5e-13 at 1e-300) does not limit the result.
-    """
-    if lo == hi:
-        return lo
-
-    def h(y):
-        return float(np.asarray(g.fn(np.array([y])), dtype=float)[0]) - target
-
-    def solve(c, a, b, xtol, ha=None, hb=None):
-        def y_of(t):
-            return min(max(c * math.exp(t), lo), hi)
-
-        return y_of(bracketed_root(lambda t: h(y_of(t)), a, b, xtol=xtol,
-                                   flo=ha, fhi=hb).root)
-
-    hlo, hhi = h(lo), h(hi)
-    if hlo != 0.0 and hhi != 0.0 and (hlo < 0.0) == (hhi < 0.0):
-        raise InversionError(
-            f"target {target:g} not bracketed by g on [{lo:g}, {hi:g}]")
-    c = solve(1.0, math.log(lo), math.log(hi), 1e-6, hlo, hhi)
-    t = 2.0 * (1e-6 + RTOL_FLOOR * abs(math.log(c)))
-    return solve(c, -t, t, RTOL_FLOOR)
+    if target.size:
+        ys[lanes] = _log_lanes(h, lo, hi, InversionError)
+    return ys
 
 
 def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
@@ -675,21 +625,15 @@ def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
     With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
     decreases from g(min r) >= 0 to g(max r) <= 0, with slope
     -sum w u f'(u), or a forward difference in t when f has no f'.  Every
-    (row, requested prefix) pair is one lane of a safeguarded Newton solve
-    (:func:`rootfind.newton_lanes`), the lanes by prefix length in chunks
-    of at most _LANE_CELLS lanes times widest prefix, or one lane.  A
-    lane's sum is the running sum along its row read at the end of its
-    prefix, with the prefix's weights scaled by their power of two
-    (:func:`~hardymeans.weights.unit_scaled`), so it depends on that
-    prefix alone and not on its chunk.  Each solve starts at t of the
-    prefix's osculating power mean, of order p0 = 1 + f''(1) / f'(1): the
-    root itself for the power and log profiles, within second order of it
-    for Gini.  x[0] is in every prefix's support, so t and u carry errors
-    set by the spread of the samples, not by their magnitude.  The
-    bracket ends are the running extremes of r, and a solve stops once
-    |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).  A prefix with
-    equal extremes, or a zero of g at an extreme, takes that value; one
-    that is not its row's own (see MeanSpec.prefix) makes no lane.
+    (row, requested prefix) pair is one lane of :func:`_lane_roots`, in
+    chunks (:func:`_prefix_lanes`), on the running extremes of r, and
+    stops once |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).
+    Each solve starts at t of the prefix's osculating power mean, of order
+    p0 = 1 + f''(1) / f'(1): the root itself for the power and log
+    profiles, within second order of it for Gini.  x[0] is in every
+    prefix's support, so t and u carry errors set by the spread of the
+    samples, not by their magnitude; a spread past e**709 raises
+    DomainError.
     """
     if not f.sign_like:
         raise DomainError("homogeneous deviation mean needs a sign-like "
@@ -697,11 +641,9 @@ def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
     fn, d1 = f.fn, f.d1
     rows = np.atleast_2d(x)
     lo, hi = _running_extremes(rows, lam, idx)
-    own = _own(idx, lengths)
-    if ((np.log(hi) - np.log(lo) > _LOG_SPREAD_MAX) & own).any():
+    if ((np.log(hi) - np.log(lo) > _LOG_SPREAD_MAX)
+            & _own(idx, lengths)).any():
         raise DomainError("prefix samples span more than e**709")
-    support = lam > 0.0
-    end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
     r_all = _log_ratios(rows)
     # p0 is p for dev_power(p), 0 for log and p + q for dev_gini(p, q);
     # 0 without f' and f'' or when not finite
@@ -710,12 +652,54 @@ def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
               if d1 is not None and f.d2 is not None else 0.0)
     start = _gini_exponent(r_all, _log_weights(lam),
                            float(p0) if np.isfinite(p0) else 0.0, 0.0, idx)
-    rx = np.compress(support, r_all, axis=-1)
-    ws = lam[support]
+    rx = np.compress(lam > 0.0, r_all, axis=-1)
     rlo, rhi = _running_extremes(r_all, lam, idx)
+
+    def chunk(rr, cc, end, w):
+        r = rx[rr, :end[-1] + 1]
+
+        def g(s, lanes, slope=False):
+            """g at s of the lanes, and its slope (None without f') when
+            asked; cells past a lane's prefix may overflow, unread."""
+            n = end[lanes[-1]] + 1
+            r_l, w_l, e_l = (_take_rows(r, lanes)[:, :n],
+                             _take_rows(w, lanes)[:, :n], end[lanes])
+            with np.errstate(all="ignore"):
+                u = r_l - s[:, None]
+                val = _lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
+                if not slope:
+                    return val
+                return val, (None if d1 is None
+                             else -_lane_sums(u * d1(u), w_l, e_l))
+
+        lo_l, hi_l = lo[rr, cc], hi[rr, cc]
+        return _lane_roots(g, rlo[rr, cc], rhi[rr, cc], lo_l, hi_l,
+                           start[rr, cc], 1e-13 * lo_l / hi_l + RTOL_FLOOR,
+                           rows[rr, 0])
+
+    out = _prefix_lanes(rows, lam, idx, lengths, lo, hi, rlo != rhi, chunk)
+    return out if x.ndim > 1 else out[0]
+
+
+# -- the lane solver ------------------------------------------------------
+
+
+def _prefix_lanes(rows, lam, idx, lengths, lo, hi, solve, chunk):
+    """Means of the prefixes idx of the rows (2-d): the (row, prefix) pairs
+    of a row's own (see MeanSpec.prefix) that `solve` marks are lanes,
+    in chunks by prefix length of at most _LANE_CELLS lanes times widest
+    prefix, or one lane; the rest take x[0] within [lo, hi].
+    chunk(rr, cc, end, w) solves the lanes at rows rr and columns cc: end
+    is the last positive-weight sample of each prefix, and w the positive
+    weights, each lane's scaled by a power of two to a largest in
+    [1/2, 1).  Sums read off running sums (:func:`_lane_sums`) keep a
+    lane's bits independent of its chunk."""
+    support = lam > 0.0
+    end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
+    ws = lam[support]
     shift = -np.frexp(np.maximum.accumulate(ws))[1][end]
-    out = np.minimum(np.maximum(rows[:, :1], lo), hi)  # rlo == rhi == 0
-    row, col = np.nonzero((rlo != rhi) & own)
+    out = np.minimum(np.maximum(rows[:, :1], lo), hi)
+    row, col = np.nonzero(solve & _own(idx, lengths))
     order = np.argsort(end[col], kind="stable")
     row, col = row[order], col[order]
     first = 0
@@ -727,51 +711,78 @@ def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
                   for v in (row, col))
         first += rr.size
         e = end[cc]
-        r = rx[rr, :e[-1] + 1]
-        w = np.ldexp(ws[:e[-1] + 1], shift[cc, None])
-        a, b, lo_l, hi_l = (v[rr, cc] for v in (rlo, rhi, lo, hi))
+        out[rr, cc] = chunk(rr, cc, e, np.ldexp(ws[:e[-1] + 1],
+                                                shift[cc, None]))
+    return out
 
-        def g(s, lanes, slope=False):
-            """g at s of the lanes (ascending), and its slope when asked;
-            the cells past a lane's prefix may overflow and are not read.
-            Not recursive: a closure that calls itself is a reference
-            cycle, which holds the chunk's arrays until a collection."""
-            n = e[lanes[-1]] + 1
-            r_l, w_l, e_l = (_take_rows(r, lanes)[:, :n],
-                             _take_rows(w, lanes)[:, :n], e[lanes])
+
+def _log_lanes(g, lo, hi, error):
+    """Roots y in [lo, hi], lo < hi, of the lanes of g(y, lanes), which
+    gives their values at y and slopes in log y (None: a forward
+    difference), by two _lane_roots calls in t = log(y / c) from t = 0:
+    to 1e-6 about c = 2**k between lo and hi, then about that root, so
+    the float spacing of t does not limit the result.  The ends are read
+    at lo and hi themselves; a value that is not finite raises
+    DomainError, as an overflow could end in a wrong root."""
+    c = np.ldexp(1.0, (np.frexp(lo)[1] + np.frexp(hi)[1]) // 2)
+    for xtol in (1e-6, RTOL_FLOOR):
+        a, b = _log_ratios(lo, c), _log_ratios(hi, c)
+        b = np.maximum(b, np.nextafter(a, np.inf))  # two ends, if adjacent
+
+        def g_t(s, lanes, slope=False):
             with np.errstate(all="ignore"):
-                u = r_l - s[:, None]
-                val = _lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
-                if not slope:
-                    return val
-                if d1 is not None:
-                    return val, -_lane_sums(u * d1(u), w_l, e_l)
-                h = (s + _SLOPE_STEP) - s
-                u = r_l - (s + h)[:, None]
-                return val, (_lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
-                             - val) / h
+                v, dv = g(np.where(s == a[lanes], lo[lanes], np.where(
+                    s == b[lanes], hi[lanes], _times_exp(c[lanes], s))),
+                    lanes)
+            if not np.isfinite(v if dv is None else (v, dv)).all():
+                raise DomainError("lane value not finite: the samples "
+                                  "span past the float range of the mean")
+            return (v, dv) if slope else v
 
-        every = np.arange(rr.size)
-        ga, gb = g(a, every), g(b, every)
-        at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
-        live = np.flatnonzero(~(at_lo | at_hi))
-        bad = (ga[live] < 0.0) | (gb[live] > 0.0)
-        if bad.any():
-            m = live[bad.argmax()]
-            _check_sign_property(float(ga[m]), float(gb[m]),
-                                 float(lo_l[m]), float(hi_l[m]))
-        y = np.where(at_lo, lo_l, hi_l)
-        if live.size:
-            t, _, _ = newton_lanes(
-                lambda s, sub: g(s, live[sub], slope=True),
-                a[live], ga[live], b[live], gb[live],
-                np.minimum(np.maximum(start[rr[live], cc[live]], a[live]),
-                           b[live]),
-                xtol=1e-13 * lo_l[live] / hi_l[live] + RTOL_FLOOR,
-                rtol=RTOL_FLOOR)
-            y[live] = _times_exp(rows[rr[live], 0], t)
-        out[rr, cc] = np.minimum(np.maximum(y, lo_l), hi_l)
-    return out if x.ndim > 1 else out[0]
+        c = _lane_roots(g_t, a, b, lo, hi, np.zeros(lo.size),
+                        np.full(lo.size, xtol), c, error)
+    return c
+
+
+def _lane_roots(g, a, b, lo, hi, start, xtol, base, error=BracketError):
+    """Roots y = base e**t in [lo, hi] of the lanes of g: one newton_lanes
+    call on the brackets [a, b] of t from start, to xtol + RTOL_FLOOR |t|.
+
+    g(s, lanes, slope=False) gives the values at s of the lanes (indices,
+    ascending), and their slopes in t when asked (None: a forward
+    difference of step _SLOPE_STEP, of values scaled by the power of two
+    that brings the larger end value near one, so it stays finite).  The
+    values fall through zero, a deviation kernel's sign property: a zero
+    at an end gives that end, and end values g(a) < 0 or g(b) > 0 raise
+    `error`."""
+    every = np.arange(a.size)
+    ga, gb = g(a, every), g(b, every)
+    at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
+    live = np.flatnonzero(~(at_lo | at_hi))
+    bad = live[(ga[live] < 0.0) | (gb[live] > 0.0)]
+    if bad.size:
+        i = bad[0]
+        raise error(f"values do not fall through zero on [{lo[i]:g}, "
+                    f"{hi[i]:g}]: g(lo)={ga[i]:g}, g(hi)={gb[i]:g}")
+    y = np.where(at_lo, lo, hi)
+    if live.size:
+        m = -np.frexp(np.maximum(np.abs(ga[live]), np.abs(gb[live])))[1]
+
+        def f(s, sub):
+            lanes = live[sub]
+            v, dv = g(s, lanes, slope=True)
+            if dv is not None:
+                return v, dv
+            m_l, h = m[sub], (s + _SLOPE_STEP) - s
+            v = np.ldexp(v, m_l, out=v)
+            return v, (np.ldexp(g(s + h, lanes), m_l) - v) / h
+
+        a, b = a[live], b[live]
+        t, _, _ = newton_lanes(f, a, ga[live], b, gb[live],
+                               np.minimum(np.maximum(start[live], a), b),
+                               xtol=xtol[live], rtol=RTOL_FLOOR)
+        y[live] = _times_exp(base[live], t)
+    return np.minimum(np.maximum(y, lo), hi)
 
 
 def _lane_sums(v, w, end):

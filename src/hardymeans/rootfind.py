@@ -4,13 +4,13 @@ Two solvers, for functions whose values straddle zero on a bracket:
 
 * :func:`bracketed_root`, Brent's method (R. P. Brent, *Algorithms for
   Minimization without Derivatives*, 1973, ch. 4), for one scalar f
-  without a derivative: inverse quadratic interpolation and secant
-  steps, falling back to bisection whenever they do not shrink the
-  bracket fast enough.  The iteration is the one of SciPy's ``brentq``,
-  step for step, so ``xtol``/``rtol`` mean the same and the iterates
-  and iteration counts are the same.
-* :func:`newton_lanes`, safeguarded Newton when f also returns its
-  derivative, on many independent brackets ("lanes") at once, in the
+  without a derivative, which now serves ``hardy.solve_cef`` alone:
+  inverse quadratic interpolation and secant steps, falling back to
+  bisection whenever they do not shrink the bracket fast enough, with
+  the iterates and iteration counts of SciPy's ``brentq``, step for step.
+* :func:`newton_lanes`, which solves every mean that is a root,
+  safeguarded Newton when f also returns its derivative (or an estimate
+  of it) on many independent brackets ("lanes") at once, in the
   manner of the lane-wise safeguarded solvers (T. R. Chandrupatla,
   *Adv. Eng. Software* 28, 1997): Newton steps from a start point, with
   a bisection step whenever the Newton step would leave the current

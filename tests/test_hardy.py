@@ -549,6 +549,17 @@ def test_chi_zero_derivative():
         chi_f(flat, 1.0)
 
 
+@pytest.mark.parametrize("p", [1e-305, 3e-308])
+def test_chi_of_a_tiny_power_order_is_that_order(p):
+    # f'(0.1) = p 0.1**(p - 1) is about 10 p, far below any absolute
+    # floor, while chi = 0.1 f''/f' + 1 = p is well defined
+    assert chi_f(power_gen(p), 0.1) == pytest.approx(p, abs=1e-15)
+    spec = QuasiArithmetic(power_gen(p))
+    closed = constant_closed(spec, 0.5)
+    assert closed == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert abs(constant_root(spec, 0.5).value - closed) <= 1e-12
+
+
 def test_chi_domain():
     with pytest.raises(DomainError):
         chi_f(log_gen(), 0.0)

@@ -31,7 +31,8 @@ def wiggle_kernel():
     # E(x, y) = x - y (1 + sin(ln y)/4): the scaling limit does not exist,
     # the ladder oscillates with period 2*pi in ln t
     def fn(x, y):
-        return np.asarray(x, dtype=float) - y * (1.0 + 0.25 * math.sin(math.log(y)))
+        return (np.asarray(x, dtype=float)
+                - y * (1.0 + 0.25 * np.sin(np.log(y))))
 
     return QuasideviationKernel(fn=fn, family=("custom",), label="log-periodic")
 
@@ -168,6 +169,21 @@ def test_normalization_is_idempotent(make):
     for y in (0.1, 1.0, 10.0):
         np.testing.assert_allclose(twice.fn(xs, y), star.fn(xs, y),
                                    rtol=0, atol=1e-8 * max(1.0, y))
+
+
+def test_normalized_power_gap_kernel_gives_the_power_mean():
+    # the normalized kernel (x**2 - y**2) / 2y takes the lane solver's
+    # array y, and as a normalized homogeneous kernel its samples are
+    # scaled to order one, so x**2 neither under- nor overflows
+    spec = Deviation(normalize_kernel(power_gap_kernel(2.0)))
+    assert spec.homogeneous
+    cases = [([1.0, 3.0], [1.0, 1.0]), ([1.0, 2.0], [2.0, 1.0]),
+             ([1.0, 4.0], [1.0, 1.0])]
+    cases += [([scale, scale / 10.0], [1.0, 0.5])
+              for scale in (1e-160, 1e-300, 1e290)]
+    for x, lam in cases:
+        want = Power(2.0).evaluate(x, lam)
+        assert abs(spec.evaluate(x, lam) - want) <= 1e-13 * want
 
 
 def test_positive_diagonal_slope_is_rejected():

@@ -94,7 +94,8 @@ def test_quasiarithmetic_small_cases():
 
 
 def test_quasiarithmetic_without_inverse_roots():
-    # a generator of no named family, so the mean is g's own, by Brent
+    # a generator of no named family, so the mean is g's own, by the lane
+    # solver in log y
     g = replace(power_gen(0.5), inverse=None, family=("custom",))
     got = QuasiArithmetic(g).evaluate(X14, ONES2)
     assert got == pytest.approx(2.25, rel=1e-10)
@@ -130,9 +131,9 @@ def test_quasideviation_small_cases():
         [1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 3.0)
     assert Deviation(ratio_kernel(log_gen())).evaluate(
         X14, ONES2) == pytest.approx(2.0)
-    # kernels at scales where Brent's secant step, or the kernel values
-    # themselves, under- or overflow in y; the custom difference kernel is
-    # not declared homogeneous
+    # kernels at scales where a secant step through the kernel values, or
+    # the values themselves, under- or overflow in y; the custom difference
+    # kernel is not declared homogeneous
     custom = QuasideviationKernel(fn=lambda x, y: x - y)
     for scale in (1e-160, 1e-300, 1e290):
         x = [scale, scale / 10.0]
@@ -155,9 +156,9 @@ def test_quasideviation_small_cases():
         "power-gap", "power-gap-2", "difference"])
 @pytest.mark.parametrize("e", [200, 300])
 def test_raw_kernels_at_extreme_samples_warn_nothing(kernel, p, e):
-    # x / y overflows inside Brent, but no RuntimeWarning leaks (the test
-    # filter would make it an error): each call gives the power mean the
-    # kernel generates, or a typed error
+    # x / y overflows inside the lane solver, but no RuntimeWarning leaks
+    # (the test filter would make it an error): each call gives the power
+    # mean the kernel generates, or a typed error
     for x in ([10.0 ** -e, 10.0 ** e], [10.0 ** e, 10.0 ** -e],
               [10.0 ** -e, 3 * 10.0 ** -e], [10.0 ** e, 10.0 ** e / 3]):
         try:
@@ -407,7 +408,7 @@ def test_prefix_values_match_per_prefix_evaluation(spec):
 
 
 def test_inverse_free_quasiarithmetic_spans_wide_rows():
-    # g(y) = log y is inverted by Brent's method on log y, so every prefix
+    # g(y) = log y is inverted by the lane solver in log y, so every prefix
     # of the wide rows solves; the target log y ~ -656 fixes y only to its
     # float spacing, 5.7e-14 relative
     free = QuasiArithmetic(replace(log_gen(), inverse=None))
@@ -428,6 +429,90 @@ def _newton_calls(monkeypatch):
 
     monkeypatch.setattr(means, "newton_lanes", counting)
     return calls
+
+
+def test_raw_and_inverse_free_prefixes_are_lanes(monkeypatch):
+    # every prefix of one row is a lane of one chunk: two Newton solves
+    # (the coarse one about 2**k and the one about its root) for a raw
+    # kernel and for a generator without an inverse, none per prefix
+    calls = _newton_calls(monkeypatch)
+    x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
+    for spec in (Deviation(difference_kernel()),
+                 Deviation(scaled_ratio_kernel(log_gen())),
+                 QuasiArithmetic(replace(log_gen(), inverse=None))):
+        calls.clear()
+        prefix_values(spec, x, np.ones(50))
+        assert calls == [49, 49]
+    # a batch of rows: two solves per chunk of lanes
+    calls.clear()
+    x = 10.0 ** np.random.default_rng(4).uniform(-2.0, 2.0, (40, 50))
+    got = Deviation(difference_kernel()).prefix(x, np.ones(50),
+                                                np.arange(50))
+    assert 2 < len(calls) < 100 and len(calls) % 2 == 0
+    assert sum(calls[::2]) == 40 * 49
+    assert np.array_equal(got[7], prefix_values(Deviation(
+        difference_kernel()), x[7], np.ones(50)))
+
+
+def _mp_power_mean(x, lam, p):
+    """The weighted power mean of order p (0: geometric) of x at 40
+    digits: the root of sum lam (x**p - y**p) or of sum lam ln(x / y)."""
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        ws = [mpmath.mpf(float(v)) for v in lam]
+        if p == 0:
+            return mpmath.exp(mpmath.fsum(w * mpmath.log(v)
+                                          for w, v in zip(ws, xs))
+                              / mpmath.fsum(ws))
+        p = mpmath.mpf(p)
+        return (mpmath.fsum(w * v ** p for w, v in zip(ws, xs))
+                / mpmath.fsum(ws)) ** (1 / p)
+
+
+@pytest.mark.parametrize("kernel, p", [
+    (difference_kernel(), 1.0), (power_gap_kernel(0.5), 0.5),
+    (power_gap_kernel(3.0), 3.0), (ratio_kernel(log_gen()), 0.0),
+    (scaled_ratio_kernel(log_gen()), 0.0),
+], ids=["x-y", "x^0.5-y^0.5", "x^3-y^3", "ln(x/y)", "y ln(x/y)"])
+def test_deviation_prefixes_match_mpmath_roots(kernel, p):
+    # rows of 20 samples over 4, 60 and 200 decades near 1, 1e-200 and
+    # 1e150, under random and unit weights
+    rng = np.random.default_rng(29)
+    for centre, spread in ((0.0, 2.0), (-200.0, 30.0), (150.0, 100.0)):
+        x = 10.0 ** (centre + rng.uniform(-spread, spread, 20))
+        lam = rng.uniform(0.0, 1.0, 20)
+        lam[0] = 0.6
+        for w in (lam, np.ones(20)):
+            got = prefix_values(Deviation(kernel), x, w)
+            for n in range(1, 21):
+                want = _mp_power_mean(x[:n], w[:n], p)
+                assert abs(got[n - 1] - want) <= 1e-13 * want, (centre, n)
+
+
+def test_log_kernels_over_wide_samples_are_right_or_raise():
+    # 180 samples of 5 values log-uniform on [1e-E, 1e+E], E uniform on
+    # [10, 300]: each log kernel gives the geometric mean, or DomainError
+    # exactly where the samples' spread max / min passes float range,
+    # which ln(x / y) cannot span (43 samples)
+    rng = np.random.default_rng(7)
+    samples = []
+    for _ in range(180):
+        e = rng.uniform(10.0, 300.0)
+        samples.append(10.0 ** rng.uniform(-e, e, 5))
+    for kernel in (ratio_kernel(log_gen()), scaled_ratio_kernel(log_gen())):
+        failed = 0
+        for x in samples:
+            with np.errstate(over="ignore"):
+                past = math.isinf(x.max() / x.min())
+            if past:
+                with pytest.raises(DomainError):
+                    Deviation(kernel).evaluate(x, np.ones(5))
+                failed += 1
+                continue
+            got = Deviation(kernel).evaluate(x, np.ones(5))
+            want = _mp_power_mean(x, np.ones(5), 0)
+            assert abs(got - want) <= 1e-13 * want
+        assert failed == 43
 
 
 def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
@@ -731,8 +816,7 @@ def test_long_prefixes_match_fsum_references(spec):
 
 
 # Deviation prefixes: lane-wise Newton in log y for the profiles (with a
-# forward-difference slope for one without d1), Brent in y for a raw
-# kernel.
+# forward-difference slope for one without d1) and for a raw kernel.
 DEVIATION_PREFIX_SPECS = [
     HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(dev_power(0.5)),
@@ -813,7 +897,7 @@ def _reversed_log(**fields):
     HomogeneousDeviation(_reversed_log(d1=lambda u: -1.0 / u)),
     HomogeneousDeviation(_reversed_log()),
     Deviation(QuasideviationKernel(fn=lambda x, y: y - x)),
-], ids=["newton", "newton-no-d1", "brent-kernel"])
+], ids=["newton", "newton-no-d1", "raw-kernel"])
 def test_deviation_prefixes_reject_a_broken_sign_property(spec):
     x = np.array([1.0, 2.0, 8.0])
     # the one-sample prefix is its sample; the first mixed one raises
