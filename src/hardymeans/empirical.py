@@ -128,9 +128,12 @@ def hardy_ratio(spec: MeanSpec, w: WeightSequence, x) -> float:
     x, an array whose length is N.
 
     The sequence is validated, then evaluated as a batch of one row, by
-    the same code that evaluates the fuzzing trials: closed mean families
-    take all prefixes in one vectorized pass, deviation families one
-    Newton root per prefix, which is quadratic in N overall.
+    the same code that evaluates the fuzzing trials: the means of shifted
+    prefix sums (power, Gini and the named deviation profiles' means, and
+    quasiarithmetic means with an inverse) take all prefixes in one
+    vectorized pass; the means that are roots make each prefix a lane of
+    the lane solver, whose sums run over the whole prefix, which is
+    quadratic in N overall.
     """
     x = check_sequence(x)
     xs, lam = check_xlam(x, _weights(w, x.size))

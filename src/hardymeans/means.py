@@ -14,14 +14,17 @@ large exponents and weights past float range neither overflow nor lose
 digits; one loop runs every row of a batch over cache-sized chunks of
 columns up to the last requested prefix, each row with its own shift,
 which moves where the row's terms grow past e**600, and the sums are
-read at the requested prefixes only.  Every other mean is a root, of
-a homogeneous deviation profile, a raw deviation kernel or a generator
-without an inverse, and each (row, prefix) pair is one lane of one
-solver, safeguarded Newton in log y (:func:`_lane_roots`).  The running
-extremes of the samples, which bound every mean, are also taken at the
-requested prefixes only.  A batch of rows that share one weight vector
-is evaluated in one pass, and its rows may hold sequences of their own
-lengths, whose padded prefixes the root-solving families skip.
+read at the requested prefixes only.  The homogeneous deviation means
+of the named profiles ln u, (u**p - 1)/p and (u**p - u**q)/(p - q) are
+the geometric, power and Gini means, by those means' prefix.  Every
+other mean is a root, of a raw deviation kernel (a custom profile f
+gives the kernel f(x / y)) or of a generator without an inverse, and
+each (row, prefix) pair is one lane of one solver, safeguarded Newton
+in log y (:func:`_log_lanes`).  The running extremes of the samples,
+which bound every mean, are also taken at the requested prefixes only.
+A batch of rows that share one weight vector is evaluated in one pass,
+and its rows may hold sequences of their own lengths, whose padded
+prefixes the root-solving families skip.
 
 Each family is a :class:`MeanSpec` subclass that also carries the
 deviation profile that fixes its sharp constant, from which the base
@@ -42,7 +45,7 @@ from .errors import (BracketError, DomainError, InversionError, PGeqOne,
 from .formatting import fmt_real, parse_kv
 from .generators import (PROFILE_SNAP, GeneratorFunction,
                          QuasideviationKernel, dev_gini, dev_power, exp_gen,
-                         log_gen, power_gen)
+                         log_gen, power_gen, ratio_kernel)
 from .hardy import (HardyConstantResult, profile_constant, qa_order,
                     solve_cef)
 from .rootfind import RTOL_FLOOR, newton_lanes
@@ -56,9 +59,6 @@ _HEADROOM = 600.0
 # Most columns per pass of the shifted prefix sums, whose working arrays
 # then stay in cache.
 _CHUNK = 2 ** 15
-# Widest log spread of the samples of a homogeneous deviation prefix: the
-# ratios x / y of its root, within e**709, stay in float range.
-_LOG_SPREAD_MAX = 709.0
 # Most lanes times widest prefix of one chunk of the lane solver, which
 # bounds its working set.
 _LANE_CELLS = 2 ** 12
@@ -309,7 +309,10 @@ class Deviation(MeanSpec):
 @dataclass(frozen=True)
 class HomogeneousDeviation(MeanSpec):
     """Deviation mean of the kernel f(x/y), for f that declares the sign
-    property sign f(u) = sign(u - 1) (DomainError otherwise)."""
+    property sign f(u) = sign(u - 1) (DomainError otherwise).  The mean
+    of a named profile is the mean it generates, by that mean's prefix:
+    log_gen gives Power(0), dev_power(p) Power(p) and dev_gini(p, q)
+    Gini(p, q); any other profile's is Deviation(ratio_kernel(f))'s."""
 
     f: GeneratorFunction
 
@@ -320,7 +323,18 @@ class HomogeneousDeviation(MeanSpec):
         return self.f.concave and self.f.sign_like
 
     def prefix(self, x, lam, idx, lengths=None):
-        return _prefix_devmean_newton(x, lam, self.f, idx, lengths)
+        f = self.f
+        if not f.sign_like:
+            raise DomainError("homogeneous deviation mean needs a sign-like "
+                              "generator (sign f(u) = sign(u-1))")
+        kind, *params = f.family
+        if kind == "log":
+            return Power(0.0).prefix(x, lam, idx)
+        if kind == "power":
+            return Power(*params).prefix(x, lam, idx)
+        if kind == "gini":
+            return Gini(*params).prefix(x, lam, idx)
+        return Deviation(ratio_kernel(f)).prefix(x, lam, idx, lengths)
 
     def profile(self):
         return self.f
@@ -619,68 +633,6 @@ def _prefix_qa(x, lam, g, idx, lengths=None):
     return ys
 
 
-def _prefix_devmean_newton(x, lam, f, idx, lengths=None):
-    """Homogeneous deviation mean per prefix, solved for t = log(y / x[0]).
-
-    With r = log(x / x[0]) and u = exp(r - t) = x / y, g(t) = sum w f(u)
-    decreases from g(min r) >= 0 to g(max r) <= 0, with slope
-    -sum w u f'(u), or a forward difference in t when f has no f'.  Every
-    (row, requested prefix) pair is one lane of :func:`_lane_roots`, in
-    chunks (:func:`_prefix_lanes`), on the running extremes of r, and
-    stops once |dt| is within 1e-13 lo / hi + RTOL_FLOOR (1 + |t|).
-    Each solve starts at t of the prefix's osculating power mean, of order
-    p0 = 1 + f''(1) / f'(1): the root itself for the power and log
-    profiles, within second order of it for Gini.  x[0] is in every
-    prefix's support, so t and u carry errors set by the spread of the
-    samples, not by their magnitude; a spread past e**709 raises
-    DomainError.
-    """
-    if not f.sign_like:
-        raise DomainError("homogeneous deviation mean needs a sign-like "
-                          "generator (sign f(u) = sign(u-1))")
-    fn, d1 = f.fn, f.d1
-    rows = np.atleast_2d(x)
-    lo, hi = _running_extremes(rows, lam, idx)
-    if ((np.log(hi) - np.log(lo) > _LOG_SPREAD_MAX)
-            & _own(idx, lengths)).any():
-        raise DomainError("prefix samples span more than e**709")
-    r_all = _log_ratios(rows)
-    # p0 is p for dev_power(p), 0 for log and p + q for dev_gini(p, q);
-    # 0 without f' and f'' or when not finite
-    with np.errstate(all="ignore"):
-        p0 = (1.0 + np.float64(f.d2(1.0)) / d1(1.0)
-              if d1 is not None and f.d2 is not None else 0.0)
-    start = _gini_exponent(r_all, _log_weights(lam),
-                           float(p0) if np.isfinite(p0) else 0.0, 0.0, idx)
-    rx = np.compress(lam > 0.0, r_all, axis=-1)
-    rlo, rhi = _running_extremes(r_all, lam, idx)
-
-    def chunk(rr, cc, end, w):
-        r = rx[rr, :end[-1] + 1]
-
-        def g(s, lanes, slope=False):
-            """g at s of the lanes, and its slope (None without f') when
-            asked; cells past a lane's prefix may overflow, unread."""
-            n = end[lanes[-1]] + 1
-            r_l, w_l, e_l = (_take_rows(r, lanes)[:, :n],
-                             _take_rows(w, lanes)[:, :n], end[lanes])
-            with np.errstate(all="ignore"):
-                u = r_l - s[:, None]
-                val = _lane_sums(fn(np.exp(u, out=u)), w_l, e_l)
-                if not slope:
-                    return val
-                return val, (None if d1 is None
-                             else -_lane_sums(u * d1(u), w_l, e_l))
-
-        lo_l, hi_l = lo[rr, cc], hi[rr, cc]
-        return _lane_roots(g, rlo[rr, cc], rhi[rr, cc], lo_l, hi_l,
-                           start[rr, cc], 1e-13 * lo_l / hi_l + RTOL_FLOOR,
-                           rows[rr, 0])
-
-    out = _prefix_lanes(rows, lam, idx, lengths, lo, hi, rlo != rhi, chunk)
-    return out if x.ndim > 1 else out[0]
-
-
 # -- the lane solver ------------------------------------------------------
 
 
@@ -718,45 +670,30 @@ def _prefix_lanes(rows, lam, idx, lengths, lo, hi, solve, chunk):
 
 def _log_lanes(g, lo, hi, error):
     """Roots y in [lo, hi], lo < hi, of the lanes of g(y, lanes), which
-    gives their values at y and slopes in log y (None: a forward
-    difference), by two _lane_roots calls in t = log(y / c) from t = 0:
-    to 1e-6 about c = 2**k between lo and hi, then about that root, so
-    the float spacing of t does not limit the result.  The ends are read
-    at lo and hi themselves; a value that is not finite raises
-    DomainError, as an overflow could end in a wrong root."""
-    c = np.ldexp(1.0, (np.frexp(lo)[1] + np.frexp(hi)[1]) // 2)
-    for xtol in (1e-6, RTOL_FLOOR):
-        a, b = _log_ratios(lo, c), _log_ratios(hi, c)
-        b = np.maximum(b, np.nextafter(a, np.inf))  # two ends, if adjacent
+    gives their values at y of the lanes (indices, ascending) and their
+    slopes in log y (None: a forward difference of step _SLOPE_STEP, of
+    values scaled by the power of two that brings the larger end value
+    near one, so it stays finite).
 
-        def g_t(s, lanes, slope=False):
-            with np.errstate(all="ignore"):
-                v, dv = g(np.where(s == a[lanes], lo[lanes], np.where(
-                    s == b[lanes], hi[lanes], _times_exp(c[lanes], s))),
-                    lanes)
-            if not np.isfinite(v if dv is None else (v, dv)).all():
-                raise DomainError("lane value not finite: the samples "
-                                  "span past the float range of the mean")
-            return (v, dv) if slope else v
+    The values fall through zero, a deviation kernel's sign property: a
+    zero at an end gives that end, and end values g(lo) < 0 or
+    g(hi) > 0 raise `error`.  The ends are read at lo and hi themselves;
+    a value that is not finite raises DomainError, as an overflow could
+    end in a wrong root.  The other lanes take two newton_lanes calls in
+    t = log(y / c) from t = 0, each to its xtol + RTOL_FLOOR |t|: to 1e-6
+    about c = 2**k between lo and hi, then about that root, so the float
+    spacing of t does not limit the result."""
 
-        c = _lane_roots(g_t, a, b, lo, hi, np.zeros(lo.size),
-                        np.full(lo.size, xtol), c, error)
-    return c
+    def values(y, lanes):
+        with np.errstate(all="ignore"):
+            v, dv = g(y, lanes)
+        if not np.isfinite(v if dv is None else (v, dv)).all():
+            raise DomainError("lane value not finite: the samples "
+                              "span past the float range of the mean")
+        return v, dv
 
-
-def _lane_roots(g, a, b, lo, hi, start, xtol, base, error=BracketError):
-    """Roots y = base e**t in [lo, hi] of the lanes of g: one newton_lanes
-    call on the brackets [a, b] of t from start, to xtol + RTOL_FLOOR |t|.
-
-    g(s, lanes, slope=False) gives the values at s of the lanes (indices,
-    ascending), and their slopes in t when asked (None: a forward
-    difference of step _SLOPE_STEP, of values scaled by the power of two
-    that brings the larger end value near one, so it stays finite).  The
-    values fall through zero, a deviation kernel's sign property: a zero
-    at an end gives that end, and end values g(a) < 0 or g(b) > 0 raise
-    `error`."""
-    every = np.arange(a.size)
-    ga, gb = g(a, every), g(b, every)
+    every = np.arange(lo.size)
+    (ga, _), (gb, _) = values(lo, every), values(hi, every)
     at_lo, at_hi = ga == 0.0, (ga != 0.0) & (gb == 0.0)
     live = np.flatnonzero(~(at_lo | at_hi))
     bad = live[(ga[live] < 0.0) | (gb[live] > 0.0)]
@@ -765,24 +702,32 @@ def _lane_roots(g, a, b, lo, hi, start, xtol, base, error=BracketError):
         raise error(f"values do not fall through zero on [{lo[i]:g}, "
                     f"{hi[i]:g}]: g(lo)={ga[i]:g}, g(hi)={gb[i]:g}")
     y = np.where(at_lo, lo, hi)
-    if live.size:
-        m = -np.frexp(np.maximum(np.abs(ga[live]), np.abs(gb[live])))[1]
+    if not live.size:
+        return y
+    lo_l, hi_l, ga, gb = lo[live], hi[live], ga[live], gb[live]
+    m = -np.frexp(np.maximum(np.abs(ga), np.abs(gb)))[1]
+    c = np.ldexp(1.0, (np.frexp(lo_l)[1] + np.frexp(hi_l)[1]) // 2)
+    for xtol in (1e-6, RTOL_FLOOR):
+        a, b = _log_ratios(lo_l, c), _log_ratios(hi_l, c)
+        b = np.maximum(b, np.nextafter(a, np.inf))  # two ends, if adjacent
 
         def f(s, sub):
-            lanes = live[sub]
-            v, dv = g(s, lanes, slope=True)
+            def at(s):
+                return values(np.where(s == a[sub], lo_l[sub], np.where(
+                    s == b[sub], hi_l[sub], _times_exp(c[sub], s))), live[sub])
+
+            v, dv = at(s)
             if dv is not None:
                 return v, dv
             m_l, h = m[sub], (s + _SLOPE_STEP) - s
             v = np.ldexp(v, m_l, out=v)
-            return v, (np.ldexp(g(s + h, lanes), m_l) - v) / h
+            return v, (np.ldexp(at(s + h)[0], m_l) - v) / h
 
-        a, b = a[live], b[live]
-        t, _, _ = newton_lanes(f, a, ga[live], b, gb[live],
-                               np.minimum(np.maximum(start[live], a), b),
-                               xtol=xtol[live], rtol=RTOL_FLOOR)
-        y[live] = _times_exp(base[live], t)
-    return np.minimum(np.maximum(y, lo), hi)
+        t, _, _ = newton_lanes(f, a, ga, b, gb, np.clip(0.0, a, b),
+                               xtol=xtol, rtol=RTOL_FLOOR)
+        c = np.minimum(np.maximum(_times_exp(c, t), lo_l), hi_l)
+    y[live] = c
+    return y
 
 
 def _lane_sums(v, w, end):

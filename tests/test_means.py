@@ -27,6 +27,12 @@ ONES2 = np.array([1.0, 1.0])
 X14 = np.array([1.0, 4.0])
 
 
+def _custom(f, **fields):
+    """f with no named family, so that its deviation mean is the raw
+    kernel f(x / y)'s, solved by the lane solver."""
+    return replace(f, family=("custom",), **fields)
+
+
 # -- hand-computed values ---------------------------------------------------
 
 
@@ -365,7 +371,7 @@ EVERY_FAMILY = SPECS + [
     Power(1e-9), Power(-1e-9), Power(math.inf), Power(-math.inf),
     Gini(-0.5, -0.5), QuasiArithmetic(replace(log_gen(), inverse=None)),
     HomogeneousDeviation(log_gen()),
-    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+    HomogeneousDeviation(_custom(dev_power(0.5), d1=None)),
 ]
 
 
@@ -489,16 +495,22 @@ def test_deviation_prefixes_match_mpmath_roots(kernel, p):
                 assert abs(got[n - 1] - want) <= 1e-13 * want, (centre, n)
 
 
-def test_log_kernels_over_wide_samples_are_right_or_raise():
-    # 180 samples of 5 values log-uniform on [1e-E, 1e+E], E uniform on
-    # [10, 300]: each log kernel gives the geometric mean, or DomainError
-    # exactly where the samples' spread max / min passes float range,
-    # which ln(x / y) cannot span (43 samples)
+def _wide_samples():
+    """180 samples of 5 values log-uniform on [1e-E, 1e+E], E uniform on
+    [10, 300]."""
     rng = np.random.default_rng(7)
     samples = []
     for _ in range(180):
         e = rng.uniform(10.0, 300.0)
         samples.append(10.0 ** rng.uniform(-e, e, 5))
+    return samples
+
+
+def test_log_kernels_over_wide_samples_are_right_or_raise():
+    # each log kernel gives the geometric mean, or DomainError exactly
+    # where the samples' spread max / min passes float range, which
+    # ln(x / y) cannot span (43 samples)
+    samples = _wide_samples()
     for kernel in (ratio_kernel(log_gen()), scaled_ratio_kernel(log_gen())):
         failed = 0
         for x in samples:
@@ -515,30 +527,63 @@ def test_log_kernels_over_wide_samples_are_right_or_raise():
         assert failed == 43
 
 
+def _mp_gini_mean(x, p, q):
+    """The unweighted Gini mean of x at 50 digits."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        return (mpmath.fsum(v ** p for v in xs)
+                / mpmath.fsum(v ** q for v in xs)) ** (1 / (p - q))
+
+
+@pytest.mark.parametrize("f, p, q, failed", [
+    (dev_power(0.5), 0.5, 0.0, 43), (dev_power(-2.0), -2.0, 0.0, 104),
+    (dev_gini(0.5, -0.5), 0.5, -0.5, 43), (log_gen(), None, None, 43),
+], ids=["pow:0.5", "pow:-2", "gini:0.5,-0.5", "log"])
+def test_custom_profiles_over_wide_samples_are_right_or_raise(f, p, q,
+                                                              failed):
+    # a custom profile is a raw-kernel lane: on the wide samples it gives
+    # its mean within 1e-13 of mpmath, or DomainError where a kernel sum
+    # leaves float range, and never a wrong value
+    spec = HomogeneousDeviation(_custom(f))
+    raised = 0
+    for x in _wide_samples():
+        try:
+            got = spec.evaluate(x, np.ones(5))
+        except DomainError:
+            raised += 1
+            continue
+        want = (_mp_power_mean(x, np.ones(5), 0) if p is None
+                else _mp_gini_mean(x, p, q))
+        assert abs(got - want) <= 1e-13 * want, (x, got, want)
+    assert raised == failed
+
+
 def test_deviation_evaluate_is_one_newton_solve(monkeypatch):
+    # a custom profile's mean is one lane solve: two Newton calls (the
+    # coarse one about 2**k and the one about its root) of one lane
     calls = _newton_calls(monkeypatch)
     x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
     for f in (dev_power(0.5), dev_gini(0.5, -0.5), log_gen()):
         calls.clear()
-        HomogeneousDeviation(f).evaluate(x, np.ones(50))
-        assert len(calls) == 1
+        HomogeneousDeviation(_custom(f)).evaluate(x, np.ones(50))
+        assert calls == [1, 1]
 
 
-@pytest.mark.parametrize("f", [dev_power(0.5), replace(dev_power(0.5),
-                                                       d1=None)],
-                         ids=["d1", "no-d1"])
+CUSTOM_POWER = [_custom(dev_power(0.5)), _custom(dev_power(0.5), d1=None)]
+
+
+@pytest.mark.parametrize("f", CUSTOM_POWER, ids=["d1", "no-d1"])
 def test_one_row_of_deviation_prefixes_is_one_newton_solve(monkeypatch, f):
-    # all prefixes of one row are lanes of one solve; a profile without
-    # f' takes a forward-difference slope on the same path
+    # all prefixes of one row are lanes of one lane solve (two Newton
+    # calls), with or without f'; the one-sample prefix is no lane
     calls = _newton_calls(monkeypatch)
     x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
     prefix_values(HomogeneousDeviation(f), x, np.ones(50))
-    assert len(calls) == 1
+    assert calls == [49, 49]
 
 
-@pytest.mark.parametrize("f", [dev_power(0.5), replace(dev_power(0.5),
-                                                       d1=None)],
-                         ids=["d1", "no-d1"])
+@pytest.mark.parametrize("f", CUSTOM_POWER, ids=["d1", "no-d1"])
 def test_deviation_prefixes_over_several_chunks_match_evaluate(monkeypatch,
                                                                f):
     # a lane's value does not depend on the lanes that share its chunk
@@ -549,36 +594,76 @@ def test_deviation_prefixes_over_several_chunks_match_evaluate(monkeypatch,
     lam[[0, 7, 8, 399]] = (0.9, 0.0, 0.0, 0.0)
     calls = _newton_calls(monkeypatch)
     got = prefix_values(spec, x, lam)
-    # several chunks, not one solve per prefix
-    assert 1 < len(calls) < 100
+    # several chunks of two Newton calls each, not one solve per prefix
+    assert 2 < len(calls) < 100 and len(calls) % 2 == 0
+    assert calls[::2] == calls[1::2] and sum(calls[::2]) == 399
     want = [spec.evaluate(x[:n], lam[:n]) for n in range(1, 401)]
     assert np.array_equal(got, want)
 
 
 def test_unsorted_deviation_prefixes_equal_sorted_ones(monkeypatch):
-    spec = HomogeneousDeviation(dev_gini(0.5, -0.5))
+    spec = HomogeneousDeviation(_custom(dev_gini(0.5, -0.5)))
     rng = np.random.default_rng(23)
     x = 10.0 ** rng.uniform(-3.0, 3.0, 50)
     lam = rng.uniform(0.1, 1.0, 50)
     ns = rng.permutation(np.arange(1, 51))
     calls = _newton_calls(monkeypatch)
     got = prefix_values(spec, x, lam, ns=ns)
-    assert len(calls) == 1
+    assert calls == [49, 49]
     assert np.array_equal(got[np.argsort(ns)], prefix_values(spec, x, lam))
 
 
 def test_verify_solves_only_the_trials_own_prefixes(monkeypatch):
     # a verify block pads its trials to N; the padded prefixes make no
     # lanes, and each prefix of a trial whose samples differ makes one
+    # lane of each of its chunk's two Newton calls
     calls = _newton_calls(monkeypatch)
-    verify_inequality(HomogeneousDeviation(log_gen()),
+    verify_inequality(HomogeneousDeviation(_custom(log_gen())),
                       WeightSequence.ones(), math.e, trials=40, N=50, seed=3)
     x, lengths = _draw_trials(3, 0, 40, 50)
     assert lengths.min() < 50
     want = sum(x[r, :n].min() < x[r, :n].max()
                for r, length in enumerate(lengths)
                for n in range(1, length + 1))
-    assert sum(calls) == want
+    assert len(calls) % 2 == 0 and calls[::2] == calls[1::2]
+    assert sum(calls[::2]) == want
+
+
+NAMED_DEVMEANS = [
+    ("log", Power(0.0)), ("pow:0.5", Power(0.5)), ("pow:-1", Power(-1.0)),
+    ("pow:2", Power(2.0)), ("gini:0.5,-0.5", Gini(0.5, -0.5)),
+    ("gini:-0.5,-0.5", Gini(-0.5, -0.5)),
+]
+
+
+@pytest.mark.parametrize("name, mean", NAMED_DEVMEANS,
+                         ids=[n for n, _ in NAMED_DEVMEANS])
+def test_named_devmean_prefixes_are_their_power_or_gini_means(name, mean):
+    spec = parse_mean(f"devmean:f={name}")
+    for x, w in _prefix_cases():
+        assert np.array_equal(prefix_values(spec, x, w),
+                              prefix_values(mean, x, w))
+        assert spec.evaluate(x, w) == mean.evaluate(x, w)
+
+
+def test_named_devmeans_make_no_newton_calls(monkeypatch):
+    calls = _newton_calls(monkeypatch)
+    x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
+    for name, _ in NAMED_DEVMEANS:
+        spec = parse_mean(f"devmean:f={name}")
+        spec.evaluate(x, np.ones(50))
+        prefix_values(spec, x, np.ones(50))
+        verify_inequality(spec, WeightSequence.ones(), math.inf, trials=20,
+                          N=50, seed=3)
+    assert calls == []
+
+
+def test_named_gini_devmean_of_a_wide_sample_is_right():
+    # the mean of (1e-140, 1e140, 1e140, 1e140) is 3, 280 decades apart
+    x = np.array([1e-140, 1e140, 1e140, 1e140])
+    spec = parse_mean("devmean:f=gini:0.5,-0.5")
+    assert abs(spec.evaluate(x, np.ones(4)) - 3.0) <= 1e-13 * 3.0
+    assert abs(prefix_values(spec, x, np.ones(4))[-1] - 3.0) <= 1e-13 * 3.0
 
 
 # -- shifted prefix sums ------------------------------------------------------
@@ -815,15 +900,16 @@ def test_long_prefixes_match_fsum_references(spec):
         assert abs(g - want) <= 2e-14 * want, f"n={k}"
 
 
-# Deviation prefixes: lane-wise Newton in log y for the profiles (with a
-# forward-difference slope for one without d1) and for a raw kernel.
+# Deviation prefixes: the named profiles' power and Gini means, and
+# lane-wise Newton in log y for a custom profile without d1 and for a raw
+# kernel.
 DEVIATION_PREFIX_SPECS = [
     HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(dev_power(0.5)),
     HomogeneousDeviation(dev_power(-1.0)),
     HomogeneousDeviation(dev_gini(0.5, -0.5)),
     HomogeneousDeviation(dev_gini(0.25, -0.75)),
-    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+    HomogeneousDeviation(_custom(dev_power(0.5), d1=None)),
     Deviation(difference_kernel()),
 ]
 
@@ -910,7 +996,7 @@ BATCH_SPECS = SPECS + [
     Power(1e-9), Power(math.inf), Gini(-0.5, -0.5),
     QuasiArithmetic(replace(log_gen(), inverse=None)),
     HomogeneousDeviation(log_gen()),
-    HomogeneousDeviation(replace(dev_power(0.5), d1=None)),
+    HomogeneousDeviation(_custom(dev_power(0.5), d1=None)),
 ]
 
 
