@@ -65,8 +65,8 @@ class GeneratorFunction:
 
 
 def dev_power(p: float) -> GeneratorFunction:
-    """Normalized power profile u -> (u**p - 1)/p, with ln for
-    |p| < PROFILE_SNAP.
+    """Normalized power profile u -> (u**p - 1)/p: dev_gini's profile at
+    q = 0 under its own family and label, and ln for |p| < PROFILE_SNAP.
 
     The homogeneous deviation mean it generates is the p-th power mean.
     Concave for p <= 1; its reciprocal profile is integrable iff p < 1.
@@ -74,24 +74,7 @@ def dev_power(p: float) -> GeneratorFunction:
     p = float(p)
     if abs(p) < PROFILE_SNAP:
         return log_gen()
-
-    def fn(u):
-        t = np.log(np.asarray(u, dtype=float))
-        return t if abs(p) < LINEAR_GAP else np.expm1(p * t) / p
-
-    def d1(u):
-        u = np.asarray(u, dtype=float)
-        return np.exp((p - 1.0) * np.log(u))
-
-    def d2(u):
-        u = np.asarray(u, dtype=float)
-        return (p - 1.0) * np.exp((p - 2.0) * np.log(u))
-
-    return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=None,
-                             concave=p <= 1.0, sign_like=True,
-                             recip_integrable=p < 1.0,
-                             family=("power", p),
-                             label=f"(u^{p:g} - 1)/{p:g}")
+    return _gini_profile(p, 0.0, ("power", p), f"(u^{p:g} - 1)/{p:g}")
 
 
 def dev_gini(p: float, q: float) -> GeneratorFunction:
@@ -108,14 +91,23 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
     p, q = float(p), float(q)
     if abs(p - q) < PROFILE_SNAP and abs(0.5 * (p + q)) < PROFILE_SNAP:
         return log_gen()
+    label = (f"u^{p:g} ln u" if p - q == 0.0
+             else f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
+    return _gini_profile(p, q, ("gini", p, q), label)
+
+
+def _gini_profile(p, q, family, label):
+    """dev_gini's profile of (p, q), under the given family and label."""
     d = p - q
 
     def fn(u):
         t = np.log(np.asarray(u, dtype=float))
-        # e^{pt} - e^{qt} factored to avoid cancellation near u = 1
+        # e^{pt} - e^{qt} factored to avoid cancellation near u = 1; at
+        # q = 0 the factor is 1, as e**(0 t) is NaN at u = 0 and u = inf
+        scale = np.exp(q * t) if q else 1.0
         if abs(d) < LINEAR_GAP:
-            return np.exp(q * t) * t
-        return np.exp(q * t) * np.expm1(d * t) / d
+            return scale * t
+        return scale * np.expm1(d * t) / d
 
     def d1(u):
         t = np.log(np.asarray(u, dtype=float))
@@ -127,12 +119,10 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
                           q * (q - 1.0), (p - 1.0) + q)
 
     lo, hi = min(p, q), max(p, q)
-    label = (f"u^{p:g} ln u" if d == 0.0
-             else f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
     return GeneratorFunction(fn=fn, d1=d1, d2=d2,
                              concave=lo <= 0.0 <= hi <= 1.0, sign_like=True,
                              recip_integrable=hi < 1.0,
-                             family=("gini", p, q), label=label)
+                             family=family, label=label)
 
 
 def _power_gap(t, d, s, r, a, b, lead):

@@ -29,9 +29,9 @@ built from the mean's generator profile f:
 
 where F(x, q) = sum_k q**k f(q**-k x).  This module provides both
 routes: the closed forms, a rigorously tail-bounded evaluator for F,
-and root solvers for the characteristic equation, plus the chi-based
-limit detector that maps quasiarithmetic generators onto the power
-scale.
+and root solvers for the characteristic equation, plus qa_order, which
+maps a quasiarithmetic generator onto the power scale: the order is
+stated for x**p, and detected otherwise, as the limit of chi at 0+.
 
 Both routes read one profile f per mean (means.MeanSpec.profile):
 solve_cef solves it, and profile_constant reads its family's closed form.
@@ -329,8 +329,10 @@ def chi_f(f: GeneratorFunction, x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"chi probe point must be positive, got {x!r}")
     if f.d1 is not None and f.d2 is not None:
-        d1 = float(np.asarray(f.d1(np.array([x])), dtype=float)[0])
-        d2 = float(np.asarray(f.d2(np.array([x])), dtype=float)[0])
+        # a value out of float range is the typed error below
+        with np.errstate(all="ignore"):
+            d1 = float(np.asarray(f.d1(np.array([x])), dtype=float)[0])
+            d2 = float(np.asarray(f.d2(np.array([x])), dtype=float)[0])
     else:
         h = 1e-5 * x
         try:
@@ -380,11 +382,14 @@ def detect_order(g: GeneratorFunction) -> float:
 
 
 def qa_order(g: GeneratorFunction) -> float:
-    """The power order detect_order(g) of a quasiarithmetic generator;
+    """The power order of a quasiarithmetic generator: p, stated, for
+    x**p (a ("pow-map", p) generator), detect_order(g) otherwise;
     PGeqOne when it is >= 1, where the constant is +inf."""
-    p = detect_order(g)
+    stated = g.family[0] == "pow-map"
+    p = g.family[1] if stated else detect_order(g)
     if p >= 1.0:
-        raise PGeqOne(f"detected order {p:.9g} >= 1: constant is +inf", p=p)
+        order = "order" if stated else "detected order"
+        raise PGeqOne(f"{order} {p:.9g} >= 1: constant is +inf", p=p)
     return p
 
 

@@ -157,8 +157,9 @@ class MeanSpec:
     def profile(self) -> GeneratorFunction:
         """The homogeneous deviation profile that fixes the sharp constant
         (which depends on eta and on the mean near zero alone): dev_power
-        or dev_gini of the exponents, dev_power of a generator's detected
-        order, f itself; PGeqOne where that constant is +inf."""
+        or dev_gini of the exponents, dev_power of a generator's order
+        (hardy.qa_order: stated for x**p, detected otherwise), f itself;
+        PGeqOne where that constant is +inf."""
         raise DomainError(f"unknown mean spec {self!r}")
 
     def closed_constant(self, eta: float) -> float:
@@ -235,7 +236,9 @@ class Gini(MeanSpec):
 class QuasiArithmetic(MeanSpec):
     """Weighted quasiarithmetic mean of a strictly monotone generator g:
     by g's inverse when present, else by a bracketed root in [min x, max x].
-    The generator x**p of power_gen gives Power(p), by Power's prefix."""
+    The generator x**p of power_gen gives Power(p), by Power's prefix, and
+    its constants are Power(p)'s: the profile is dev_power of g's order,
+    stated for x**p and detected otherwise (hardy.qa_order)."""
 
     g: GeneratorFunction
 

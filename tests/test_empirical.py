@@ -9,7 +9,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardymeans import empirical, hardy
@@ -582,14 +582,17 @@ DEVIATION_RTOL = 2.0 * (1e-13 + RTOL_FLOOR * (1.0 + math.log(1e6)))
 
 
 def _loop_ratio(spec, w, x):
-    """R(x) as one prefix_values call and two dot products."""
+    """R(x) as one prefix_values call and two exact sums (math.fsum): a
+    np.dot reference was itself up to 7.8e-16 off the exact ratio."""
     lam = w.lam_array(x.size)
-    return float(np.dot(lam, prefix_values(spec, x, lam))
-                 / np.dot(lam, x))
+    return (math.fsum(lam * prefix_values(spec, x, lam))
+            / math.fsum(lam * x))
 
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), first=st.integers(0, 10 ** 6))
+# trial 140: np.dot sums put the reference 1.007e-15 off the batched ratio
+@example(seed=375782, first=129)
 @pytest.mark.parametrize("weights", ["ones", "geometric:a=2",
                                      "powerlaw:alpha=1"])
 @pytest.mark.parametrize("spec,closed", BATCH_FAMILIES,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hardymeans.errors import DomainError
-from hardymeans.generators import (dev_gini, dev_power, difference_kernel,
-                                   exp_gen, log_gen, power_gap_kernel,
-                                   power_gen, ratio_kernel,
+from hardymeans.generators import (LINEAR_GAP, dev_gini, dev_power,
+                                   difference_kernel, exp_gen, log_gen,
+                                   power_gap_kernel, power_gen, ratio_kernel,
                                    scaled_ratio_kernel, validate_generator,
                                    validate_kernel)
 from hardymeans.means import Gini, parse_mean, prefix_values
@@ -40,6 +40,34 @@ def test_dev_power_flags_track_order():
     assert not dev_power(1.5).concave
     assert not dev_power(1.0).recip_integrable
     assert dev_power(0.99).recip_integrable
+
+
+_POWER_ORDERS = [0.5, -1.0, 0.3, -0.7, 0.9, 2.0, 1e15, -1e15, 2.0 ** -970,
+                 1e-300, -100.0, -300.0]
+_POWER_GRID = np.concatenate([
+    np.geomspace(1e-300, 1e300, 801),
+    [0.5, 1.5, 0.0, 5e-324, 1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, np.inf]])
+
+
+@pytest.mark.parametrize("p", _POWER_ORDERS)
+def test_dev_power_is_dev_gini_at_q_zero_bit_for_bit(p):
+    # dev_power(p) is dev_gini(p, 0) under its own family and label; its
+    # values are (u**p - 1)/p in the expm1 form, ln u for |p| < 2**-969,
+    # including the finite ends u = 0 and u = inf for p < 0
+    f = dev_power(p)
+    with np.errstate(all="ignore"):
+        t = np.log(_POWER_GRID)
+        want = t if abs(p) < LINEAR_GAP else np.expm1(p * t) / p
+        assert np.array_equal(f.fn(_POWER_GRID), want, equal_nan=True)
+        gini = dev_gini(p, 0.0)
+        for mine, its in ((f.fn, gini.fn), (f.d1, gini.d1), (f.d2, gini.d2)):
+            assert np.array_equal(mine(_POWER_GRID), its(_POWER_GRID),
+                                  equal_nan=True)
+    assert f.family == ("power", p)
+    assert f.label == f"(u^{p:g} - 1)/{p:g}"
+    assert (f.concave, f.sign_like, f.recip_integrable) == (p <= 1.0, True,
+                                                            p < 1.0)
+    assert f.inverse is None
 
 
 def test_dev_gini_values():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardymeans.empirical import genA_limit
-from hardymeans.errors import (DomainError, LimitNotDetected,
-                               NoConvergenceError, NotIntegrableError,
-                               PGeqOne, TailBoundFailure, ZeroDerivativeError)
+from hardymeans.errors import (DerivativeUnavailableError, DomainError,
+                               LimitNotDetected, NoConvergenceError,
+                               NotIntegrableError, PGeqOne, TailBoundFailure,
+                               ZeroDerivativeError)
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gen)
@@ -560,6 +562,16 @@ def test_chi_of_a_tiny_power_order_is_that_order(p):
     assert abs(constant_root(spec, 0.5).value - closed) <= 1e-12
 
 
+def test_chi_keeps_overflowing_declared_derivatives_quiet():
+    # d1 = -300 x**-301 overflows at every probe; the warning escaped an
+    # "error" filter in place of the typed error
+    g = replace(power_gen(-300.0), family=("custom",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DerivativeUnavailableError):
+            constant_closed(QuasiArithmetic(g), 0.5)
+
+
 def test_chi_domain():
     with pytest.raises(DomainError):
         chi_f(log_gen(), 0.0)
@@ -582,6 +594,37 @@ def test_order_detection_rejects_oscillation():
         label="wavy")
     with pytest.raises(LimitNotDetected):
         detect_order(wavy)
+
+
+@pytest.mark.parametrize("p", [0.3, -0.7, -1.0, 1e-9, 2.5e-8, 1e-305,
+                               -100.0, -300.0])
+def test_qa_order_of_a_power_generator_is_its_stated_order(p):
+    # the chi ladder was ulps off at 0.3, -0.7, -1; 1e-6 off (relative) at
+    # 1e-9; and raised DerivativeUnavailableError from -100 on
+    assert qa_order(power_gen(p)) == p
+
+
+_QA_ORDERS = [0.5, -1.0, 0.3, -0.7, 0.9, 0.999, -5.0, 1e-9, 2.5e-8, 1e-305,
+              -100.0, -300.0]
+
+
+def _constant_or_error(route, spec, eta):
+    try:
+        return route(spec, eta)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", _QA_ORDERS)
+def test_qa_constants_of_a_power_generator_are_the_power_means(p):
+    # QuasiArithmetic(power_gen(p)) is Power(p) by its prefix, and by its
+    # constants too, bit for bit, in both routes
+    qa = QuasiArithmetic(power_gen(p))
+    routes = (constant_closed, lambda spec, eta: constant_root(spec, eta).value)
+    for eta in (0.0, 0.1, 0.5, 0.9):
+        for route in routes:
+            assert (_constant_or_error(route, qa, eta)
+                    == _constant_or_error(route, Power(p), eta)), (eta, route)
 
 
 def test_qa_constant_cube_root():
