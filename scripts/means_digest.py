@@ -89,7 +89,8 @@ def shifted_sums(h):
             idx = rng.integers(0, n, int(rng.integers(1, 30)))
         else:
             idx = np.arange(int(rng.integers(1, n + 1)))
-        (c, j), sums, means = _shifted_sums(t, k, values, idx)
+        (c, j), sums, means = _shifted_sums(lambda cols: (
+            t[..., cols], k[cols], [v[..., cols] for v in values]), idx)
         feed(h, np.broadcast_to(c, sums.shape),
              np.broadcast_to(j, sums.shape), sums, *means)
 

@@ -206,12 +206,14 @@ def genA_partial(phi, w: WeightSequence, n: int) -> float:
     n = check_int(n, "n")
     log_lam = w.log_lam_array(n)
     log_prefix = np.logaddexp.accumulate(log_lam)
+    # log(lam_k / Lam_n) and log(Lam_k / Lam_n), in place
+    log_lam -= log_prefix[-1]
+    log_prefix -= log_prefix[-1]
     if isinstance(phi, PowerProbe):
-        exponents = (log_lam - log_prefix[-1]
-                     + phi.exponent(log_prefix - log_prefix[-1]))
-        return float(np.exp(exponents).sum())
-    weight = np.exp(log_lam - log_prefix[-1])
-    ratio = np.exp(log_prefix - log_prefix[-1])
+        log_lam += phi.exponent(log_prefix)
+        return float(np.exp(log_lam, out=log_lam).sum())
+    weight = np.exp(log_lam)
+    ratio = np.exp(log_prefix)
     keep = weight > 0.0
     vals = np.asarray(phi(ratio[keep]), dtype=float)
     if not np.all(np.isfinite(vals)):

@@ -12,19 +12,19 @@ quasiarithmetic generators, are shifted compensated prefix sums (the
 generator x**p takes the power mean's own), so wide dynamic ranges,
 large exponents and weights past float range neither overflow nor lose
 digits; one loop runs every row of a batch over cache-sized chunks of
-columns up to the last requested prefix, each row with its own shift,
-which moves where the row's terms grow past e**600, and the sums are
-read at the requested prefixes only.  The homogeneous deviation means
-of the named profiles ln u, (u**p - 1)/p and (u**p - u**q)/(p - q) are
-the geometric, power and Gini means, by those means' prefix.  Every
-other mean is a root, of a raw deviation kernel (a custom profile f
-gives the kernel f(x / y)) or of a generator without an inverse, and
-each (row, prefix) pair is one lane of one solver, safeguarded Newton
-in log y (:func:`_log_lanes`).  The running extremes of the samples,
-which bound every mean, are also taken at the requested prefixes only.
-A batch of rows that share one weight vector is evaluated in one pass,
-and its rows may hold sequences of their own lengths, whose padded
-prefixes the root-solving families skip.
+columns up to the last requested prefix, forming each chunk's terms
+there alone, each row with its own shift, which moves where the row's
+terms grow past e**600, and the sums are read at the requested prefixes
+only.  The homogeneous deviation means of the named profiles ln u,
+(u**p - 1)/p and (u**p - u**q)/(p - q) are the geometric, power and
+Gini means, by those means' prefix.  Every other mean is a root, of a
+raw deviation kernel (a custom profile f gives the kernel f(x / y)) or
+of a generator without an inverse, and each (row, prefix) pair is one
+lane of one solver, safeguarded Newton in log y (:func:`_log_lanes`).
+The running extremes of the samples, which bound every mean, are also
+taken at the requested prefixes only.  A batch of rows that share one
+weight vector is one pass, and its rows may hold sequences of their own
+lengths, whose padded prefixes the root-solving families skip.
 
 Each family is a :class:`MeanSpec` subclass that also carries the
 deviation profile that fixes its sharp constant, from which the base
@@ -49,16 +49,13 @@ from .generators import (PROFILE_SNAP, GeneratorFunction,
 from .hardy import (HardyConstantResult, profile_constant, qa_order,
                     solve_cef)
 from .rootfind import RTOL_FLOOR, newton_lanes
-from .weights import check_int, compensated_cumsum
+from .weights import _CHUNK, check_int, compensated_cumsum
 
 # Past this magnitude the power mean is the max/min limit to within ulp.
 _P_EXTREME = 1e15
 # Largest exponent of a term of the shifted prefix sums: a million terms
 # of e**600 stay far below overflow.
 _HEADROOM = 600.0
-# Most columns per pass of the shifted prefix sums, whose working arrays
-# then stay in cache.
-_CHUNK = 2 ** 15
 # Most lanes times widest prefix of one chunk of the lane solver, which
 # bounds its working set.
 _LANE_CELLS = 2 ** 12
@@ -405,14 +402,13 @@ def _running_extremes(x, lam, idx):
     return out
 
 
-def _log_ratios(x, base=None):
-    """r = log(x / base), base = x[..., :1] by default, along the last axis.
+def _log_ratios(x, base):
+    """r = log(x / base), base broadcasting against x.
 
     r is formed from the mantissas and exponents of x and base, so it is
     finite for any spread and, for x and base scaled alike by a power of
-    two, does not depend on the scale; by default r[..., 0] = 0 exactly."""
-    mx, ex = np.frexp(x)
-    mb, eb = (mx[..., :1], ex[..., :1]) if base is None else np.frexp(base)
+    two, does not depend on the scale; r = 0 exactly where x = base."""
+    (mx, ex), (mb, eb) = np.frexp(x), np.frexp(base)
     mx /= mb
     r = np.log(mx, out=mx)
     ex -= eb
@@ -420,17 +416,16 @@ def _log_ratios(x, base=None):
     return r
 
 
-def _log_weights(lam):
-    """lam / lam[0] as e**t 2**k from mantissas and exponents: |t| < log 2
+def _log_weights(lam, base):
+    """lam / base as e**t 2**k from mantissas and exponents: |t| < log 2
     (-inf where lam = 0) and k exact, so weight sums take no rounding from
     the weights' magnitude (:func:`_shifted_sums`)."""
-    t, k = np.frexp(lam)
-    t /= t[0]  # in place: a new array of the weights' size costs more
+    (t, k), (mb, eb) = np.frexp(lam), np.frexp(base)
+    t /= mb
     with np.errstate(divide="ignore"):
         np.log(t, out=t)
-    k -= k[0]
-    # equal exponents, as unit weights have, need no array of zeros
-    return t, (k if k.any() else np.broadcast_to(0, k.shape))
+    k -= eb
+    return t, k
 
 
 def _fold(e):
@@ -451,38 +446,40 @@ def _times_exp(a, e):
     return np.ldexp(v, k, out=v)
 
 
-def _shifted_sums(t, k, values, idx):
+def _shifted_sums(terms, idx):
     """Prefix sums of the terms e**t 2**k, and the term-weighted prefix
     means of each v in `values`, along the last axis at the columns idx.
 
-    t is (N,) or (rows, N) with t[..., 0] = 0, and k is one shared row of
-    integers with k[0] = 0; a v has t's shape, or rows of its own when t
-    is one shared row.  Each sum comes as a shift (c, j) and the
+    terms(cols) gives t, k and `values` on the columns of a slice cols, at
+    most _CHUNK of them, asked for once each and in order up to max(idx),
+    with overflow ignored: t is (m,) or (rows, m) and k one shared row of
+    integers, both 0 at column 0, and a v has t's shape, or rows of its own
+    when t is one shared row.  Each sum comes as a shift (c, j) and the
     compensated sum (:func:`compensated_cumsum`) s of the terms over
     e**c 2**j, with s at least e**-_HEADROOM and at most N e**_HEADROOM:
     two sums compare as (c - c') + (j - j') log 2 plus the log of s / s'.
-    All rows run in passes of at most _CHUNK columns, each continuing the
-    carries of the one before, so the bits are those of one pass.  A row's
-    shift starts at (0, 0) and moves, cutting the pass, to the first term
-    that passes it by e**_HEADROOM, whereupon the row's carries are
-    rescaled (:func:`_exp_diff`).  An overflowing term times v_i makes
-    that mean inf or NaN from i on."""
-    rows = np.atleast_2d(t)
-    vals = [np.atleast_2d(v) for v in values]
-    n, stop = len(rows), int(idx.max()) + 1
-    # each row's shift, and the value of t + k log 2 that moves it
-    c, j = np.zeros(n), np.zeros(n, int)
-    top, floor = c + _HEADROOM, _HEADROOM
+    Each chunk is a pass that continues the carries of the one before, so
+    the bits are those of one pass.  A row's shift starts at (0, 0) and
+    moves, cutting the pass, to the first term that passes it by
+    e**_HEADROOM, whereupon the row's carries are rescaled
+    (:func:`_exp_diff`).  An overflowing term times v_i makes that mean
+    inf or NaN from i on."""
+    stop = int(idx.max()) + 1
     shifts = order = None  # the shifts at idx, once some shift moves
-    scaled, k_top, hi = k.any(), k.max() * _LN2, rows.max()
-    # exp(t) 2**k is _exp_diff(t, 0, k), bit for bit, where |t| < 700
-    plain = -700.0 < rows.min() and hi < 700.0
-    carries = [(0.0, 0.0)] * (1 + len(vals))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, stop, _CHUNK):
-            tc, kc = rows[:, first:stop][:, :_CHUNK], k[first:stop][:_CHUNK]
-            pos, cut = 0, kc.size
-            if hi + k_top > floor and tc.max() + k_top > floor:
+            t, kc, values = terms(slice(first, min(first + _CHUNK, stop)))
+            tc, vals = np.atleast_2d(t), [np.atleast_2d(v) for v in values]
+            if not first:
+                n = len(tc)
+                # each row's shift, and the t + k log 2 that moves it
+                c, j = np.zeros(n), np.zeros(n, int)
+                top, floor = c + _HEADROOM, _HEADROOM
+                carries = [(0.0, 0.0)] * (1 + len(vals))
+            pos, cut, hi = 0, kc.size, tc.max()
+            # exp(t) 2**k is _exp_diff(t, 0, k), bit for bit, where |t| < 700
+            plain = -700.0 < tc.min() and hi < 700.0
+            if hi + kc.max() * _LN2 > floor:
                 # each row's next move in the chunk; the running maximum
                 # is, at a move, the term that the shift moves to
                 run = np.maximum.accumulate(tc + kc * _LN2, axis=1)
@@ -505,16 +502,16 @@ def _shifted_sums(t, k, values, idx):
                 e = tc[:, pos:cut]
                 if shifts is None and plain:
                     e = np.exp(e)
-                    if scaled:
+                    if kc.any():
                         np.ldexp(e, kc[pos:cut], out=e)
                 else:
                     e = _exp_diff(e, c[:, None], kc[pos:cut] - j[:, None])
-                cols = slice(first + pos, first + cut)
                 sums = []
                 for m, v in enumerate([None] + vals):
                     s, carries[m] = compensated_cumsum(
-                        e if v is None else e * v[:, cols], carries[m])
+                        e if v is None else e * v[:, pos:cut], carries[m])
                     sums.append(s)
+                cols = slice(first + pos, first + cut)
                 if cols.start == 0:
                     # every requested column; those past this pass are
                     # overwritten by the passes that hold them
@@ -534,7 +531,7 @@ def _shifted_sums(t, k, values, idx):
         sums = picked[0]
         means = [p / sums for p in picked[1:]]
     c, j = shifts or (np.zeros((n, 1)), np.zeros((n, 1), int))
-    if np.ndim(t) == 1:
+    if np.ndim(t) == 1:  # t and values have every chunk's dimensions
         c, j, sums = c[0], j[0], sums[0]
         means = [m[0] if np.ndim(v) == 1 else m
                  for v, m in zip(values, means)]
@@ -556,15 +553,14 @@ def _exp_diff(a, b, k):
 def _prefix_gini(x, lam, p, q, idx):
     """Gini(p, q) of the prefixes idx: x[0] e**(:func:`_gini_exponent`)."""
     lo, hi = _running_extremes(x, lam, idx)
-    e = _gini_exponent(_log_ratios(x), _log_weights(lam), p, q, idx)
-    vals = _times_exp(x[..., :1], e)
+    vals = _times_exp(x[..., :1], _gini_exponent(x, lam, p, q, idx))
     return np.minimum(np.maximum(vals, lo), hi)
 
 
-def _gini_exponent(r, log_lam, p, q, idx):
+def _gini_exponent(x, lam, p, q, idx):
     """e = log(M / x[0]) of the Gini(p, q) mean of the prefixes idx, from
-    r = log(x / x[0]) (:func:`_log_ratios`) and log_lam, the log weights
-    up to a common shift; the mean is symmetric in (p, q), which are
+    each chunk's r = log(x / x[0]) (:func:`_log_ratios`) and log weights
+    (:func:`_log_weights`); the mean is symmetric in (p, q), which are
     ordered so that p >= q, and Power(p) is Gini(p, 0).
 
     With weights lam e**(p r), e is the weighted mean of r when p - q is
@@ -580,22 +576,30 @@ def _gini_exponent(r, log_lam, p, q, idx):
     """
     q, p = sorted((float(p), float(q)))
     d = p - q
-    log_w, k = log_lam
-    # log(lam x**s / (lam[0] x[0]**s)) less k log 2; the weights' own row
-    # when s = 0
-    t_p, t_q = (log_w + s * r if s else log_w for s in (p, q))
+    last = [None]  # the last chunk's columns, r and log weights
+
+    def terms(s, values=lambda r: []):
+        def chunk(cols):
+            if last[0] != cols:  # a second sum may start where one ended
+                last[:] = (cols, _log_ratios(x[..., cols], x[..., :1]),
+                           *_log_weights(lam[cols], lam[0]))
+            _, r, log_w, k = last
+            # log(lam x**s / (lam[0] x[0]**s)) less k log 2; the weights'
+            # own row when s = 0
+            return (log_w + s * r if s else log_w), k, values(r)
+        return chunk
+
     if d < PROFILE_SNAP:
-        _, _, (e,) = _shifted_sums(t_p, k, [r], idx)
+        _, _, (e,) = _shifted_sums(terms(p, lambda r: [r]), idx)
     else:
-        with np.errstate(over="ignore"):
-            grown = [np.expm1(d * r)] if d < 0.5 else []
-        (c_q, j_q), s_q, means = _shifted_sums(t_q, k, grown, idx)
+        (c_q, j_q), s_q, means = _shifted_sums(terms(
+            q, lambda r: [np.expm1(d * r)] if d < 0.5 else []), idx)
         if means:
             (m,) = means
             e = np.log1p(np.maximum(m, -0.5)) / d
             far = ~np.isfinite(m) | (m < -0.5)
         if not means or far.any():
-            (c_p, j_p), s_p, _ = _shifted_sums(t_p, k, [], idx)
+            (c_p, j_p), s_p, _ = _shifted_sums(terms(p), idx)
             ratio = ((c_p - c_q) + (j_p - j_q) * _LN2
                      + np.log(s_p / s_q)) / d
             e = np.where(far, ratio, e) if means else ratio
@@ -609,8 +613,9 @@ def _prefix_qa(x, lam, g, idx, lengths=None):
     target that g does not reach on [lo, hi] raises InversionError."""
     with np.errstate(all="ignore"):
         vals = np.asarray(g.fn(x), dtype=float)
-    vals = np.where(lam > 0.0, vals, 0.0)
-    _, _, (target,) = _shifted_sums(*_log_weights(lam), [vals], idx)
+    _, _, (target,) = _shifted_sums(lambda cols: (
+        *_log_weights(lam[cols], lam[0]),
+        [np.where(lam[cols] > 0.0, vals[..., cols], 0.0)]), idx)
     if not np.isfinite(target).all():
         raise DomainError("generator values or their weighted mean are not "
                           "finite on the sample")

@@ -17,6 +17,10 @@ from .errors import DomainError, UsageError
 from .formatting import fmt_real, parse_kv
 
 _KINDS = ("ones", "geometric", "powerlaw", "explicit")
+# Most columns per pass of a long running sum (:func:`compensated_cumsum`,
+# and the shifted prefix sums of the means), whose working arrays then
+# stay in cache: the passes of a sum of 10**6 terms hold no array of 10**6.
+_CHUNK = 2 ** 15
 
 
 class WeightSequence:
@@ -176,8 +180,15 @@ def compensated_cumsum(v: np.ndarray, carry=(0.0, 0.0)):
 
     Returns the prefix sums and the carry after the last term.  Once the
     running sum overflows, the prefix sums are that running sum (inf or
-    NaN), with no floating-point warning.
+    NaN), with no floating-point warning.  Past _CHUNK columns, v runs in
+    passes of _CHUNK that carry on from each other: the bits of one pass.
     """
+    if v.shape[-1] > _CHUNK:  # only the sums are as long as v
+        out = np.empty(v.shape)
+        for first in range(0, v.shape[-1], _CHUNK):
+            cols = np.s_[..., first:first + _CHUNK]
+            out[cols], carry = compensated_cumsum(v[cols], carry)
+        return out, carry
     # the sums run down axis 0 of the transposed layout, so that for a
     # batch every step is one contiguous operation across the rows
     v = v.T

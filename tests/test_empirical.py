@@ -703,6 +703,51 @@ def test_verify_memory_is_bounded_by_the_block(trials, N):
     assert peak < 4 * 2 ** 20
 
 
+def _peak_floats(fn):
+    """The peak of the memory that fn() allocates, in 8-byte floats."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 8
+
+
+WORKING_SET_SPECS = [Power(0.5), Power(0.0), Power(-1.0), Gini(0.5, -0.5),
+                     Gini(-0.5, -0.5)]
+
+
+@pytest.mark.parametrize("spec", WORKING_SET_SPECS, ids=repr)
+def test_prefix_values_hold_no_full_length_temporaries(spec):
+    # the inputs aside, the working set is the chunks' arrays: at most two
+    # arrays of N floats on the grid of prefixes that est reads
+    n = 2 ** 18 + 3
+    x = 10.0 ** np.random.default_rng(13).uniform(-5.0, 5.0, n)
+    ns = np.unique(np.geomspace(1, n, 60).round().astype(int))
+    for lam in (np.ones(n), np.arange(1.0, n + 1.0)):
+        assert _peak_floats(lambda: prefix_values(spec, x, lam, ns)) <= 2 * n
+
+
+def test_genA_partial_forms_its_exponents_in_place():
+    # the log weights, their log prefix sums and one array of exponents
+    n = 2 ** 18 + 3
+    for w in (ONES, GEO2, WeightSequence.power_law(1.0)):
+        assert _peak_floats(lambda: genA_partial(PowerProbe(0.5), w, n)) \
+            <= 3.5 * n
+
+
+@pytest.mark.parametrize("spec", WORKING_SET_SPECS
+                         + [parse_mean("qa:g=pow:0.5")], ids=repr)
+def test_est_holds_the_witness_and_no_full_length_temporaries(spec):
+    # weights, prefix sums and witness samples, and the prefix means'
+    # chunks: neither the prefix sums nor the means form a temporary of N
+    n = 2 ** 18 + 3
+    for w in (ONES, WeightSequence.power_law(1.0)):
+        assert _peak_floats(lambda: est_lower_bound(spec, w, 0.5, n)) \
+            <= 5 * n
+
+
 def test_margin_is_max_ratio_over_the_constant():
     rep = verify_inequality(Power(0.5), ONES, 4.0, trials=50, seed=2, N=30)
     assert rep.margin == rep.max_ratio / 4.0

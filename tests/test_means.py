@@ -687,6 +687,11 @@ def _shifted_sums_batch(n, seed):
     return t, k, v
 
 
+def _array_terms(t, k, values):
+    """The terms of means._shifted_sums from whole arrays t, k, values."""
+    return lambda cols: (t[..., cols], k[cols], [v[..., cols] for v in values])
+
+
 def _exact_sums(t, k, v, idx):
     """mpmath prefix sums of e**t 2**k, and the weighted means of v, at
     the columns idx."""
@@ -702,7 +707,8 @@ def _exact_sums(t, k, v, idx):
 def test_shifted_sums_match_mpmath_and_move_each_row_alone():
     t, k, v = _shifted_sums_batch(300, 5)
     idx = np.array([299, 0, 150, 37, 150, 298, 1, 200, 200, 64])
-    (c, j), s, (m,) = means._shifted_sums(t, k, [v], idx)
+    (c, j), s, (m,) = means._shifted_sums(
+        _array_terms(t, k, [v]), idx)
     c, j = np.broadcast_to(c, s.shape), np.broadcast_to(j, s.shape)
     assert np.unique(c[0]).size >= 4 and not c[1:3].any()
     with mpmath.workdps(40):
@@ -717,7 +723,8 @@ def test_shifted_sums_match_mpmath_and_move_each_row_alone():
     # each row alone, and as a 1-d call, gives the bits of the batch
     for r in range(len(t)):
         for rows, vals in ((t[r:r + 1], v[r:r + 1]), (t[r], v[r])):
-            (c1, j1), s1, (m1,) = means._shifted_sums(rows, k, [vals], idx)
+            (c1, j1), s1, (m1,) = means._shifted_sums(
+                _array_terms(rows, k, [vals]), idx)
             for got, want in ((c1, c), (j1, j), (s1, s), (m1, m)):
                 got = np.broadcast_to(got, s1.shape).reshape(-1)
                 assert np.array_equal(got, want[r])
@@ -727,11 +734,12 @@ def test_shifted_sums_of_a_shared_row_take_per_row_values():
     t, k, v = _shifted_sums_batch(300, 6)
     idx = np.array([5, 299, 5, 120, 0])
     for shared in t:
-        (c, j), s, (m,) = means._shifted_sums(shared, k, [v], idx)
+        (c, j), s, (m,) = means._shifted_sums(
+            _array_terms(shared, k, [v]), idx)
         assert s.shape == idx.shape and m.shape == v[:, idx].shape
         for r in range(len(v)):
-            (c1, j1), s1, (m1,) = means._shifted_sums(shared, k, [v[r]],
-                                                        idx)
+            (c1, j1), s1, (m1,) = means._shifted_sums(
+                _array_terms(shared, k, [v[r]]), idx)
             assert np.array_equal(s1, s) and np.array_equal(m1, m[r])
             assert np.array_equal(np.broadcast_to(c1, s.shape),
                                   np.broadcast_to(c, s.shape))
@@ -746,10 +754,11 @@ def test_shifted_sums_at_idx_are_the_full_prefixes_read_at_idx(n):
     rng = np.random.default_rng(8)
     idx = rng.integers(0, n, 40)
     idx[:3] = [n - 1, 0, n - 1]
-    (c, j), s, means_at = means._shifted_sums(t, k, [v, 1.0 / v], idx)
+    (c, j), s, means_at = means._shifted_sums(
+        _array_terms(t, k, [v, 1.0 / v]), idx)
     every = np.arange(n)
     (c_all, j_all), s_all, means_all = means._shifted_sums(
-        t, k, [v, 1.0 / v], every)
+        _array_terms(t, k, [v, 1.0 / v]), every)
     assert np.array_equal(np.broadcast_to(c, s.shape),
                           np.broadcast_to(c_all, s_all.shape)[:, idx])
     assert np.array_equal(np.broadcast_to(j, s.shape),
@@ -757,6 +766,29 @@ def test_shifted_sums_at_idx_are_the_full_prefixes_read_at_idx(n):
     assert np.array_equal(s, s_all[:, idx])
     for m, m_all in zip(means_at, means_all):
         assert np.array_equal(m, m_all[:, idx])
+
+
+CHUNK_EDGE_SPECS = [Power(0.5), Power(0.0), Power(-1.0), Power(0.3),
+                    Power(1e7), Gini(0.5, -0.5), Gini(-0.5, -0.5),
+                    Gini(60.0, -60.0)]
+
+
+@pytest.mark.parametrize("spec", CHUNK_EDGE_SPECS, ids=repr)
+def test_prefixes_at_chunk_edges_are_the_truncated_means(spec):
+    # evaluate drops the zero weights of the gapped row, so its chunks
+    # start at other samples: a ratio or a weight taken against a chunk's
+    # first column instead of the row's would part the two
+    chunk = means._CHUNK
+    n = 2 * chunk + 77
+    x = 10.0 ** np.random.default_rng(12).uniform(-3.0, 3.0, n)
+    cols = np.arange(n)
+    ns = [chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, n]
+    for lam in (np.ones(n), (cols + 1.0) ** 3,
+                np.where(cols % 7 == 3, 0.0, 1.0 + cols % 5)):
+        got = prefix_values(spec, x, lam, ns)
+        for m, want_n in zip(got, ns):
+            assert m == spec.evaluate(x[:want_n], lam[:want_n])
+
 
 
 # -- one evaluation path --------------------------------------------------
