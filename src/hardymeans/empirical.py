@@ -64,10 +64,13 @@ class PowerProbe:
     p: float
 
     def exponent(self, log_u):
-        """log phi(u) = -p log u; 0 at u = 1 for p = -inf too."""
-        with np.errstate(invalid="ignore"):
-            e = -self.p * log_u
-        return np.where(log_u == 0.0, 0.0, e) if math.isinf(self.p) else e
+        """log phi(u) = -p log u; at p = +/-inf, log u times -/+2**4096:
+        an infinity of the right sign where u != 1, and 0 at u = 1."""
+        if not math.isinf(self.p):
+            return -self.p * log_u
+        with np.errstate(over="ignore"):
+            e = np.ldexp(log_u, 4096)
+        return np.negative(e, out=e) if self.p > 0.0 else e
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -128,12 +131,10 @@ def hardy_ratio(spec: MeanSpec, w: WeightSequence, x) -> float:
     x, an array whose length is N.
 
     The sequence is validated, then evaluated as a batch of one row, by
-    the same code that evaluates the fuzzing trials: the means of shifted
-    prefix sums (power, Gini and the named deviation profiles' means, and
-    quasiarithmetic means with an inverse) take all prefixes in one
-    vectorized pass; the means that are roots make each prefix a lane of
-    the lane solver, whose sums run over the whole prefix, which is
-    quadratic in N overall.
+    the same code that evaluates the fuzzing trials (see the module
+    docstring): a mean of shifted prefix sums takes every prefix in one
+    pass, and a mean that is a root solves each prefix as a lane, over the
+    whole prefix, which is quadratic in N overall.
     """
     x = check_sequence(x)
     xs, lam = check_xlam(x, _weights(w, x.size))

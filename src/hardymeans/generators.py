@@ -4,15 +4,15 @@ Two kinds of building blocks feed the mean families:
 
 * a :class:`GeneratorFunction` is a scalar function on (0, inf), used
   either as the transform of a quasiarithmetic mean (then it must be
-  strictly monotone and invertible) or as the profile of a homogeneous
-  deviation mean (then it must be concave with sign f(u) = sign (u - 1));
+  strictly monotone) or as the profile of a homogeneous deviation mean
+  (then it must be concave with sign f(u) = sign (u - 1));
 
 * a :class:`QuasideviationKernel` is a two-place function E(x, y) whose
   sign matches sign(x - y), defining a mean as the root in y of
   sum(lambda_i * E(x_i, y)) = 0.
 
-Named constructors carry analytic derivatives and inverses where they
-exist, plus the declared structural properties downstream code relies on.
+Named constructors carry analytic derivatives, the ``family`` that names
+their mean (means.named_mean) and their declared structural properties.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ LINEAR_GAP = 2.0 ** -969
 
 @dataclass(frozen=True)
 class GeneratorFunction:
-    """A function on (0, inf) with optional derivatives and inverse.
+    """A function on (0, inf) with optional derivatives.
 
     The boolean fields are declarations, not computed facts: callers are
     trusted to set them correctly for custom generators (named
@@ -50,7 +50,6 @@ class GeneratorFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
-    inverse: Optional[Callable] = None
     concave: bool = False
     sign_like: bool = False
     recip_integrable: bool = False
@@ -143,7 +142,7 @@ def _power_gap(t, d, s, r, a, b, lead):
 
 
 def log_gen() -> GeneratorFunction:
-    """Natural log: invertible, concave, sign-like, both roles."""
+    """Natural log: concave, sign-like, both roles."""
 
     def fn(u):
         return np.log(np.asarray(u, dtype=float))
@@ -155,19 +154,14 @@ def log_gen() -> GeneratorFunction:
         u = np.asarray(u, dtype=float)
         return -1.0 / (u * u)
 
-    return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=np.exp,
-                             concave=True, sign_like=True,
-                             recip_integrable=True, family=("log",),
-                             label="ln u")
+    return GeneratorFunction(fn=fn, d1=d1, d2=d2, concave=True,
+                             sign_like=True, recip_integrable=True,
+                             family=("log",), label="ln u")
 
 
 def power_gen(p: float) -> GeneratorFunction:
-    """Monotone transform x -> x**p, with analytic inverse, and ln for
-    |p| < PROFILE_SNAP.
-
-    This is the quasiarithmetic role: it does not vanish at 1 for p != 0,
-    so it is not a deviation profile.
-    """
+    """Monotone transform x -> x**p, and ln for |p| < PROFILE_SNAP: a
+    quasiarithmetic generator, not a deviation profile (it is not 0 at 1)."""
     p = float(p)
     if abs(p) < PROFILE_SNAP:
         return log_gen()
@@ -175,30 +169,23 @@ def power_gen(p: float) -> GeneratorFunction:
     def fn(x):
         return np.asarray(x, dtype=float) ** p
 
-    def inverse(v):
-        return np.asarray(v, dtype=float) ** (1.0 / p)
-
     def d1(x):
         return p * np.asarray(x, dtype=float) ** (p - 1.0)
 
     def d2(x):
         return p * (p - 1.0) * np.asarray(x, dtype=float) ** (p - 2.0)
 
-    return GeneratorFunction(fn=fn, d1=d1, d2=d2, inverse=inverse,
-                             concave=0.0 < p <= 1.0, sign_like=False,
-                             recip_integrable=False,
+    return GeneratorFunction(fn=fn, d1=d1, d2=d2, concave=0.0 < p <= 1.0,
                              family=("pow-map", p), label=f"x^{p:g}")
 
 
 def exp_gen() -> GeneratorFunction:
-    """x -> e**x with inverse ln; quasiarithmetic role only."""
+    """x -> e**x; quasiarithmetic role only."""
 
     def fn(x):
         return np.exp(np.asarray(x, dtype=float))
 
-    return GeneratorFunction(fn=fn, d1=fn, d2=fn, inverse=np.log,
-                             concave=False, sign_like=False,
-                             recip_integrable=False, family=("exp-map",),
+    return GeneratorFunction(fn=fn, d1=fn, d2=fn, family=("exp-map",),
                              label="e^x")
 
 

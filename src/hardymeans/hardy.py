@@ -29,9 +29,8 @@ built from the mean's generator profile f:
 
 where F(x, q) = sum_k q**k f(q**-k x).  This module provides both
 routes: the closed forms, a rigorously tail-bounded evaluator for F,
-and root solvers for the characteristic equation, plus qa_order, which
-maps a quasiarithmetic generator onto the power scale: the order is
-stated for x**p, and detected otherwise, as the limit of chi at 0+.
+and root solvers for the characteristic equation, plus qa_order, the
+power order of a quasiarithmetic generator: the limit of chi at 0+.
 
 Both routes read one profile f per mean (means.MeanSpec.profile):
 solve_cef solves it, and profile_constant reads its family's closed form.
@@ -382,14 +381,11 @@ def detect_order(g: GeneratorFunction) -> float:
 
 
 def qa_order(g: GeneratorFunction) -> float:
-    """The power order of a quasiarithmetic generator: p, stated, for
-    x**p (a ("pow-map", p) generator), detect_order(g) otherwise;
-    PGeqOne when it is >= 1, where the constant is +inf."""
-    stated = g.family[0] == "pow-map"
-    p = g.family[1] if stated else detect_order(g)
+    """The power order detect_order(g) of a quasiarithmetic generator that
+    names no mean (means.named_mean); PGeqOne from 1 on (constant +inf)."""
+    p = detect_order(g)
     if p >= 1.0:
-        order = "order" if stated else "detected order"
-        raise PGeqOne(f"{order} {p:.9g} >= 1: constant is +inf", p=p)
+        raise PGeqOne(f"detected order {p:.9g} >= 1: constant is +inf", p=p)
     return p
 
 

@@ -7,21 +7,17 @@ between the smallest and largest sample carrying positive weight.
 A family computes its values in one place, ``MeanSpec.prefix``: the
 mean of prefix i depends on x[..., :i+1] and lam[:i+1] alone, bit for
 bit, whatever else is requested, and ``evaluate`` asks for the last
-prefix only.  Power and Gini means, and the weighted means of
-quasiarithmetic generators, are shifted compensated prefix sums (the
-generator x**p takes the power mean's own), so wide dynamic ranges,
-large exponents and weights past float range neither overflow nor lose
-digits; one loop runs every row of a batch over cache-sized chunks of
-columns up to the last requested prefix, forming each chunk's terms
-there alone, each row with its own shift, which moves where the row's
-terms grow past e**600, and the sums are read at the requested prefixes
-only.  The homogeneous deviation means of the named profiles ln u,
-(u**p - 1)/p and (u**p - u**q)/(p - q) are the geometric, power and
-Gini means, by those means' prefix.  Every other mean is a root, of a
-raw deviation kernel (a custom profile f gives the kernel f(x / y)) or
-of a generator without an inverse, and each (row, prefix) pair is one
-lane of one solver, safeguarded Newton in log y (:func:`_log_lanes`).
-The running extremes of the samples, which bound every mean, are also
+prefix only.  Power and Gini means, and the quasiarithmetic mean of
+e**x, are shifted compensated prefix sums (:func:`_shifted_sums`: chunk
+by chunk, each row with its own moving shift, read at the requested
+prefixes only), so wide dynamic ranges, large exponents and weights
+past float range neither overflow nor lose digits.  A generator of a
+named family is the power or Gini mean it names (:func:`named_mean`) in
+every method.  Every other mean is a root, of a raw deviation kernel (a
+custom profile f gives the kernel f(x / y)) or of g(y) for another
+quasiarithmetic generator g, and each (row, prefix) pair is one lane of
+one solver, safeguarded Newton in log y (:func:`_log_lanes`).  The
+running extremes of the samples, which bound every mean, are also
 taken at the requested prefixes only.  A batch of rows that share one
 weight vector is one pass, and its rows may hold sequences of their own
 lengths, whose padded prefixes the root-solving families skip.
@@ -153,10 +149,8 @@ class MeanSpec:
 
     def profile(self) -> GeneratorFunction:
         """The homogeneous deviation profile that fixes the sharp constant
-        (which depends on eta and on the mean near zero alone): dev_power
-        or dev_gini of the exponents, dev_power of a generator's order
-        (hardy.qa_order: stated for x**p, detected otherwise), f itself;
-        PGeqOne where that constant is +inf."""
+        (which depends on eta and on the mean near zero alone); PGeqOne
+        where that constant is +inf."""
         raise DomainError(f"unknown mean spec {self!r}")
 
     def closed_constant(self, eta: float) -> float:
@@ -231,11 +225,10 @@ class Gini(MeanSpec):
 
 @dataclass(frozen=True)
 class QuasiArithmetic(MeanSpec):
-    """Weighted quasiarithmetic mean of a strictly monotone generator g:
-    by g's inverse when present, else by a bracketed root in [min x, max x].
-    The generator x**p of power_gen gives Power(p), by Power's prefix, and
-    its constants are Power(p)'s: the profile is dev_power of g's order,
-    stated for x**p and detected otherwise (hardy.qa_order)."""
+    """Weighted quasiarithmetic mean of a strictly monotone generator g: the
+    power mean g names (:func:`named_mean`: x**p, ln) in every method, the
+    mean of e**x (:func:`_prefix_exp`), or a root (:func:`_prefix_qa`) with
+    dev_power of g's detected order (hardy.qa_order) for profile."""
 
     g: GeneratorFunction
 
@@ -243,15 +236,18 @@ class QuasiArithmetic(MeanSpec):
 
     @property
     def homogeneous(self):
-        return self.g.family[0] in ("pow-map", "log")
+        return named_mean(self.g) is not None
 
     def prefix(self, x, lam, idx, lengths=None):
-        if self.g.family[0] == "pow-map":
-            return Power(self.g.family[1]).prefix(x, lam, idx)
-        return _prefix_qa(x, lam, self.g, idx, lengths)
+        if self.g.family[0] == "exp-map":
+            return _prefix_exp(x, lam, idx)
+        named = named_mean(self.g)
+        return (named.prefix(x, lam, idx, lengths) if named
+                else _prefix_qa(x, lam, self.g, idx, lengths))
 
     def profile(self):
-        return dev_power(qa_order(self.g))
+        named = named_mean(self.g)
+        return named.profile() if named else dev_power(qa_order(self.g))
 
     def canonical(self):
         return "qa:g=" + _generator_text(_QA_GENERATORS, self.g)
@@ -309,10 +305,9 @@ class Deviation(MeanSpec):
 @dataclass(frozen=True)
 class HomogeneousDeviation(MeanSpec):
     """Deviation mean of the kernel f(x/y), for f that declares the sign
-    property sign f(u) = sign(u - 1) (DomainError otherwise).  The mean
-    of a named profile is the mean it generates, by that mean's prefix:
-    log_gen gives Power(0), dev_power(p) Power(p) and dev_gini(p, q)
-    Gini(p, q); any other profile's is Deviation(ratio_kernel(f))'s."""
+    property sign f(u) = sign(u - 1) (DomainError otherwise): the power or
+    Gini mean f names (:func:`named_mean`) in every method, or else
+    Deviation(ratio_kernel(f))."""
 
     f: GeneratorFunction
 
@@ -320,27 +315,34 @@ class HomogeneousDeviation(MeanSpec):
 
     @property
     def symmetric_monotone(self):
-        return self.f.concave and self.f.sign_like
+        named = named_mean(self.f, deviation=True)
+        return (named.symmetric_monotone if named
+                else self.f.concave and self.f.sign_like)
 
     def prefix(self, x, lam, idx, lengths=None):
         f = self.f
         if not f.sign_like:
             raise DomainError("homogeneous deviation mean needs a sign-like "
                               "generator (sign f(u) = sign(u-1))")
-        kind, *params = f.family
-        if kind == "log":
-            return Power(0.0).prefix(x, lam, idx)
-        if kind == "power":
-            return Power(*params).prefix(x, lam, idx)
-        if kind == "gini":
-            return Gini(*params).prefix(x, lam, idx)
-        return Deviation(ratio_kernel(f)).prefix(x, lam, idx, lengths)
+        spec = named_mean(f, deviation=True) or Deviation(ratio_kernel(f))
+        return spec.prefix(x, lam, idx, lengths)
 
     def profile(self):
         return self.f
 
     def canonical(self):
         return "devmean:f=" + _generator_text(_DEV_GENERATORS, self.f)
+
+
+def named_mean(g: GeneratorFunction, deviation: bool = False):
+    """The power or Gini mean that g's family names as a quasiarithmetic
+    generator, or with `deviation` as a deviation profile, else None: ln
+    is Power(0) and (u**p - 1)/p Power(p) in both roles, x**p Power(p) as
+    a generator, (u**p - u**q)/(p - q) Gini(p, q) as a profile."""
+    kind, *params = g.family
+    if kind in ("log", "power") or (kind == "pow-map" and not deviation):
+        return Power(params[0] if params else 0.0)
+    return Gini(*params) if kind == "gini" and deviation else None
 
 
 # -- prefix evaluation ----------------------------------------------------
@@ -430,11 +432,12 @@ def _log_weights(lam, base):
 
 def _fold(e):
     """e as d + k log 2: k = 0 where |e| < 700, else the integer that brings
-    d within log 2 of 0, with d keeping e's digits (two-part log 2)."""
+    d within log 2 of 0, with d keeping e's digits (two-part log 2), to at
+    most 2**20 in size (past it e**d 2**(k + j), |j| < 2**12, is 0 or inf)."""
     if -700.0 < e.min() and e.max() < 700.0:
         return e, 0
     far = (np.abs(e) >= 700.0) & np.isfinite(e)
-    k = np.where(far, np.rint(e / _LN2), 0.0)
+    k = np.clip(np.where(far, np.rint(e / _LN2), 0.0), -2.0 ** 20, 2.0 ** 20)
     return (e - k * _LN2_HI) - k * _LN2_LO, k.astype(int)
 
 
@@ -557,11 +560,12 @@ def _prefix_gini(x, lam, p, q, idx):
     return np.minimum(np.maximum(vals, lo), hi)
 
 
-def _gini_exponent(x, lam, p, q, idx):
+def _gini_exponent(x, lam, p, q, idx, ratios=_log_ratios):
     """e = log(M / x[0]) of the Gini(p, q) mean of the prefixes idx, from
     each chunk's r = log(x / x[0]) (:func:`_log_ratios`) and log weights
     (:func:`_log_weights`); the mean is symmetric in (p, q), which are
-    ordered so that p >= q, and Power(p) is Gini(p, 0).
+    ordered so that p >= q, and Power(p) is Gini(p, 0); another coordinate
+    r = ratios(x, x[0]) gives other means (:func:`_prefix_exp`).
 
     With weights lam e**(p r), e is the weighted mean of r when p - q is
     below PROFILE_SNAP, the smallest normal float, as the profiles snap:
@@ -581,7 +585,7 @@ def _gini_exponent(x, lam, p, q, idx):
     def terms(s, values=lambda r: []):
         def chunk(cols):
             if last[0] != cols:  # a second sum may start where one ended
-                last[:] = (cols, _log_ratios(x[..., cols], x[..., :1]),
+                last[:] = (cols, ratios(x[..., cols], x[..., :1]),
                            *_log_weights(lam[cols], lam[0]))
             _, r, log_w, k = last
             # log(lam x**s / (lam[0] x[0]**s)) less k log 2; the weights'
@@ -606,11 +610,29 @@ def _gini_exponent(x, lam, p, q, idx):
     return e
 
 
+def _prefix_exp(x, lam, idx):
+    """log of the weighted prefix means of e**x, forming no e**x: log1p of the
+    weighted mean m of expm1(x) > 0, or where m overflows x[0] plus
+    :func:`_gini_exponent` at (1, 0) in r = x - x[0]."""
+    lo, hi = _running_extremes(x, lam, idx)
+    _, _, (m,) = _shifted_sums(lambda cols: (
+        *_log_weights(lam[cols], lam[0]),
+        [np.where(lam[cols] > 0.0, np.expm1(x[..., cols]), 0.0)]), idx)
+    e = np.log1p(m)
+    far = ~np.isfinite(m)
+    # x[0] + e rounds away samples far below 1 (and below x[0]), so it
+    # serves only where m overflows
+    if far.any():
+        e = np.where(far, x[..., :1] + _gini_exponent(
+            x, lam, 1.0, 0.0, idx, np.subtract), e)
+    return np.minimum(np.maximum(e, lo), hi)
+
+
 def _prefix_qa(x, lam, g, idx, lengths=None):
-    """g^-1 of the weighted prefix means of g(x), by g's inverse or, for a
-    generator without one, by :func:`_log_lanes` on g(y) - target, every
-    requested prefix of a row's own (see MeanSpec.prefix) one lane; a
-    target that g does not reach on [lo, hi] raises InversionError."""
+    """g^-1 of the weighted prefix means of g(x), by :func:`_log_lanes` on
+    g(y) - target, every requested prefix of a row's own (see
+    MeanSpec.prefix) one lane; a target that g does not reach on [lo, hi]
+    raises InversionError."""
     with np.errstate(all="ignore"):
         vals = np.asarray(g.fn(x), dtype=float)
     _, _, (target,) = _shifted_sums(lambda cols: (
@@ -622,9 +644,6 @@ def _prefix_qa(x, lam, g, idx, lengths=None):
     vlo, vhi = _running_extremes(vals, lam, idx)
     target = np.minimum(np.maximum(target, vlo), vhi)
     lo, hi = _running_extremes(x, lam, idx)
-    if g.inverse is not None:
-        return np.minimum(np.maximum(
-            np.asarray(g.inverse(target), dtype=float), lo), hi)
     ys = lo.copy()
     lanes = np.nonzero((lo != hi) & _own(idx, lengths))
     lo, hi, target = lo[lanes], hi[lanes], target[lanes]

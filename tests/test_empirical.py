@@ -566,13 +566,13 @@ def test_trial_blocks_are_the_draw_across_spans(monkeypatch):
 # -- batched trials ----------------------------------------------------------
 
 # The fuzz families, and one of each family that evaluates its rows one by
-# one: the Gini diagonal, a quasiarithmetic mean without an inverse and a
+# one: the Gini diagonal, a quasiarithmetic mean of a custom generator and a
 # raw deviation kernel.
 BATCH_FAMILIES = [
     (parse_mean("power:p=0.5"), True), (parse_mean("gini:p=0.5,q=-0.5"), True),
     (parse_mean("qa:g=log"), True), (parse_mean("devmean:f=log"), False),
     (parse_mean("devmean:f=pow:0.5"), False), (Gini(-0.5, -0.5), True),
-    (QuasiArithmetic(replace(log_gen(), inverse=None)), False),
+    (QuasiArithmetic(replace(log_gen(), family=("custom",))), False),
     (Deviation(difference_kernel()), False),
 ]
 # Two prefix solves within 1e-13 lo/hi + RTOL_FLOOR (1 + |log(y/x_1)|)
@@ -735,6 +735,25 @@ def test_genA_partial_forms_its_exponents_in_place():
     for w in (ONES, GEO2, WeightSequence.power_law(1.0)):
         assert _peak_floats(lambda: genA_partial(PowerProbe(0.5), w, n)) \
             <= 3.5 * n
+
+
+@pytest.mark.parametrize("p", [-math.inf, math.inf])
+def test_genA_partial_at_infinite_order_forms_one_exponent_array(p):
+    # the exponents at p = +/-inf are one array too, with 0 at u = 1
+    # written by the same pass: only the term k = n is 1 * lam_n / Lam_n,
+    # every other term is 0 (p = -inf) or inf (p = inf)
+    n = 2 ** 18 + 3
+    want = 1.0 / n if p < 0.0 else math.inf
+    for w in (ONES, GEO2, WeightSequence.power_law(1.0)):
+        got = []
+        assert _peak_floats(lambda: got.append(
+            genA_partial(PowerProbe(p), w, n))) <= 3.05 * n
+        if w is ONES:
+            assert got[0] == pytest.approx(want, rel=1e-12)
+    with np.errstate(all="ignore"):
+        e = PowerProbe(p).exponent(np.array([-np.inf, -1.0, -5e-324, 0.0,
+                                             5e-324, 1.0]))
+    assert list(e * np.sign(p)) == [math.inf] * 3 + [0.0] + [-math.inf] * 2
 
 
 @pytest.mark.parametrize("spec", WORKING_SET_SPECS

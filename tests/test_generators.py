@@ -67,7 +67,6 @@ def test_dev_power_is_dev_gini_at_q_zero_bit_for_bit(p):
     assert f.label == f"(u^{p:g} - 1)/{p:g}"
     assert (f.concave, f.sign_like, f.recip_integrable) == (p <= 1.0, True,
                                                             p < 1.0)
-    assert f.inverse is None
 
 
 def test_dev_gini_values():
@@ -204,22 +203,23 @@ def test_analytic_derivatives_match_finite_differences():
             assert abs(fd2 - _scalar(f.d2, x)) < 1e-4 * max(1, abs(fd2))
 
 
-def test_power_gen_inverse_roundtrip():
+def test_power_gen_family_and_flags():
     g = power_gen(2.0)
-    for x in (0.25, 1.0, 9.0):
-        assert abs(_scalar(g.inverse, _scalar(g.fn, x)) - x) < 1e-13
+    assert g.family == ("pow-map", 2.0) and g.label == "x^2"
+    assert _scalar(g.fn, 3.0) == 9.0
     assert power_gen(0.0).family == ("log",)
     assert not power_gen(2.0).sign_like
+    assert power_gen(0.5).concave and not power_gen(2.0).concave
 
 
-def test_exp_gen_inverse():
+def test_exp_gen_family_and_flags():
     g = exp_gen()
-    assert abs(_scalar(g.inverse, _scalar(g.fn, 3.0)) - 3.0) < 1e-13
+    assert g.family == ("exp-map",) and _scalar(g.fn, 0.0) == 1.0
+    assert not (g.concave or g.sign_like or g.recip_integrable)
 
 
 def test_log_gen_both_roles():
     g = log_gen()
-    assert g.inverse is np.exp
     assert g.concave and g.sign_like and g.recip_integrable
 
 

@@ -598,21 +598,22 @@ def test_order_detection_rejects_oscillation():
 
 @pytest.mark.parametrize("p", [0.3, -0.7, -1.0, 1e-9, 2.5e-8, 1e-305,
                                -100.0, -300.0])
-def test_qa_order_of_a_power_generator_is_its_stated_order(p):
-    # the chi ladder was ulps off at 0.3, -0.7, -1; 1e-6 off (relative) at
-    # 1e-9; and raised DerivativeUnavailableError from -100 on
-    assert qa_order(power_gen(p)) == p
+def test_qa_profile_of_a_power_generator_is_the_power_profile(p):
+    # x**p names Power(p), whose profile is dev_power(p); the chi ladder
+    # was ulps off at 0.3, -0.7, -1, 1e-6 off (relative) at 1e-9, and
+    # raised DerivativeUnavailableError from -100 on
+    assert QuasiArithmetic(power_gen(p)).profile().family == ("power", p)
 
 
 _QA_ORDERS = [0.5, -1.0, 0.3, -0.7, 0.9, 0.999, -5.0, 1e-9, 2.5e-8, 1e-305,
-              -100.0, -300.0]
+              -100.0, -300.0, 1.0, 2.0, math.inf]
 
 
 def _constant_or_error(route, spec, eta):
     try:
         return route(spec, eta)
     except Exception as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("p", _QA_ORDERS)

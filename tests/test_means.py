@@ -1,6 +1,7 @@
 """Mean families: hand oracles, cross-family identities, structural laws."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -13,6 +14,7 @@ from hardymeans import means
 from hardymeans.empirical import _draw_trials, verify_inequality
 from hardymeans.errors import (BracketError, DomainError, HardyMeansError,
                                InversionError, UsageError)
+from hardymeans.hardy import constant_closed, constant_root
 from hardymeans.generators import (GeneratorFunction, QuasideviationKernel,
                                    dev_gini, dev_power, difference_kernel,
                                    exp_gen, log_gen, power_gap_kernel,
@@ -99,10 +101,10 @@ def test_quasiarithmetic_small_cases():
                                      rel=1e-14, abs=0.0)
 
 
-def test_quasiarithmetic_without_inverse_roots():
+def test_quasiarithmetic_of_a_custom_generator_roots():
     # a generator of no named family, so the mean is g's own, by the lane
     # solver in log y
-    g = replace(power_gen(0.5), inverse=None, family=("custom",))
+    g = replace(power_gen(0.5), family=("custom",))
     got = QuasiArithmetic(g).evaluate(X14, ONES2)
     assert got == pytest.approx(2.25, rel=1e-10)
 
@@ -369,8 +371,8 @@ def test_gini_factorization(xlam, pq):
 
 EVERY_FAMILY = SPECS + [
     Power(1e-9), Power(-1e-9), Power(math.inf), Power(-math.inf),
-    Gini(-0.5, -0.5), QuasiArithmetic(replace(log_gen(), inverse=None)),
-    HomogeneousDeviation(log_gen()),
+    Gini(-0.5, -0.5), QuasiArithmetic(replace(log_gen(), family=("custom",))),
+    QuasiArithmetic(exp_gen()), HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(_custom(dev_power(0.5), d1=None)),
 ]
 
@@ -413,13 +415,19 @@ def test_prefix_values_match_per_prefix_evaluation(spec):
         assert every == one if isinstance(every, list) else every in one
 
 
-def test_inverse_free_quasiarithmetic_spans_wide_rows():
-    # g(y) = log y is inverted by the lane solver in log y, so every prefix
-    # of the wide rows solves; the target log y ~ -656 fixes y only to its
-    # float spacing, 5.7e-14 relative
-    free = QuasiArithmetic(replace(log_gen(), inverse=None))
+def test_custom_generator_quasiarithmetic_spans_wide_rows():
+    # g(y) = log y of no named family is inverted by the lane solver in
+    # log y, so every prefix of the wide rows solves; the target log y ~
+    # -656 fixes y only to its float spacing, 5.7e-14 relative.  The
+    # reference is exp of the same target, the shifted sums' weighted
+    # prefix means of log x
+    free = QuasiArithmetic(replace(log_gen(), family=("custom",)))
     for x, w in _prefix_cases():
-        want = prefix_values(QuasiArithmetic(log_gen()), x, w)
+        idx = np.arange(x.size)
+        _, _, (target,) = means._shifted_sums(_array_terms(
+            *means._log_weights(w, w[0]), [np.log(x)]), idx)
+        lo, hi = means._running_extremes(x, w, idx)
+        want = np.minimum(np.maximum(np.exp(target), lo), hi)
         got = prefix_values(free, x, w)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -437,15 +445,15 @@ def _newton_calls(monkeypatch):
     return calls
 
 
-def test_raw_and_inverse_free_prefixes_are_lanes(monkeypatch):
+def test_raw_and_custom_generator_prefixes_are_lanes(monkeypatch):
     # every prefix of one row is a lane of one chunk: two Newton solves
     # (the coarse one about 2**k and the one about its root) for a raw
-    # kernel and for a generator without an inverse, none per prefix
+    # kernel and for a generator of no named family, none per prefix
     calls = _newton_calls(monkeypatch)
     x = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, 50)
     for spec in (Deviation(difference_kernel()),
                  Deviation(scaled_ratio_kernel(log_gen())),
-                 QuasiArithmetic(replace(log_gen(), inverse=None))):
+                 QuasiArithmetic(replace(log_gen(), family=("custom",)))):
         calls.clear()
         prefix_values(spec, x, np.ones(50))
         assert calls == [49, 49]
@@ -791,6 +799,26 @@ def test_prefixes_at_chunk_edges_are_the_truncated_means(spec):
 
 
 
+def test_shifted_sums_take_terms_past_any_exponent_as_zero():
+    # terms e**t with t near -1e308 and 1e308, as the mean of e**x meets
+    # them: _fold holds k to 2**20, so a term far below the shift is
+    # exactly 0, the shift moves to the largest term, and no exponent is
+    # cast to an integer out of range (e / log 2 overflows, as the sums
+    # allow)
+    t = np.array([0.0, -1.7e308, 1.7e308, 1.7e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (c, _), sums, _ = means._shifted_sums(
+            _array_terms(t, np.zeros(5, int), []), np.arange(5))
+        with np.errstate(over="ignore"):
+            d, k = means._fold(np.array([1e308, -1.7e308, 800.0]))
+    assert list(sums) == [1.0, 1.0, 1.0, 2.0, 2.0]
+    assert list(c) == [0.0, 0.0, 1.7e308, 1.7e308, 1.7e308]
+    assert list(k) == [2 ** 20, -2 ** 20, round(800.0 / math.log(2.0))]
+    with np.errstate(over="ignore"):
+        assert list(np.ldexp(np.exp(d[:2]), k[:2])) == [math.inf, 0.0]
+
+
 # -- one evaluation path --------------------------------------------------
 
 
@@ -857,14 +885,54 @@ def test_huge_equal_weights_leave_the_deviation_root_unmoved():
 
 
 def test_overflowing_generator_values_are_a_domain_error_on_both_paths():
-    spec = QuasiArithmetic(exp_gen())
+    # a custom copy of e**x is a lane of g(y) - target, and e**800
+    # overflows
+    spec = QuasiArithmetic(replace(exp_gen(), family=("custom",)))
     x, lam = np.array([1.0, 800.0]), np.ones(2)
     with pytest.raises(DomainError):
         spec.evaluate(x, lam)
     with pytest.raises(DomainError):
         prefix_values(spec, x, lam)
     # e**800 carries no weight: the mean of the rest
-    assert QuasiArithmetic(exp_gen()).evaluate(x, [1.0, 0.0]) == 1.0
+    assert spec.evaluate(x, [1.0, 0.0]) == 1.0
+    # the mean of e**x forms no e**x: log((e + e**800) / 2)
+    named = QuasiArithmetic(exp_gen())
+    want = 800.0 + math.log1p(math.exp(-799.0)) - math.log(2.0)
+    assert named.evaluate(x, lam) == pytest.approx(want, rel=1e-15)
+    assert list(prefix_values(named, x, lam)) == [1.0, named.evaluate(x, lam)]
+    assert named.evaluate(x, [1.0, 0.0]) == 1.0
+
+
+def _mp_exp_mean(x, lam):
+    """log of the weighted mean of e**x at 50 digits, as log1p of the
+    weighted mean of expm1(x), which keeps the digits of tiny samples."""
+    with mpmath.workdps(50):
+        ws = [mpmath.mpf(float(v)) for v in lam]
+        s = mpmath.fsum(w * mpmath.expm1(mpmath.mpf(float(v)))
+                        for v, w in zip(x, ws))
+        return mpmath.log1p(s / mpmath.fsum(ws))
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 800.0), (1e-300, 1.0),
+                                   (1e-300, 1e300)],
+                         ids=["1..800", "1e-300..1", "1e-300..1e300"])
+def test_quasiarithmetic_mean_of_exp_against_mpmath(lo, hi):
+    # e**x leaves float range past x = 709.78 and exp(1e-300) rounds to 1;
+    # the mean forms neither, and every prefix keeps its digits, on
+    # weights of one size, of random sizes, growing to 2**975, and gapped
+    rng = np.random.default_rng(29)
+    lam = rng.uniform(0.0, 1.0, 40)
+    lam[0] = 0.7
+    rows = np.exp(rng.uniform(math.log(lo), math.log(hi), (3, 40)))
+    spec = QuasiArithmetic(exp_gen())
+    for x in rows:
+        for w in (np.ones(40), lam, np.ldexp(lam, 25 * np.arange(40)),
+                  np.where(np.arange(40) % 7 == 3, 0.0, lam)):
+            got = prefix_values(spec, x, w)
+            for n in range(1, 41):
+                want = _mp_exp_mean(x[:n], w[:n])
+                assert abs(mpmath.mpf(float(got[n - 1])) - want) \
+                    <= 1e-15 * want, (n, x[:n], w[:n])
 
 
 @pytest.mark.parametrize("p", [1e-12, -1e-12, 1e-9, -1e-9, 5e-8, -5e-8,
@@ -1026,8 +1094,8 @@ def test_deviation_prefixes_reject_a_broken_sign_property(spec):
 
 BATCH_SPECS = SPECS + [
     Power(1e-9), Power(math.inf), Gini(-0.5, -0.5),
-    QuasiArithmetic(replace(log_gen(), inverse=None)),
-    HomogeneousDeviation(log_gen()),
+    QuasiArithmetic(replace(log_gen(), family=("custom",))),
+    QuasiArithmetic(exp_gen()), HomogeneousDeviation(log_gen()),
     HomogeneousDeviation(_custom(dev_power(0.5), d1=None)),
 ]
 
@@ -1208,8 +1276,8 @@ FAMILY_TABLE = [
     (Gini(0.5, -0.5), "gini:p=0.5,q=-0.5", True, True, 3.0),
     (Gini(0.25, 0.25), "gini:p=0.25,q=0.25", True, False, None),
     (QuasiArithmetic(power_gen(2.0)), "qa:g=pow:2", True, True, math.inf),
-    (QuasiArithmetic(replace(power_gen(0.5), inverse=None)), "qa:g=pow:0.5",
-     True, True, 4.0),
+    (QuasiArithmetic(replace(power_gen(0.5), family=("custom",))), None,
+     False, True, 4.0),
     (HomogeneousDeviation(log_gen()), "devmean:f=log", True, True, math.e),
     (HomogeneousDeviation(dev_power(0.5)), "devmean:f=pow:0.5", True, True,
      4.0),
@@ -1224,7 +1292,7 @@ FAMILY_TABLE = [
 @pytest.mark.parametrize("spec,text,homogeneous,monotone,closed",
                          FAMILY_TABLE, ids=[
                              "power", "gini", "gini-diagonal", "qa",
-                             "qa-no-inverse", "devmean-log", "devmean-pow",
+                             "qa-custom", "devmean-log", "devmean-pow",
                              "devmean-gini", "devmean-no-d1", "difference"])
 def test_family_table(spec, text, homogeneous, monotone, closed):
     from hardymeans.hardy import constant_closed
@@ -1248,6 +1316,43 @@ def test_family_table(spec, text, homogeneous, monotone, closed):
     for n in range(1, 5):
         assert got[n - 1] == pytest.approx(spec.evaluate(x[:n], lam[:n]),
                                            rel=1e-11)
+
+
+# -- one mean, every spelling --------------------------------------------
+
+# a generator of a named family, and the power or Gini mean it names
+SPELLINGS = [("qa:g=log", "power:p=0"), ("devmean:f=log", "power:p=0")] + [
+    (f"{head}:{p}", f"power:p={p}")
+    for p in ("0.5", "-1", "2") for head in ("qa:g=pow", "devmean:f=pow")
+] + [("devmean:f=gini:0.5,-0.5", "gini:p=0.5,q=-0.5"),
+     ("devmean:f=gini:2,-1", "gini:p=2,q=-1")]
+
+
+def _value_or_error(call):
+    """call()'s value, or the type and message of the library error it
+    raises."""
+    try:
+        return call()
+    except HardyMeansError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text,named", SPELLINGS,
+                         ids=[text for text, _ in SPELLINGS])
+def test_every_spelling_of_a_mean_is_that_mean(text, named):
+    # the same prefix bits, the same facts, and in both routes the same
+    # constants or the same error
+    spec, mean = parse_mean(text), parse_mean(named)
+    for x, w in _prefix_cases():
+        assert (_value_or_error(lambda: list(prefix_values(spec, x, w)))
+                == _value_or_error(lambda: list(prefix_values(mean, x, w))))
+    assert spec.homogeneous == mean.homogeneous
+    assert spec.symmetric_monotone == mean.symmetric_monotone
+    for eta in (0.0, 0.5):
+        for route in (constant_closed,
+                      lambda s, e: constant_root(s, e).value):
+            assert (_value_or_error(lambda: route(spec, eta))
+                    == _value_or_error(lambda: route(mean, eta))), eta
 
 
 def test_minimal_family_needs_only_prefix():
