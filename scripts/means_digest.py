@@ -18,7 +18,12 @@ lines mean the same bits.  The groups are
 - ``est``: 12 ``est_lower_bound`` traces;
 - ``constants``: the closed and the root constant of every cell of the
   benchmark's ``constants`` workload, its fault cells included
-  (``perfbench/workloads.py``).
+  (``perfbench/workloads.py``);
+- ``lanes``: ``prefix`` of 10 means solved by the lane solver (raw
+  kernels, custom profiles and a custom generator) on batches of 3 rows
+  at 2, 50 and 300 decades, under ones, arange and gapped weights, with
+  the rows' own ``lengths``, for every prefix and for unsorted ``idx``;
+  the prefixes past a row's length are unspecified and hashed as 0.
 
 An input that raises a HardyMeansError contributes the error's class
 name and message.
@@ -29,13 +34,18 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from hardymeans import (HardyMeansError, constant_closed, constant_root,
-                        est_lower_bound, parse_mean, parse_weights,
-                        prefix_values, verify_inequality)
+from hardymeans import (Deviation, HardyMeansError, HomogeneousDeviation,
+                        QuasiArithmetic, QuasideviationKernel,
+                        constant_closed, constant_root, dev_gini, dev_power,
+                        difference_kernel, est_lower_bound, log_gen,
+                        parse_mean, parse_weights, power_gap_kernel,
+                        power_gen, prefix_values, ratio_kernel,
+                        scaled_ratio_kernel, verify_inequality)
 from hardymeans.means import _shifted_sums
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -146,10 +156,36 @@ def constants_group(h):
                 h.update(repr(value).encode())
 
 
+def lanes(h):
+    def custom(g, **fields):
+        return replace(g, family=("custom",), **fields)
+
+    specs = [Deviation(k) for k in (
+        difference_kernel(), power_gap_kernel(2.0), ratio_kernel(log_gen()),
+        scaled_ratio_kernel(dev_power(0.5)),
+        QuasideviationKernel(fn=lambda x, y: x - y))]
+    specs += [HomogeneousDeviation(custom(f, **d1)) for f in (
+        dev_power(0.5), dev_gini(0.5, -0.5)) for d1 in ({}, {"d1": None})]
+    specs.append(QuasiArithmetic(custom(power_gen(0.5))))
+    rng = np.random.default_rng(11)
+    n = 120
+    weights = [np.ones(n), np.arange(1.0, n + 1),
+               np.where(np.arange(n) % 7 == 3, 0.0, 1.0 + np.arange(n) % 5)]
+    lengths = np.array([n, 61, 9])
+    for spec in specs:
+        for decades in (2, 50, 300):
+            x = 10.0 ** rng.uniform(-decades / 2, decades / 2, (3, n))
+            for lam in weights:
+                for idx in (np.arange(n), rng.permutation(n)[:40]):
+                    out = guarded(h, lambda: spec.prefix(x, lam, idx, lengths))
+                    if out is not None:
+                        feed(h, np.where(idx < lengths[:, None], out, 0.0))
+
+
 def main():
     total = hashlib.sha256()
     for group in (shifted_sums, prefix_groups, verify_group, est_group,
-                  constants_group):
+                  constants_group, lanes):
         h = hashlib.sha256()
         with np.errstate(all="ignore"):
             group(h)

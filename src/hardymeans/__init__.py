@@ -31,7 +31,6 @@ from .errors import (
     NoConvergenceError,
     NotIntegrableError,
     NotNormalizableError,
-    PGeqOne,
     TailBoundFailure,
     UsageError,
     ViolationFound,
@@ -114,7 +113,6 @@ __all__ = [
     "NoConvergenceError",
     "NotIntegrableError",
     "NotNormalizableError",
-    "PGeqOne",
     "Power",
     "PowerProbe",
     "QuasiArithmetic",

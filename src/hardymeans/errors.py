@@ -52,14 +52,6 @@ class LimitNotDetected(HardyMeansError):
     """Limit detection did not stabilize over the probe ladder."""
 
 
-class PGeqOne(HardyMeansError):
-    """Detected power behaviour p >= 1, where no finite constant exists."""
-
-    def __init__(self, message: str, p: float | None = None):
-        super().__init__(message)
-        self.p = p
-
-
 class ZeroDerivativeError(HardyMeansError):
     """A required first derivative vanished at the probe point."""
 

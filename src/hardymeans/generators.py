@@ -83,13 +83,16 @@ def dev_gini(p: float, q: float) -> GeneratorFunction:
     With t = ln u and E = expm1((p - q) t)/(p - q) it is e**(q t) E, with
     d1 = e**((q-1) t) (p E + 1) and d2 = e**((q-2) t) (p (p-1) E + p + q - 1),
     accurate as p -> q (:func:`_power_gap`) and through p = q, where it is
-    the limit u**p ln u; a pair within PROFILE_SNAP of (0, 0) is ln.
+    the limit u**p ln u; a pair within PROFILE_SNAP of (0, 0) is ln, and
+    another pair with a zero exponent is dev_power of the other.
     Declared concave on the band min(p,q) <= 0 <= max(p,q) <= 1, which
     covers the region where a finite sharp constant exists.
     """
     p, q = float(p), float(q)
     if abs(p - q) < PROFILE_SNAP and abs(0.5 * (p + q)) < PROFILE_SNAP:
         return log_gen()
+    if not (p and q):
+        return dev_power(p or q)
     label = (f"u^{p:g} ln u" if p - q == 0.0
              else f"(u^{p:g} - u^{q:g})/({p:g} - {q:g})")
     return _gini_profile(p, q, ("gini", p, q), label)

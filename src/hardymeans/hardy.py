@@ -29,8 +29,8 @@ built from the mean's generator profile f:
 
 where F(x, q) = sum_k q**k f(q**-k x).  This module provides both
 routes: the closed forms, a rigorously tail-bounded evaluator for F,
-and root solvers for the characteristic equation, plus qa_order, the
-power order of a quasiarithmetic generator: the limit of chi at 0+.
+and root solvers for the characteristic equation, plus detect_order,
+the power order of a generator: the limit of chi at 0+.
 
 Both routes read one profile f per mean (means.MeanSpec.profile):
 solve_cef solves it, and profile_constant reads its family's closed form.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, LimitNotDetected, NoConvergenceError,
-                     NotIntegrableError, PGeqOne, TailBoundFailure,
+                     NotIntegrableError, TailBoundFailure,
                      ZeroDerivativeError, DerivativeUnavailableError)
 from .generators import PROFILE_SNAP, GeneratorFunction
 from .quadrature import tanh_sinh
@@ -380,15 +380,6 @@ def detect_order(g: GeneratorFunction) -> float:
         f"chi values {chis} never stabilized within {_PROBE_TOL:g}")
 
 
-def qa_order(g: GeneratorFunction) -> float:
-    """The power order detect_order(g) of a quasiarithmetic generator that
-    names no mean (means.named_mean); PGeqOne from 1 on (constant +inf)."""
-    p = detect_order(g)
-    if p >= 1.0:
-        raise PGeqOne(f"detected order {p:.9g} >= 1: constant is +inf", p=p)
-    return p
-
-
 # -- family dispatch -------------------------------------------------------
 
 
@@ -409,9 +400,9 @@ def profile_constant(f: GeneratorFunction, eta: float) -> float:
 
 def constant_closed(spec, eta: float) -> float:
     """Closed-form sharp constant of the mean `spec` (a means.MeanSpec)
-    at weight limit eta: profile_constant of spec.profile(), or +inf
-    where profile() raises PGeqOne.  Raw deviation kernels have no
-    profile here: normalize and take the kernel trace first."""
+    at weight limit eta: profile_constant of spec.profile().  Raw
+    deviation kernels have no profile here: normalize and take the
+    kernel trace first."""
     _check_eta(eta)
     return spec.closed_constant(eta)
 

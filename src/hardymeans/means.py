@@ -36,13 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BracketError, DomainError, InversionError, PGeqOne,
-                     UsageError)
+from .errors import BracketError, DomainError, InversionError, UsageError
 from .formatting import fmt_real, parse_kv
 from .generators import (PROFILE_SNAP, GeneratorFunction,
                          QuasideviationKernel, dev_gini, dev_power, exp_gen,
                          log_gen, power_gen, ratio_kernel)
-from .hardy import (HardyConstantResult, profile_constant, qa_order,
+from .hardy import (HardyConstantResult, detect_order, profile_constant,
                     solve_cef)
 from .rootfind import RTOL_FLOOR, newton_lanes
 from .weights import _CHUNK, check_int, compensated_cumsum
@@ -149,18 +148,13 @@ class MeanSpec:
 
     def profile(self) -> GeneratorFunction:
         """The homogeneous deviation profile that fixes the sharp constant
-        (which depends on eta and on the mean near zero alone); PGeqOne
-        where that constant is +inf."""
+        (which depends on eta and on the mean near zero alone)."""
         raise DomainError(f"unknown mean spec {self!r}")
 
     def closed_constant(self, eta: float) -> float:
         """profile_constant of the profile at eta (already checked to lie
-        in [0, 1)), or +inf where the profile raises PGeqOne."""
-        try:
-            f = self.profile()
-        except PGeqOne:
-            return math.inf
-        return profile_constant(f, eta)
+        in [0, 1))."""
+        return profile_constant(self.profile(), eta)
 
     def root_constant(self, eta: float, tol: float) -> HardyConstantResult:
         """The root of the profile's characteristic equation."""
@@ -228,7 +222,8 @@ class QuasiArithmetic(MeanSpec):
     """Weighted quasiarithmetic mean of a strictly monotone generator g: the
     power mean g names (:func:`named_mean`: x**p, ln) in every method, the
     mean of e**x (:func:`_prefix_exp`), or a root (:func:`_prefix_qa`) with
-    dev_power of g's detected order (hardy.qa_order) for profile."""
+    dev_power of g's detected order (hardy.detect_order) for profile, so
+    that an order p has Power(p)'s constant and error."""
 
     g: GeneratorFunction
 
@@ -247,7 +242,7 @@ class QuasiArithmetic(MeanSpec):
 
     def profile(self):
         named = named_mean(self.g)
-        return named.profile() if named else dev_power(qa_order(self.g))
+        return named.profile() if named else dev_power(detect_order(self.g))
 
     def canonical(self):
         return "qa:g=" + _generator_text(_QA_GENERATORS, self.g)
@@ -268,32 +263,48 @@ class Deviation(MeanSpec):
                              "scaled-ratio")
 
     def prefix(self, x, lam, idx, lengths=None):
-        """Each prefix of a row's own (see MeanSpec.prefix) is a lane of
-        :func:`_log_lanes`, in chunks (:func:`_prefix_lanes`); a
-        homogeneous kernel sees its samples and y scaled exactly by 2**-k,
-        2**k between the prefix's extremes, so its values are of order 1."""
+        """Each prefix of a row's own (see MeanSpec.prefix) with lo < hi is
+        a lane of :func:`_log_lanes`, in chunks by prefix length of at most
+        _LANE_CELLS lanes times widest prefix, or one lane; the rest take
+        x[0] within [lo, hi].  A lane's positive weights are scaled by a
+        power of two to a largest in [1/2, 1), and a homogeneous kernel sees
+        its samples and y scaled exactly by 2**-k, 2**k between the prefix's
+        extremes, so its values are of order 1.  Sums read off running sums
+        (:func:`_lane_sums`) keep a lane's bits independent of its chunk."""
         fn, homogeneous = self.kernel.fn, self.homogeneous
         rows = np.atleast_2d(x)
         lo, hi = _running_extremes(rows, lam, idx)
-        xs = np.compress(lam > 0.0, rows, axis=-1)
-
-        def chunk(rr, cc, end, w):
-            lo_l, hi_l = lo[rr, cc], hi[rr, cc]
+        support = lam > 0.0
+        xs, ws = np.compress(support, rows, axis=-1), lam[support]
+        end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
+        shift = -np.frexp(np.maximum.accumulate(ws))[1][end]
+        out = np.minimum(np.maximum(rows[:, :1], lo), hi)
+        row, col = np.nonzero((lo != hi) & _own(idx, lengths))
+        order = np.argsort(end[col], kind="stable")
+        row, col = row[order], col[order]
+        first = 0
+        while first < row.size:
+            # as many lanes as fit _LANE_CELLS at the widest, and at least one
+            widths = end[col[first:first + _LANE_CELLS]] + 1
+            fits = np.arange(1, widths.size + 1) * widths <= _LANE_CELLS
+            rr, cc = (v[first:first + max(1, np.count_nonzero(fits))]
+                      for v in (row, col))
+            first += rr.size
+            e, lo_l, hi_l = end[cc], lo[rr, cc], hi[rr, cc]
+            w = np.ldexp(ws[:e[-1] + 1], shift[cc, None])
             # 2**k between the extremes; k = 0 unless the kernel is homogeneous
             k = (np.frexp(lo_l)[1] + np.frexp(hi_l)[1]) // 2 * homogeneous
             with np.errstate(over="ignore"):  # an inf sum raises
-                x_l = np.ldexp(xs[rr, :end[-1] + 1], -k[:, None])
+                x_l = np.ldexp(xs[rr, :e[-1] + 1], -k[:, None])
 
             def sums(y, lanes):
-                n = end[lanes[-1]] + 1
+                n = e[lanes[-1]] + 1
                 v = fn(_take_rows(x_l, lanes)[:, :n],
                        np.ldexp(y, -k[lanes])[:, np.newaxis])
-                return (_lane_sums(v, _take_rows(w, lanes)[:, :n], end[lanes]),
+                return (_lane_sums(v, _take_rows(w, lanes)[:, :n], e[lanes]),
                         None)
 
-            return _log_lanes(sums, lo_l, hi_l, BracketError)
-
-        out = _prefix_lanes(rows, lam, idx, lengths, lo, hi, lo != hi, chunk)
+            out[rr, cc] = _log_lanes(sums, lo_l, hi_l, BracketError)
         return out if x.ndim > 1 else out[0]
 
     def profile(self):
@@ -661,38 +672,6 @@ def _prefix_qa(x, lam, g, idx, lengths=None):
 
 
 # -- the lane solver ------------------------------------------------------
-
-
-def _prefix_lanes(rows, lam, idx, lengths, lo, hi, solve, chunk):
-    """Means of the prefixes idx of the rows (2-d): the (row, prefix) pairs
-    of a row's own (see MeanSpec.prefix) that `solve` marks are lanes,
-    in chunks by prefix length of at most _LANE_CELLS lanes times widest
-    prefix, or one lane; the rest take x[0] within [lo, hi].
-    chunk(rr, cc, end, w) solves the lanes at rows rr and columns cc: end
-    is the last positive-weight sample of each prefix, and w the positive
-    weights, each lane's scaled by a power of two to a largest in
-    [1/2, 1).  Sums read off running sums (:func:`_lane_sums`) keep a
-    lane's bits independent of its chunk."""
-    support = lam > 0.0
-    end = np.cumsum(support)[idx] - 1  # last support sample of each prefix
-    ws = lam[support]
-    shift = -np.frexp(np.maximum.accumulate(ws))[1][end]
-    out = np.minimum(np.maximum(rows[:, :1], lo), hi)
-    row, col = np.nonzero(solve & _own(idx, lengths))
-    order = np.argsort(end[col], kind="stable")
-    row, col = row[order], col[order]
-    first = 0
-    while first < row.size:
-        # as many lanes as fit _LANE_CELLS at the widest, and at least one
-        widths = end[col[first:first + _LANE_CELLS]] + 1
-        fits = np.arange(1, widths.size + 1) * widths <= _LANE_CELLS
-        rr, cc = (v[first:first + max(1, np.count_nonzero(fits))]
-                  for v in (row, col))
-        first += rr.size
-        e = end[cc]
-        out[rr, cc] = chunk(rr, cc, e, np.ldexp(ws[:e[-1] + 1],
-                                                shift[cc, None]))
-    return out
 
 
 def _log_lanes(g, lo, hi, error):

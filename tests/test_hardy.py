@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from hardymeans.empirical import genA_limit
 from hardymeans.errors import (DerivativeUnavailableError, DomainError,
                                LimitNotDetected, NoConvergenceError,
-                               NotIntegrableError, PGeqOne, TailBoundFailure,
+                               NotIntegrableError, TailBoundFailure,
                                ZeroDerivativeError)
 from hardymeans.generators import (GeneratorFunction, dev_gini, dev_power,
                                    difference_kernel, exp_gen, log_gen,
                                    power_gen)
 from hardymeans.hardy import (C_of, F_eval, chi_f, constant_closed,
                               constant_root, detect_order, gini_constant,
-                              power_constant, qa_order, solve_cef)
+                              power_constant, solve_cef)
 from hardymeans.means import (Deviation, Gini, HomogeneousDeviation, Power,
                               QuasiArithmetic)
 from hardymeans.quadrature import tanh_sinh
@@ -609,6 +609,10 @@ _QA_ORDERS = [0.5, -1.0, 0.3, -0.7, 0.9, 0.999, -5.0, 1e-9, 2.5e-8, 1e-305,
               -100.0, -300.0, 1.0, 2.0, math.inf]
 
 
+def _root_value(spec, eta):
+    return constant_root(spec, eta).value
+
+
 def _constant_or_error(route, spec, eta):
     try:
         return route(spec, eta)
@@ -621,7 +625,7 @@ def test_qa_constants_of_a_power_generator_are_the_power_means(p):
     # QuasiArithmetic(power_gen(p)) is Power(p) by its prefix, and by its
     # constants too, bit for bit, in both routes
     qa = QuasiArithmetic(power_gen(p))
-    routes = (constant_closed, lambda spec, eta: constant_root(spec, eta).value)
+    routes = (constant_closed, _root_value)
     for eta in (0.0, 0.1, 0.5, 0.9):
         for route in routes:
             assert (_constant_or_error(route, qa, eta)
@@ -639,11 +643,25 @@ def test_qa_constant_log_weighted():
 
 
 def test_qa_constant_exponential_detects_order_one():
-    # chi of exp is x + 1, limit 1 at 0+: no finite constant
-    with pytest.raises(PGeqOne) as excinfo:
-        qa_order(exp_gen())
-    assert excinfo.value.p == pytest.approx(1.0, abs=1e-6)
-    assert constant_closed(QuasiArithmetic(exp_gen()), 0.0) == math.inf
+    # chi of exp is x + 1, limit 1 at 0+: no finite constant, and the root
+    # route raises Power(1)'s error
+    assert detect_order(exp_gen()) == pytest.approx(1.0, abs=1e-6)
+    qa = QuasiArithmetic(exp_gen())
+    assert constant_closed(qa, 0.0) == math.inf
+    assert (_constant_or_error(_root_value, qa, 0.5)
+            == _constant_or_error(_root_value, Power(1.0), 0.5)
+            == (NotIntegrableError, "(u^1 - 1)/1: reciprocal profile "
+                "declared non-integrable on (0, 1]"))
+
+
+def test_qa_constants_of_a_custom_generator_are_its_detected_power_means():
+    # a copy of x**2 that names no mean: its detected order 2 gives
+    # Power(2)'s constant and error
+    qa = QuasiArithmetic(replace(power_gen(2.0), family=("custom",)))
+    for eta in (0.0, 0.5):
+        for route in (constant_closed, _root_value):
+            assert (_constant_or_error(route, qa, eta)
+                    == _constant_or_error(route, Power(2.0), eta)), eta
 
 
 # -- family dispatch ---------------------------------------------------------

@@ -1325,7 +1325,11 @@ SPELLINGS = [("qa:g=log", "power:p=0"), ("devmean:f=log", "power:p=0")] + [
     (f"{head}:{p}", f"power:p={p}")
     for p in ("0.5", "-1", "2") for head in ("qa:g=pow", "devmean:f=pow")
 ] + [("devmean:f=gini:0.5,-0.5", "gini:p=0.5,q=-0.5"),
-     ("devmean:f=gini:2,-1", "gini:p=2,q=-1")]
+     ("devmean:f=gini:2,-1", "gini:p=2,q=-1")] + [
+    # a Gini pair with a zero exponent is the power mean of the other
+    (text, "power:p=2")
+    for text in ("gini:p=2,q=0", "gini:p=0,q=2", "devmean:f=gini:2,0")
+] + [(text, "power:p=-1") for text in ("gini:p=0,q=-1", "devmean:f=gini:0,-1")]
 
 
 def _value_or_error(call):
