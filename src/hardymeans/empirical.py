@@ -63,13 +63,15 @@ class PowerProbe:
 
     p: float
 
-    def exponent(self, log_u):
+    def exponent(self, log_u, out=None):
         """log phi(u) = -p log u; at p = +/-inf, log u times -/+2**4096:
-        an infinity of the right sign where u != 1, and 0 at u = 1."""
+        an infinity of the right sign where u != 1, and 0 at u = 1.  Given
+        out, which may be log_u, the exponents are written there, as by a
+        ufunc's out."""
         if not math.isinf(self.p):
-            return -self.p * log_u
+            return np.multiply(-self.p, log_u, out=out)
         with np.errstate(over="ignore"):
-            e = np.ldexp(log_u, 4096)
+            e = np.ldexp(log_u, 4096, out=out)
         return np.negative(e, out=e) if self.p > 0.0 else e
 
     def __call__(self, u):
@@ -115,15 +117,18 @@ def _spec_label(spec: MeanSpec) -> str:
         return repr(spec)
 
 
-def _witness(w: WeightSequence, y: float, N: int, lam=None) -> tuple:
+def _witness(w: WeightSequence, y: float, N: int, lam: np.ndarray,
+             ns: np.ndarray) -> tuple:
     """The witness sequence y / Lambda_n, n = 1..N, and the prefix sums
-    Lambda_n; lam is w.lam_array(N) when the caller holds it."""
+    Lambda_n at the prefix lengths ns; lam is w.lam_array(N).  The
+    witness is divided into the prefix sums in place."""
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError("witness level y must be positive and finite")
     prefixes = w.prefix_array(N, lam=lam)
     if not np.all(np.isfinite(prefixes)):
         raise DomainError("prefix sums leave float range at this N; shrink N")
-    return y / prefixes, prefixes
+    at_ns = prefixes[ns - 1]
+    return np.divide(y, prefixes, out=prefixes), at_ns
 
 
 def hardy_ratio(spec: MeanSpec, w: WeightSequence, x) -> float:
@@ -185,10 +190,10 @@ def est_lower_bound(spec: MeanSpec, w: WeightSequence, y: float,
     N, grid = check_int(N, "N"), check_int(grid, "grid")
     lam = w.lam_array(N)
     level = math.frexp(y)[0] if spec.homogeneous else y
-    xs, prefixes = _witness(w, level, N, lam)
     ns = np.unique(np.round(np.geomspace(1, N, num=min(grid, N))).astype(int))
+    xs, sums = _witness(w, level, N, lam, ns)
     means = prefix_values(spec, xs, lam, ns=ns)
-    values = prefixes[ns - 1] * (means / level)
+    values = sums * (means / level)
     return EmpiricalTrace(
         ns=ns, values=values, label=f"est[{_spec_label(spec)}]",
         meta={"weights": w.spec_text(), "y": y, "N": N})
@@ -211,7 +216,7 @@ def genA_partial(phi, w: WeightSequence, n: int) -> float:
     log_lam -= log_prefix[-1]
     log_prefix -= log_prefix[-1]
     if isinstance(phi, PowerProbe):
-        log_lam += phi.exponent(log_prefix)
+        log_lam += phi.exponent(log_prefix, out=log_prefix)
         return float(np.exp(log_lam, out=log_lam).sum())
     weight = np.exp(log_lam)
     ratio = np.exp(log_prefix)

@@ -181,9 +181,20 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
     The term count doubles until the tail majorant
     (1/(1-q)) * integral_0^{q**K} f(x/t) dt drops below `tol`; if that
     has not happened by 10**6 terms (or term evaluation leaves float
-    range) TailBoundFailure is raised.  A supplied `_majorant_cache`
-    replaces x by 1 in the majorant (valid for x <= 1 and f
-    nondecreasing) so repeated evaluations at nearby x can share bounds.
+    range) TailBoundFailure is raised.
+
+    A supplied `_majorant_cache` (one per tol and q) replaces x by 1 in
+    the majorant, valid for x <= 1 and f nondecreasing, so that it
+    depends on K alone: it maps K to its bound, shared by repeated
+    evaluations at nearby x.  With x = 1 the majorant falls as K grows,
+    so a converged, finite bound also decides other rungs, without a
+    quadrature: a rung above a K that met `tol` passes, and its
+    tail_bound is that of the greatest such K, which still encloses its
+    smaller tail; a rung below a K that missed misses.  An infinite bound
+    (an unconverged quadrature, as when it underflows at a tiny q**K)
+    decides its own K only.  The rungs whose verdict is known form their
+    terms in one pass before the next quadrature or the return, each
+    rung's terms summed alone, so the partial sum has the same bits.
     """
     x = float(x)
     q = float(q)
@@ -197,15 +208,25 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
     # index of the first term with argument above 1 (terms positive after it)
     k_settle = max(0, math.floor(math.log(x) / log_q) + 1)
     quad_tol = 0.1 * tol * (1.0 - q)
+    top = x if _majorant_cache is None else 1.0
+
+    def known_bound(K: int) -> float | None:
+        """The bound the cache decides for rung K (+inf for a miss), or
+        None where a quadrature must."""
+        if not _majorant_cache:
+            return None
+        hit = _majorant_cache.get(K)
+        if hit is not None:
+            return hit
+        passed = [k for k, b in _majorant_cache.items() if b <= tol and k < K]
+        if passed:
+            return _majorant_cache[max(passed)]
+        if any(tol < b < math.inf and k > K
+               for k, b in _majorant_cache.items()):
+            return math.inf
+        return None
 
     def tail_majorant(K: int) -> float:
-        if _majorant_cache is not None:
-            hit = _majorant_cache.get(K)
-            if hit is not None:
-                return hit
-            top = 1.0
-        else:
-            top = x
         upper = q ** K
         if upper == 0.0:
             return 0.0
@@ -219,10 +240,13 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
 
     partial = 0.0
     done = 0
-    K = max(16, 2 * k_settle, 2)
-    while True:
-        K = min(K, _TERM_CAP)
-        ks = np.arange(done, K, dtype=float)
+    rungs: list[int] = []  # ends of the rungs whose terms are not formed
+
+    def add_terms() -> None:
+        nonlocal partial, done
+        if not rungs:
+            return
+        ks = np.arange(done, rungs[-1], dtype=float)
         with np.errstate(all="ignore"):
             args = np.exp(math.log(x) - ks * log_q)
             terms = np.exp(ks * log_q) * np.asarray(f.fn(args), dtype=float)
@@ -230,14 +254,28 @@ def F_eval(f: GeneratorFunction, x: float, q: float, tol: float = 1e-12,
             raise TailBoundFailure(
                 f"term evaluation left float range near k={done + int(np.argmax(~np.isfinite(terms)))}; "
                 "the series has no closable tail at this tolerance")
-        partial += float(terms.sum())
-        done = K
+        start = done
+        for end in rungs:
+            partial += float(terms[start - done:end - done].sum())
+            start = end
+        done = start
+        rungs.clear()
+
+    K = max(16, 2 * k_settle, 2)
+    while True:
+        K = min(K, _TERM_CAP)
+        rungs.append(K)
         if K > k_settle:
-            bound = tail_majorant(K)
+            bound = known_bound(K)
+            if bound is None:
+                add_terms()
+                bound = tail_majorant(K)
             if bound <= tol:
+                add_terms()
                 return SeriesEval(partial=partial, terms=done,
                                   tail_bound=bound, x=x, q=q)
         if K >= _TERM_CAP:
+            add_terms()
             raise TailBoundFailure(
                 f"tail bound still above {tol:g} after {_TERM_CAP} terms")
         K = 2 * K
@@ -299,6 +337,8 @@ def solve_cef(f: GeneratorFunction, eta: float,
         method = "root-integral"
     else:
         q = 1.0 - eta
+        # the tail majorants of every iterate, by term count K: one set of
+        # quadratures whose verdicts decide most rungs of later ladders
         cache: dict = {}
 
         def charfun(c):

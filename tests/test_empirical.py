@@ -730,24 +730,25 @@ def test_prefix_values_hold_no_full_length_temporaries(spec):
 
 
 def test_genA_partial_forms_its_exponents_in_place():
-    # the log weights, their log prefix sums and one array of exponents
+    # the log weights and their log prefix sums, which the exponents
+    # overwrite
     n = 2 ** 18 + 3
     for w in (ONES, GEO2, WeightSequence.power_law(1.0)):
         assert _peak_floats(lambda: genA_partial(PowerProbe(0.5), w, n)) \
-            <= 3.5 * n
+            <= 2.05 * n
 
 
 @pytest.mark.parametrize("p", [-math.inf, math.inf])
 def test_genA_partial_at_infinite_order_forms_one_exponent_array(p):
-    # the exponents at p = +/-inf are one array too, with 0 at u = 1
-    # written by the same pass: only the term k = n is 1 * lam_n / Lam_n,
-    # every other term is 0 (p = -inf) or inf (p = inf)
+    # the exponents at p = +/-inf overwrite the log prefix sums too, with
+    # 0 at u = 1 written by the same pass: only the term k = n is
+    # 1 * lam_n / Lam_n, every other term is 0 (p = -inf) or inf (p = inf)
     n = 2 ** 18 + 3
     want = 1.0 / n if p < 0.0 else math.inf
     for w in (ONES, GEO2, WeightSequence.power_law(1.0)):
         got = []
         assert _peak_floats(lambda: got.append(
-            genA_partial(PowerProbe(p), w, n))) <= 3.05 * n
+            genA_partial(PowerProbe(p), w, n))) <= 2.05 * n
         if w is ONES:
             assert got[0] == pytest.approx(want, rel=1e-12)
     with np.errstate(all="ignore"):
@@ -759,12 +760,13 @@ def test_genA_partial_at_infinite_order_forms_one_exponent_array(p):
 @pytest.mark.parametrize("spec", WORKING_SET_SPECS
                          + [parse_mean("qa:g=pow:0.5")], ids=repr)
 def test_est_holds_the_witness_and_no_full_length_temporaries(spec):
-    # weights, prefix sums and witness samples, and the prefix means'
-    # chunks: neither the prefix sums nor the means form a temporary of N
+    # weights and witness samples, which overwrite the prefix sums, and
+    # the prefix means' chunks: neither the prefix sums nor the means
+    # form a temporary of N
     n = 2 ** 18 + 3
     for w in (ONES, WeightSequence.power_law(1.0)):
         assert _peak_floats(lambda: est_lower_bound(spec, w, 0.5, n)) \
-            <= 5 * n
+            <= 4 * n
 
 
 def test_margin_is_max_ratio_over_the_constant():

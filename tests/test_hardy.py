@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardymeans import hardy
 from hardymeans.empirical import genA_limit
 from hardymeans.errors import (DerivativeUnavailableError, DomainError,
                                LimitNotDetected, NoConvergenceError,
@@ -441,6 +442,35 @@ def test_series_rejects_a_tolerance_not_positive_and_finite(tol):
         F_eval(log_gen(), 0.5, 0.5, tol=tol)
 
 
+# root-series profiles whose solves walk ladders from many starting K
+SHARED_CACHE_PROFILES = [dev_power(0.5), dev_power(0.9), dev_gini(0.9, -0.2)]
+
+
+@pytest.mark.parametrize("f", SHARED_CACHE_PROFILES, ids=lambda f: f.label)
+@pytest.mark.parametrize("q", [0.9, 0.7])
+def test_series_shared_majorant_cache_keeps_the_bits(f, q):
+    # a Brent-like walk of c = 1/x: the bracket's doublings, then points
+    # closing on the root; the verdicts one cache carries between calls
+    # change neither the partial sum nor the term count
+    root = hardy.profile_constant(f, 1.0 - q)
+    cs = [1.0, 2.0, 4.0, 8.0, 16.0] + [root * (1.0 + d) for d in
+                                       (0.3, -0.1, 1e-2, -1e-4, 1e-7, 0.0)]
+    shared: dict = {}
+    for c in cs:
+        got = F_eval(f, 1.0 / c, q, tol=1e-13, _majorant_cache=shared)
+        assert got.tail_bound <= 1e-13
+        try:
+            want = F_eval(f, 1.0 / c, q, tol=1e-13, _majorant_cache={})
+        except TailBoundFailure:
+            # the fresh ladder's majorant underflows past its last miss
+            # (gini at q = 0.9, c = 1.3 root), where an earlier pass
+            # decides; the uncached majorant at x closes that sum sooner
+            want = F_eval(f, 1.0 / c, q, tol=1e-13)
+            assert got.partial == pytest.approx(want.partial, abs=2e-13), c
+            continue
+        assert (got.partial, got.terms) == (want.partial, want.terms), c
+
+
 # -- characteristic equation -------------------------------------------------
 
 
@@ -488,6 +518,40 @@ def test_characteristic_raises_on_unconverged_quadrature():
     # constant is 1006.9
     with pytest.raises(NoConvergenceError):
         constant_root(Power(0.999), 0.0)
+
+
+def test_root_series_reuses_the_tail_majorant_verdicts(monkeypatch):
+    # each Brent iterate's ladder starts at its own K; the verdicts of the
+    # solve's earlier quadratures decide most rungs (48 quadratures when
+    # each K was looked up alone)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return tanh_sinh(*args, **kwargs)
+
+    monkeypatch.setattr(hardy, "tanh_sinh", counted)
+    res = constant_root(Gini(0.9, -0.2), 0.1)
+    assert res.value == pytest.approx(constant_closed(Gini(0.9, -0.2), 0.1),
+                                      rel=1e-12)
+    assert 0 < len(calls) <= 16
+
+
+def test_root_series_reports_the_first_term_out_of_float_range():
+    with pytest.raises(TailBoundFailure, match=r"near k=2122;"):
+        constant_root(Gini(0.999, -0.5), 0.2)
+
+
+@pytest.mark.parametrize("spec, eta", [
+    (Power(0.9), 0.001), (Power(0.9), 0.01),
+    (Gini(0.8, -0.5), 0.05), (Gini(0.8, -0.5), 0.1),
+], ids=repr)
+def test_root_series_answers_where_a_later_rung_underflowed(spec, eta):
+    # a rung whose majorant quadrature underflows at a tiny q**K passes by
+    # an earlier K's verdict; these cells raised TailBoundFailure when each
+    # ladder doubled on past it until the terms left float range
+    assert constant_root(spec, eta).value == pytest.approx(
+        constant_closed(spec, eta), rel=1e-12, abs=0.0)
 
 
 def test_characteristic_rejects_nonintegrable_profile():
